@@ -7,25 +7,14 @@ refined with an iterative miss/match update, and queried by cosine
 similarity.
 """
 
-from .hypervector import (
-    AccumulatorVector,
-    Hypervector,
-    RandomSource,
-    accumulate,
-    cosine,
-    flip_bits,
-    hamming,
-    popcount,
-    random_hv,
-    xor,
-)
 from .codebook import (
     Codebook,
     FeatureSchema,
     FeatureSpec,
+    RandomSource,
     build_codebook,
-    level_index,
-    lookup_level,
+    flip_bits,
+    random_hv,
 )
 from .dataset import (
     CLASS_NAMES,
@@ -46,20 +35,17 @@ from .dataset import (
 )
 from .encoding import (
     EncodedDataset,
-    EncodedRecord,
-    binarize,
     default_threshold,
-    encode,
-    encode_binary,
     encode_dataset,
+    lookup_level,
+    value_index,
 )
 from .model import (
+    AccumulatorVector,
     ClassModel,
     CorruptModelError,
     Hyperparams,
-    Prediction,
     load_model,
-    predict,
     predict_batch,
     retrain,
     save_model,
@@ -75,17 +61,15 @@ from .evaluation import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccumulatorVector", "Hypervector", "RandomSource", "accumulate", "cosine",
-    "flip_bits", "hamming", "popcount", "random_hv", "xor",
-    "Codebook", "FeatureSchema", "FeatureSpec", "build_codebook", "level_index",
-    "lookup_level",
+    "Codebook", "FeatureSchema", "FeatureSpec", "RandomSource", "build_codebook",
+    "flip_bits", "random_hv",
     "CLASS_NAMES", "COLUMN_NAMES", "NUM_FEATURES", "LabelMap", "ParseError",
     "RawRecord", "SplitSpec", "UnknownLabelError", "class_indices", "infer_schema",
     "load_label_map", "map_label", "parse_file", "parse_line", "split",
-    "EncodedDataset", "EncodedRecord", "binarize", "default_threshold", "encode",
-    "encode_binary", "encode_dataset",
-    "ClassModel", "CorruptModelError", "Hyperparams", "Prediction", "load_model",
-    "predict", "predict_batch", "retrain", "save_model", "train_initial",
+    "EncodedDataset", "default_threshold", "encode_dataset", "lookup_level",
+    "value_index",
+    "AccumulatorVector", "ClassModel", "CorruptModelError", "Hyperparams",
+    "load_model", "predict_batch", "retrain", "save_model", "train_initial",
     "ConfusionMatrix", "EvaluationReport", "evaluate", "render_report",
     "__version__",
 ]

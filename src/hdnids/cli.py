@@ -21,7 +21,6 @@ import json
 import logging
 import os
 import sys
-import tempfile
 import time
 from pathlib import Path
 
@@ -38,12 +37,13 @@ from .dataset import (
     split,
 )
 from .codebook import build_codebook
-from .encoding import encode_dataset
+from .encoding import default_threshold, encode_dataset
 from .evaluation import REPORT_FORMATS, evaluate, render_report
 from .model import (
     ClassModel,
     CorruptModelError,
     Hyperparams,
+    atomic_write,
     load_model,
     predict_batch,
     retrain,
@@ -134,37 +134,17 @@ def _resolve_label_map(args, config: dict):
     )
 
 
-def _atomic_write_text(path, text: str) -> None:
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or ".", prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _positive(kind, name, value, minimum=1):
-    if value is not None and value < minimum:
-        raise ConfigError(f"--{name} must be >= {minimum}, got {value}")
-    return value
-
-
 def _train_pipeline(records, label_map, *, dim, bins, threshold, alpha,
                     iterations, seed, log_scale, jobs):
     """Schema, codebook, encode, centroid init, optional retraining.
 
     Returns (model, initial_accuracy, trace, timings dict).
     """
-    _positive(int, "dim", dim)
-    _positive(int, "bins", bins)
-    if iterations < 0:
-        raise ConfigError(f"--iterations must be >= 0, got {iterations}")
-    if alpha <= 0:
-        raise ConfigError(f"--alpha must be > 0, got {alpha}")
+    hyper = Hyperparams(
+        dim=dim, bins=bins, threshold=threshold, alpha=alpha,
+        iterations=iterations, seed=seed, log_scale=log_scale,
+    )
+    hyper.validate()
 
     timings = {}
     t0 = time.perf_counter()
@@ -173,19 +153,15 @@ def _train_pipeline(records, label_map, *, dim, bins, threshold, alpha,
     codebook = build_codebook(schema, dim=dim, bins=bins, seed=seed)
     timings["codebook"] = time.perf_counter() - t0
 
-    resolved_threshold = schema.num_features / 2.0 if threshold is None else float(threshold)
+    hyper.threshold = default_threshold(schema) if threshold is None else float(threshold)
     labels = class_indices(records, label_map)
     t0 = time.perf_counter()
     data = encode_dataset(
-        [r.values for r in records], codebook, schema, resolved_threshold,
+        [r.values for r in records], codebook, schema, hyper.threshold,
         labels=labels, jobs=jobs,
     )
     timings["encode"] = time.perf_counter() - t0
 
-    hyper = Hyperparams(
-        dim=dim, bins=bins, threshold=resolved_threshold, alpha=alpha,
-        iterations=iterations, seed=seed, log_scale=log_scale,
-    )
     t0 = time.perf_counter()
     reps = train_initial(data, num_classes=len(label_map.class_names))
     model = ClassModel(
@@ -263,7 +239,7 @@ def cmd_evaluate(args) -> int:
     report = evaluate(model, result.records, jobs=jobs)
     rendered = render_report(report, fmt)
     if args.report:
-        _atomic_write_text(args.report, rendered)
+        atomic_write(args.report, rendered.encode("utf-8"))
         print(f"report written to {args.report}", file=sys.stderr)
     else:
         sys.stdout.write(rendered)
@@ -291,7 +267,7 @@ def cmd_predict(args) -> int:
         lines.append(f"{i},{names[preds[i]]},{scores}")
     text = "\n".join(lines) + "\n"
     if args.output:
-        _atomic_write_text(args.output, text)
+        atomic_write(args.output, text.encode("utf-8"))
         print(f"predictions written to {args.output}", file=sys.stderr)
     else:
         sys.stdout.write(text)
@@ -309,10 +285,10 @@ def cmd_split(args) -> int:
 
     def _lines(records):
         return "".join((r.raw if r.raw is not None else format_record(r)) + "\n"
-                       for r in records)
+                       for r in records).encode("utf-8")
 
-    _atomic_write_text(args.train_out, _lines(train_recs))
-    _atomic_write_text(args.test_out, _lines(test_recs))
+    atomic_write(args.train_out, _lines(train_recs))
+    atomic_write(args.test_out, _lines(test_recs))
     print(f"{len(train_recs)} train -> {args.train_out}")
     print(f"{len(test_recs)} test  -> {args.test_out}")
     return EXIT_OK
@@ -337,12 +313,17 @@ def cmd_sweep(args) -> int:
     jobs = _resolve_jobs(args, config)
     label_map = _resolve_label_map(args, config)
     log_scale = _resolve(args, config, "log_scale")
-    iterations = args.iterations if args.iterations is not None else DEFAULTS["iterations"]
+    iterations = _resolve(args, config, "iterations")
+    threshold = _resolve(args, config, "threshold")
     fraction = float(_resolve(args, config, "fraction"))
-    dims = args.dims or [DEFAULTS["dim"]]
-    bins_grid = args.bins or [DEFAULTS["bins"]]
-    alphas = args.alphas or [DEFAULTS["alpha"]]
-    seeds = args.seeds or [DEFAULTS["seed"]]
+
+    def grid(flag, key):
+        return flag or [config.get(key, DEFAULTS[key])]
+
+    dims = grid(args.dims, "dim")
+    bins_grid = grid(args.bins, "bins")
+    alphas = grid(args.alphas, "alpha")
+    seeds = grid(args.seeds, "seed")
 
     records = parse_file(args.train).records
     test_records = parse_file(args.test).records if args.test else None
@@ -363,7 +344,7 @@ def cmd_sweep(args) -> int:
         prefix = f"{dim},{bins},{alpha},{seed},{iterations},{len(train_recs)},{len(test_recs)}"
         try:
             model, _, _, _ = _train_pipeline(
-                train_recs, label_map, dim=dim, bins=bins, threshold=None,
+                train_recs, label_map, dim=dim, bins=bins, threshold=threshold,
                 alpha=alpha, iterations=iterations, seed=seed,
                 log_scale=log_scale, jobs=jobs,
             )
@@ -375,7 +356,7 @@ def cmd_sweep(args) -> int:
             rows.append(f"{prefix},,,error:{type(exc).__name__}")
     text = "\n".join(rows) + "\n"
     if args.output:
-        _atomic_write_text(args.output, text)
+        atomic_write(args.output, text.encode("utf-8"))
         print(f"sweep results written to {args.output}", file=sys.stderr)
     else:
         sys.stdout.write(text)

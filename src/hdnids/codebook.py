@@ -10,6 +10,10 @@ feature kind:
 A single reserved out-of-vocabulary vector covers category values never
 seen during training.
 
+Vectors are packed rows: uint8 words, 8 logical bits per byte in little
+bit order, padding bits past dim forced to zero, so popcount over the raw
+bytes is exact.
+
 Every vector is drawn from a sub-stream of the master seed keyed by
 (purpose tag, sha256 of the feature name), so adding or reordering
 features never perturbs the codes of existing ones.
@@ -19,11 +23,9 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-from .hypervector import Hypervector, RandomSource, flip_bits, random_hv
 
 KIND_CONTINUOUS = "continuous"
 KIND_CATEGORICAL = "categorical"
@@ -65,6 +67,8 @@ class FeatureSpec:
         if self.kind == KIND_CONTINUOUS:
             if self.min is None or self.max is None:
                 raise ValueError(f"continuous feature {self.name!r} needs min and max")
+            if not (math.isfinite(self.min) and math.isfinite(self.max)):
+                raise ValueError(f"feature {self.name!r}: min and max must be finite")
             if self.min > self.max:
                 raise ValueError(f"feature {self.name!r}: min {self.min} > max {self.max}")
             if self.transform not in (TRANSFORM_NONE, TRANSFORM_LOG1P):
@@ -72,15 +76,10 @@ class FeatureSpec:
         else:
             if not self.vocabulary:
                 raise ValueError(f"categorical feature {self.name!r} needs a vocabulary")
+            if not all(isinstance(v, str) for v in self.vocabulary):
+                raise ValueError(f"feature {self.name!r}: vocabulary entries must be strings")
             if len(set(self.vocabulary)) != len(self.vocabulary):
                 raise ValueError(f"feature {self.name!r}: vocabulary has duplicates")
-
-    def transform_value(self, value: float) -> float:
-        if self.transform == TRANSFORM_LOG1P:
-            # np.log1p, not math.log1p: the batch encoder uses the numpy
-            # ufunc, whose SIMD path can differ from libm in the last ulp.
-            return float(np.log1p(np.float64(max(value, 0.0))))
-        return value
 
     def to_dict(self) -> dict:
         d = {"name": self.name, "kind": self.kind}
@@ -141,23 +140,85 @@ class FeatureSchema:
         )
 
 
+class RandomSource:
+    """Seeded deterministic bit-stream source.
+
+    A master 64-bit seed plus an optional tuple of integer tags selects one
+    PCG64 stream via numpy's SeedSequence. Derived streams (see derive())
+    are independent of each other, so consumers can partition one master
+    seed into documented sub-streams without cross-talk.
+    """
+
+    __slots__ = ("seed", "key", "generator")
+
+    def __init__(self, seed: int, key: tuple[int, ...] = ()):
+        self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
+        self.key = tuple(int(k) for k in key)
+        ss = np.random.SeedSequence([self.seed, *self.key])
+        self.generator = np.random.Generator(np.random.PCG64(ss))
+
+    def derive(self, *tags: int) -> "RandomSource":
+        """A fresh independent stream keyed by (seed, *key, *tags)."""
+        return RandomSource(self.seed, self.key + tags)
+
+    def __repr__(self) -> str:
+        return f"RandomSource(seed={self.seed}, key={self.key})"
+
+
+def random_hv(dim: int, rng: RandomSource) -> np.ndarray:
+    """Packed row of dim i.i.d. fair-coin bits drawn from rng's stream."""
+    packed = rng.generator.integers(0, 256, size=(dim + 7) // 8, dtype=np.uint8)
+    if dim % 8:
+        packed[-1] &= (1 << dim % 8) - 1
+    return packed
+
+
+def flip_bits(row: np.ndarray, dim: int, count: int, rng: RandomSource) -> np.ndarray:
+    """Copy of a packed dim-bit row with exactly `count` distinct bits inverted.
+
+    Positions are sampled without replacement, so the result differs from
+    row in exactly count positions; count == dim gives the complement.
+    """
+    out = row.copy()
+    if count:
+        positions = rng.generator.choice(dim, size=count, replace=False)
+        np.bitwise_xor.at(
+            out,
+            positions // 8,
+            np.left_shift(np.uint8(1), (positions % 8).astype(np.uint8)),
+        )
+    return out
+
+
+def row_offsets(schema: FeatureSchema, bins: int) -> list[int]:
+    """Codebook row of each feature's base vector, then of the OOV vector.
+
+    A feature's value rows follow its base: bins level rows for a
+    continuous feature, one row per vocabulary entry for a categorical one.
+    """
+    offsets = [0]
+    for spec in schema.features:
+        values = bins if spec.kind == KIND_CONTINUOUS else len(spec.vocabulary)
+        offsets.append(offsets[-1] + 1 + values)
+    return offsets
+
+
 @dataclass
 class Codebook:
     """All hypervectors needed to encode records under one schema.
 
-    base[j] identifies feature j; levels[j] holds the K-vector flip chain
-    for continuous feature j; categories[j] maps vocabulary entries of
-    categorical feature j to their codes; oov is the shared fallback for
-    unseen category values. Immutable after build.
+    matrix holds one packed row per vector, (rows, ceil(dim / 8)) uint8, in
+    the model file's order: per feature j its base at offsets[j], then its
+    K-vector level chain (continuous) or its vectors in sorted vocabulary
+    order (categorical); the shared out-of-vocabulary vector is the last
+    row, at offsets[-1]. Immutable after build.
     """
 
     dim: int
     bins: int
     seed: int
-    base: list[Hypervector]
-    levels: dict[int, list[Hypervector]]
-    categories: dict[int, dict[str, Hypervector]]
-    oov: Hypervector = field(repr=False)
+    matrix: np.ndarray
+    offsets: list[int]
 
 
 def build_codebook(schema: FeatureSchema, dim: int, bins: int, seed: int) -> Codebook:
@@ -174,107 +235,18 @@ def build_codebook(schema: FeatureSchema, dim: int, bins: int, seed: int) -> Cod
     root = RandomSource(seed)
     flips = dim // bins
 
-    base: list[Hypervector] = []
-    levels: dict[int, list[Hypervector]] = {}
-    categories: dict[int, dict[str, Hypervector]] = {}
-    for j, spec in enumerate(schema.features):
+    rows: list[np.ndarray] = []
+    for spec in schema.features:
         key = _name_key(spec.name)
-        base.append(random_hv(dim, root.derive(_TAG_BASE, key)))
+        rows.append(random_hv(dim, root.derive(_TAG_BASE, key)))
         if spec.kind == KIND_CONTINUOUS:
             rng = root.derive(_TAG_LEVELS, key)
-            chain = [random_hv(dim, rng)]
+            rows.append(random_hv(dim, rng))
             for _ in range(1, bins):
-                chain.append(flip_bits(chain[-1], flips, rng))
-            levels[j] = chain
+                rows.append(flip_bits(rows[-1], dim, flips, rng))
         else:
             rng = root.derive(_TAG_CATEGORIES, key)
-            categories[j] = {v: random_hv(dim, rng) for v in sorted(spec.vocabulary)}
-
-    oov = random_hv(dim, root.derive(_TAG_OOV))
-    return Codebook(
-        dim=dim, bins=bins, seed=seed, base=base,
-        levels=levels, categories=categories, oov=oov,
-    )
-
-
-def level_index(value: float, spec: FeatureSpec, bins: int) -> int:
-    """Uniform-width bin of a continuous value, 1-based in [1, bins].
-
-    Out-of-range values clamp to the nearest edge bin, so the function is
-    total; a degenerate training range (min == max) maps everything to 1.
-    """
-    lo, hi = spec.min, spec.max
-    if lo == hi:
-        return 1
-    if value >= hi:
-        return bins
-    width = (hi - lo) / bins
-    idx = 1 + math.floor((value - lo) / width)
-    return min(max(idx, 1), bins)
-
-
-def lookup_level(
-    feature_index: int,
-    raw_value,
-    codebook: Codebook,
-    schema: FeatureSchema,
-) -> Hypervector:
-    """Value hypervector for one feature of one record.
-
-    Continuous values are transformed (when the schema entry asks) and binned;
-    categorical values hit the vocabulary table, falling back to the
-    shared OOV vector, so the lookup is total.
-    """
-    spec = schema.features[feature_index]
-    if spec.kind == KIND_CONTINUOUS:
-        value = float(raw_value) if not isinstance(raw_value, float) else raw_value
-        idx = level_index(spec.transform_value(value), spec, codebook.bins)
-        return codebook.levels[feature_index][idx - 1]
-    return codebook.categories[feature_index].get(str(raw_value), codebook.oov)
-
-
-def codebook_to_state(cb: Codebook, schema: FeatureSchema) -> tuple[dict, np.ndarray]:
-    """Flatten a codebook into (manifest, packed-vector matrix) for storage.
-
-    Row order is fixed: per feature its base then its levels or sorted
-    category vectors, with the OOV vector last. The manifest records only
-    scalars; the schema recreates the row layout on load.
-    """
-    rows = []
-    for j, spec in enumerate(schema.features):
-        rows.append(cb.base[j].packed)
-        if spec.kind == KIND_CONTINUOUS:
-            rows.extend(hv.packed for hv in cb.levels[j])
-        else:
-            rows.extend(cb.categories[j][v].packed for v in sorted(spec.vocabulary))
-    rows.append(cb.oov.packed)
-    manifest = {"dim": cb.dim, "bins": cb.bins, "seed": cb.seed, "rows": len(rows)}
-    return manifest, np.vstack(rows)
-
-
-def codebook_from_state(
-    manifest: dict, matrix: np.ndarray, schema: FeatureSchema
-) -> Codebook:
-    """Inverse of codebook_to_state; round-trips bit-exactly."""
-    dim, bins = int(manifest["dim"]), int(manifest["bins"])
-    if matrix.shape[0] != manifest["rows"]:
-        raise ValueError(
-            f"codebook matrix has {matrix.shape[0]} rows, manifest says {manifest['rows']}"
-        )
-    it = iter(range(matrix.shape[0]))
-
-    def take() -> Hypervector:
-        return Hypervector(np.ascontiguousarray(matrix[next(it)]), dim)
-
-    base, levels, categories = [], {}, {}
-    for j, spec in enumerate(schema.features):
-        base.append(take())
-        if spec.kind == KIND_CONTINUOUS:
-            levels[j] = [take() for _ in range(bins)]
-        else:
-            categories[j] = {v: take() for v in sorted(spec.vocabulary)}
-    oov = take()
-    return Codebook(
-        dim=dim, bins=bins, seed=int(manifest["seed"]), base=base,
-        levels=levels, categories=categories, oov=oov,
-    )
+            rows.extend(random_hv(dim, rng) for _ in spec.vocabulary)
+    rows.append(random_hv(dim, root.derive(_TAG_OOV)))
+    return Codebook(dim=dim, bins=bins, seed=seed, matrix=np.vstack(rows),
+                    offsets=row_offsets(schema, bins))

@@ -1,40 +1,23 @@
 """Record encoding: bind each feature's base and value vectors, sum, binarize.
 
-Two equivalent paths produce the same bits:
-
-  * a scalar path (encode / binarize / encode_binary) that walks one record
-    through the public kernel operations, and
-  * a batch path (encode_dataset) that gathers precomputed per-feature
-    XOR rows and accumulates whole record blocks with numpy, optionally
-    across a thread pool.
-
-Batch boundaries are fixed by batch size alone, so the output is
-bit-identical regardless of worker count. All arithmetic is integer
-until the final threshold comparison, so the two paths cannot drift.
+encode_dataset gathers precomputed per-feature XOR rows and accumulates
+whole record blocks with numpy, optionally across a thread pool. Batch
+boundaries are fixed by batch size alone, so the output is bit-identical
+regardless of worker count. All arithmetic is integer until the final
+threshold comparison.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .codebook import KIND_CONTINUOUS, Codebook, FeatureSchema
-from .hypervector import AccumulatorVector, Hypervector, accumulate, xor
-from . import codebook as _cb
+from .codebook import KIND_CONTINUOUS, TRANSFORM_LOG1P, Codebook, FeatureSchema, FeatureSpec
+from .dataset import ParseError
 
 DEFAULT_BATCH_SIZE = 2048
-
-
-@dataclass
-class EncodedRecord:
-    """One record's pre-binarization sum, binary form, and optional label."""
-
-    sum: AccumulatorVector
-    binary: Hypervector
-    label: int | None = None
 
 
 def default_threshold(schema: FeatureSchema) -> float:
@@ -42,39 +25,71 @@ def default_threshold(schema: FeatureSchema) -> float:
     return schema.num_features / 2.0
 
 
-def encode(record: Sequence, codebook: Codebook, schema: FeatureSchema) -> AccumulatorVector:
-    """Sum of xor(base_j, value-vector_j) over all features of one record.
+def run_chunks(fn: Callable[[int, int], None], n: int, chunk: int,
+               jobs: int | None) -> None:
+    """Call fn(start, stop) on each fixed slice [k*chunk, (k+1)*chunk) of range(n).
 
-    Every coordinate of the result lies in [0, N] where N is the feature
-    count: each feature contributes 0 or 1 per coordinate.
+    With jobs > 1 the slices run on a thread pool. Slice bounds depend on
+    chunk alone, so the worker count cannot change what fn computes.
     """
-    if len(record) != schema.num_features:
-        raise ValueError(
-            f"record has {len(record)} values, schema expects {schema.num_features}"
-        )
-    acc = AccumulatorVector.zeros(codebook.dim)
-    for j, value in enumerate(record):
-        bound = xor(codebook.base[j], _cb.lookup_level(j, value, codebook, schema))
-        accumulate(acc, bound, 1.0)
-    return acc
+    bounds = [(s, min(s + chunk, n)) for s in range(0, n, chunk)]
+    if jobs is None or jobs <= 1 or len(bounds) <= 1:
+        for s, e in bounds:
+            fn(s, e)
+        return
+    with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
+        list(pool.map(lambda b: fn(*b), bounds))  # re-raises a worker's exception
 
 
-def binarize(sum_vector: AccumulatorVector, threshold: float) -> Hypervector:
-    """Bit i = 1 iff sum[i] > threshold (strict)."""
-    bits = (sum_vector.values > threshold).astype(np.uint8)
-    return Hypervector(np.packbits(bits, bitorder="little"), sum_vector.dim)
+def value_index(column: Sequence, spec: FeatureSpec, bins: int) -> np.ndarray:
+    """Index of each raw value among its feature's value rows, as int32.
+
+    Continuous values are parsed, transformed when the spec asks, and put
+    in one of `bins` uniform-width bins over [min, max]; out-of-range values
+    clamp to the edge bins and a degenerate range (min == max) maps
+    everything to bin 0. Categorical values take their position in the
+    sorted vocabulary, and unseen ones len(vocabulary), the OOV row.
+
+    Raises ParseError naming the column on a non-numeric or non-finite
+    continuous value.
+    """
+    if spec.kind != KIND_CONTINUOUS:
+        lut = {v: i for i, v in enumerate(sorted(spec.vocabulary))}
+        return np.array([lut.get(str(v), len(lut)) for v in column], dtype=np.int32)
+    try:
+        vals = np.asarray(column, dtype=np.float64)
+    except ValueError as exc:
+        raise ParseError(
+            f"non-numeric value in continuous column {spec.name!r}: {exc}"
+        ) from None
+    if not np.all(np.isfinite(vals)):
+        raise ParseError(f"non-finite value in continuous column {spec.name!r}")
+    if spec.transform == TRANSFORM_LOG1P:
+        vals = np.log1p(np.maximum(vals, 0.0))
+    lo, hi = spec.min, spec.max
+    if lo == hi:
+        return np.zeros(vals.shape, dtype=np.int32)
+    width = (hi - lo) / bins
+    idx = np.clip(np.floor((vals - lo) / width), 0, bins - 1).astype(np.int32)
+    idx[vals >= hi] = bins - 1
+    return idx
 
 
-def encode_binary(
-    record: Sequence,
+def lookup_level(
+    feature_index: int,
+    raw_value,
     codebook: Codebook,
     schema: FeatureSchema,
-    threshold: float,
-    label: int | None = None,
-) -> EncodedRecord:
-    """encode followed by binarize; keeps both forms for diagnostics."""
-    acc = encode(record, codebook, schema)
-    return EncodedRecord(sum=acc, binary=binarize(acc, threshold), label=label)
+) -> np.ndarray:
+    """Packed value row for one feature of one record.
+
+    A level row for a continuous value, the category row for a known
+    categorical value, the shared OOV row otherwise, so the lookup is total.
+    """
+    spec = schema.features[feature_index]
+    row = (codebook.offsets[feature_index] + 1
+           + int(value_index([raw_value], spec, codebook.bins)[0]))
+    return codebook.matrix[row if row < codebook.offsets[feature_index + 1] else -1]
 
 
 class EncodedDataset:
@@ -87,28 +102,18 @@ class EncodedDataset:
     def __init__(self, packed: np.ndarray, dim: int, labels: np.ndarray | None = None):
         if packed.ndim != 2 or packed.dtype != np.uint8:
             raise ValueError("packed must be a 2-D uint8 array")
+        if packed.shape[1] != (dim + 7) // 8:
+            raise ValueError(
+                f"packed rows have {packed.shape[1]} bytes, dim {dim} needs {(dim + 7) // 8}"
+            )
         if labels is not None and len(labels) != packed.shape[0]:
             raise ValueError("labels length must match record count")
         self.packed = packed
         self.dim = dim
         self.labels = None if labels is None else np.asarray(labels, dtype=np.int64)
 
-    @classmethod
-    def from_records(cls, records: Sequence[EncodedRecord]) -> "EncodedDataset":
-        if not records:
-            raise ValueError("no records")
-        dim = records[0].binary.dim
-        packed = np.vstack([r.binary.packed for r in records])
-        labels = None
-        if all(r.label is not None for r in records):
-            labels = np.array([r.label for r in records], dtype=np.int64)
-        return cls(packed, dim, labels)
-
     def __len__(self) -> int:
         return self.packed.shape[0]
-
-    def record(self, i: int) -> Hypervector:
-        return Hypervector(np.ascontiguousarray(self.packed[i]), self.dim)
 
     def unpack(self, start: int = 0, stop: int | None = None) -> np.ndarray:
         """Rows [start:stop) as a float64 (n, dim) matrix for BLAS work."""
@@ -118,31 +123,25 @@ class EncodedDataset:
 
 
 class EncoderTables:
-    """Precomputed unpacked xor(base_j, value-vector) rows per feature.
+    """Precomputed unpacked (base_j XOR value row) rows per feature.
 
-    Row layout per feature: continuous features get one row per bin;
-    categorical features get one row per sorted vocabulary entry plus a
-    final OOV row. Encoding a record is then a row gather and add.
+    tables[j] has one row per value index of feature j (see value_index):
+    one per bin for a continuous feature; one per sorted vocabulary entry
+    plus a final OOV row for a categorical one. Encoding a record is then a
+    row gather and add.
     """
 
     def __init__(self, codebook: Codebook, schema: FeatureSchema):
         self.schema = schema
-        self.codebook = codebook
+        self.bins = codebook.bins
         self.dim = codebook.dim
+        matrix, offsets = codebook.matrix, codebook.offsets
         self.tables: list[np.ndarray] = []
-        self.cat_index: dict[int, dict[str, int]] = {}
         for j, spec in enumerate(schema.features):
-            base = codebook.base[j].packed
-            if spec.kind == KIND_CONTINUOUS:
-                stacked = np.vstack([hv.packed for hv in codebook.levels[j]])
-            else:
-                vocab = sorted(spec.vocabulary)
-                self.cat_index[j] = {v: i for i, v in enumerate(vocab)}
-                stacked = np.vstack(
-                    [codebook.categories[j][v].packed for v in vocab]
-                    + [codebook.oov.packed]
-                )
-            bound = np.bitwise_xor(stacked, base)
+            rows = matrix[offsets[j] + 1 : offsets[j + 1]]
+            if spec.kind != KIND_CONTINUOUS:
+                rows = np.vstack([rows, matrix[-1:]])
+            bound = np.bitwise_xor(rows, matrix[offsets[j]])
             self.tables.append(
                 np.unpackbits(bound, axis=1, count=self.dim, bitorder="little")
             )
@@ -150,43 +149,10 @@ class EncoderTables:
         self.sum_dtype = np.uint8 if schema.num_features < 250 else np.uint16
 
     def row_indices(self, rows: Sequence[Sequence], start: int, stop: int) -> np.ndarray:
-        """Table row index for every (record, feature) in rows[start:stop).
-
-        The continuous-value arithmetic mirrors codebook.level_index
-        operation for operation so the scalar and batch paths agree
-        bit-for-bit.
-        """
-        n = stop - start
-        idx = np.empty((n, len(self.schema.features)), dtype=np.int32)
+        """Table row index for every (record, feature) in rows[start:stop)."""
+        idx = np.empty((stop - start, self.schema.num_features), dtype=np.int32)
         for j, spec in enumerate(self.schema.features):
-            col = [rows[i][j] for i in range(start, stop)]
-            if spec.kind == KIND_CONTINUOUS:
-                try:
-                    vals = np.asarray(col, dtype=np.float64)
-                except ValueError as exc:
-                    raise ValueError(
-                        f"non-numeric value in continuous column {spec.name!r}: {exc}"
-                    ) from None
-                if not np.all(np.isfinite(vals)):
-                    raise ValueError(
-                        f"non-finite value in continuous column {spec.name!r}"
-                    )
-                if spec.transform == _cb.TRANSFORM_LOG1P:
-                    vals = np.log1p(np.maximum(vals, 0.0))
-                bins = self.codebook.bins
-                lo, hi = spec.min, spec.max
-                if lo == hi:
-                    idx[:, j] = 0
-                else:
-                    width = (hi - lo) / bins
-                    raw = 1.0 + np.floor((vals - lo) / width)
-                    binned = np.clip(raw, 1, bins).astype(np.int32)
-                    binned[vals >= hi] = bins
-                    idx[:, j] = binned - 1
-            else:
-                lut = self.cat_index[j]
-                oov_row = len(lut)
-                idx[:, j] = [lut.get(str(v), oov_row) for v in col]
+            idx[:, j] = value_index([rows[i][j] for i in range(start, stop)], spec, self.bins)
         return idx
 
     def encode_block(self, rows: Sequence[Sequence], start: int, stop: int,
@@ -210,8 +176,10 @@ def encode_dataset(
 ) -> EncodedDataset:
     """Encode many records through the gather-and-add batch path.
 
-    Batches are fixed [k*batch_size, (k+1)*batch_size) slices assembled in
-    order, so worker count never changes the output bytes.
+    Batches are fixed [k*batch_size, (k+1)*batch_size) slices, so worker
+    count never changes the output bytes. Each batch is written straight
+    into its rows of the one output array: collecting per-batch results
+    and stacking them would hold two copies of the encodings at once.
     """
     if not rows:
         raise ValueError("no records to encode")
@@ -221,15 +189,11 @@ def encode_dataset(
                 f"record {i} has {len(row)} values, schema expects {schema.num_features}"
             )
     tables = EncoderTables(codebook, schema)
-    bounds = [(s, min(s + batch_size, len(rows))) for s in range(0, len(rows), batch_size)]
+    packed = np.empty((len(rows), (codebook.dim + 7) // 8), dtype=np.uint8)
 
-    if jobs is None or jobs <= 1 or len(bounds) == 1:
-        blocks = [tables.encode_block(rows, s, e, threshold) for s, e in bounds]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            blocks = list(
-                pool.map(lambda b: tables.encode_block(rows, b[0], b[1], threshold), bounds)
-            )
-    packed = np.vstack(blocks)
+    def encode(start: int, stop: int) -> None:
+        packed[start:stop] = tables.encode_block(rows, start, stop, threshold)
+
+    run_chunks(encode, len(rows), batch_size, jobs)
     lab = None if labels is None else np.asarray(labels, dtype=np.int64)
     return EncodedDataset(packed, codebook.dim, lab)

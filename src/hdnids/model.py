@@ -20,20 +20,22 @@ exact byte layout.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import logging
+import math
+import numbers
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .codebook import Codebook, FeatureSchema, codebook_from_state, codebook_to_state
+from .codebook import Codebook, FeatureSchema, row_offsets
 from .dataset import LabelMap
-from .encoding import EncodedDataset, EncodedRecord
-from .hypervector import AccumulatorVector, Hypervector, cosine, popcount
+from .encoding import EncodedDataset, default_threshold, run_chunks
 
 log = logging.getLogger(__name__)
 
@@ -44,16 +46,10 @@ _RETRAIN_STREAM_TAG = 0x7EA11
 # results are chunk-size independent; 128 keeps the per-miss tail rescore cheap
 _CHUNK = 128
 
-_BYTE_POPCOUNT = np.bitwise_count if hasattr(np, "bitwise_count") else None
-if _BYTE_POPCOUNT is None:  # numpy < 2.0
-    _LUT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
-
-    def _BYTE_POPCOUNT(a):
-        return _LUT[a]
-
 
 class CorruptModelError(ValueError):
-    """Model file is truncated, checksum-mismatched, or wrongly versioned."""
+    """Model file is truncated, checksum-mismatched, wrongly versioned, or
+    has a header inconsistent with its arrays."""
 
 
 @dataclass
@@ -77,14 +73,48 @@ class Hyperparams:
     def from_dict(cls, d: dict) -> "Hyperparams":
         return cls(**{k: d[k] for k in cls().to_dict() if k in d})
 
+    def validate(self) -> None:
+        """Raise ValueError naming the first field that is out of range.
 
-@dataclass
-class Prediction:
-    """Argmax class plus the per-class cosine similarities."""
+        dim, bins, iterations and seed are integers with dim >= 1,
+        1 <= bins <= dim and iterations >= 0; alpha is finite and > 0;
+        threshold is None or finite.
+        """
+        for name in ("dim", "bins", "iterations", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.dim < 1:
+            raise ValueError(f"dim must be >= 1, got {self.dim}")
+        if not 1 <= self.bins <= self.dim:
+            raise ValueError(f"bins must be in [1, dim={self.dim}], got {self.bins}")
+        if self.iterations < 0:
+            raise ValueError(f"iterations must be >= 0, got {self.iterations}")
+        if not _finite(self.alpha) or self.alpha <= 0:
+            raise ValueError(f"alpha must be finite and > 0, got {self.alpha!r}")
+        if self.threshold is not None and not _finite(self.threshold):
+            raise ValueError(f"threshold must be finite, got {self.threshold!r}")
 
-    class_index: int
-    similarities: list
-    degenerate: bool = False
+
+def _finite(value) -> bool:
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+class AccumulatorVector:
+    """One class representative: a real-valued (dim,) float64 vector.
+
+    float64 keeps integer arithmetic exact far beyond any dataset size
+    while still admitting fractional learning rates.
+    """
+
+    __slots__ = ("values",)
+
+    def __init__(self, values: np.ndarray):
+        values = np.asarray(values, dtype=np.float64)
+        if values.ndim != 1 or values.size < 1:
+            raise ValueError("accumulator values must be a non-empty 1-D array")
+        self.values = values
 
 
 @dataclass
@@ -102,40 +132,33 @@ class ClassModel:
     @property
     def threshold(self) -> float:
         t = self.hyperparams.threshold
-        return self.schema.num_features / 2.0 if t is None else t
+        return default_threshold(self.schema) if t is None else t
 
     def rep_matrix(self) -> np.ndarray:
         """Representatives stacked to a (num_classes, dim) float64 matrix."""
         return np.stack([r.values for r in self.representatives])
 
 
-def _as_dataset(encoded) -> EncodedDataset:
-    if isinstance(encoded, EncodedDataset):
-        return encoded
-    return EncodedDataset.from_records(list(encoded))
-
-
-def train_initial(encoded, num_classes: int) -> list:
+def train_initial(encoded: EncodedDataset, num_classes: int) -> list:
     """Per-class sums of the binary training vectors.
 
     A class with no samples keeps the all-zero vector (logged); cosine
     against an all-zero representative is defined as 0, so inference
     still works.
     """
-    data = _as_dataset(encoded)
-    if len(data) == 0:
+    if len(encoded) == 0:
         raise ValueError("empty training set")
-    if data.labels is None:
+    if encoded.labels is None:
         raise ValueError("training data must carry labels")
-    if int(data.labels.max()) >= num_classes or int(data.labels.min()) < 0:
+    if int(encoded.labels.max()) >= num_classes or int(encoded.labels.min()) < 0:
         raise ValueError(
-            f"class index {int(data.labels.max())} outside [0, {num_classes})"
+            f"class index {int(encoded.labels.max())} outside [0, {num_classes})"
         )
-    reps = np.zeros((num_classes, data.dim), dtype=np.float64)
-    for start in range(0, len(data), _CHUNK):
-        stop = min(start + _CHUNK, len(data))
-        block = data.unpack(start, stop)
-        labels = data.labels[start:stop]
+    reps = np.zeros((num_classes, encoded.dim), dtype=np.float64)
+    for start in range(0, len(encoded), _CHUNK):
+        stop = min(start + _CHUNK, len(encoded))
+        block = encoded.unpack(start, stop)
+        labels = encoded.labels[start:stop]
         for c in np.unique(labels):
             reps[c] += block[labels == c].sum(axis=0)
     for c in range(num_classes):
@@ -144,23 +167,12 @@ def train_initial(encoded, num_classes: int) -> list:
     return [AccumulatorVector(reps[c]) for c in range(num_classes)]
 
 
-def predict(h: Hypervector, model: ClassModel) -> Prediction:
-    """Cosine against every representative; argmax wins, lowest index on ties."""
-    if h.dim != model.hyperparams.dim:
-        raise ValueError(f"dimension mismatch: {h.dim} != {model.hyperparams.dim}")
-    sims = [cosine(h, rep) for rep in model.representatives]
-    degenerate = popcount(h) == 0 or any(
-        not rep.values.any() for rep in model.representatives
-    )
-    return Prediction(
-        class_index=int(np.argmax(sims)), similarities=sims, degenerate=degenerate
-    )
-
-
 def predict_batch(model: ClassModel, data: EncodedDataset, jobs: int | None = None):
     """Predictions and cosine similarities for a whole encoded dataset.
 
-    Returns (preds, sims): int64 (n,) and float64 (n, num_classes).
+    Returns (preds, sims): int64 (n,) and float64 (n, num_classes). The
+    similarity is dot(h, r) / (sqrt(|h|) * ||r||), |h| the set bits of h,
+    and 0 when either side is all-zero; argmax wins, lowest index on ties.
     Read-only on the model, chunked, and safe to parallelize; chunk
     boundaries are fixed so worker count cannot change the output.
     """
@@ -173,7 +185,7 @@ def predict_batch(model: ClassModel, data: EncodedDataset, jobs: int | None = No
 
     def score(start: int, stop: int) -> None:
         block = data.unpack(start, stop)
-        ones = _BYTE_POPCOUNT(data.packed[start:stop]).sum(axis=1, dtype=np.int64)
+        ones = np.bitwise_count(data.packed[start:stop]).sum(axis=1, dtype=np.int64)
         h_norm = np.sqrt(ones.astype(np.float64))
         safe_h = np.where(h_norm > 0, h_norm, 1.0)
         dots = block @ reps.T
@@ -181,19 +193,11 @@ def predict_batch(model: ClassModel, data: EncodedDataset, jobs: int | None = No
         sims[start:stop] = s
         preds[start:stop] = np.argmax(s, axis=1)
 
-    bounds = [(s, min(s + _CHUNK, n)) for s in range(0, n, _CHUNK)]
-    if jobs is None or jobs <= 1 or len(bounds) == 1:
-        for s, e in bounds:
-            score(s, e)
-    else:
-        import concurrent.futures
-
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(lambda b: score(b[0], b[1]), bounds))
+    run_chunks(score, n, _CHUNK, jobs)
     return preds, sims
 
 
-def retrain(model: ClassModel, encoded, alpha: float, iterations: int):
+def retrain(model: ClassModel, encoded: EncodedDataset, alpha: float, iterations: int):
     """Iterative miss/match refinement of the representatives.
 
     For each misclassified sample, alpha times its vector is subtracted
@@ -204,14 +208,12 @@ def retrain(model: ClassModel, encoded, alpha: float, iterations: int):
     records the fraction of samples correct at the moment they were
     visited.
     """
-    if alpha <= 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
+    dataclasses.replace(model.hyperparams, alpha=alpha, iterations=iterations).validate()
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
-    data = _as_dataset(encoded)
-    if data.labels is None:
+    if encoded.labels is None:
         raise ValueError("retraining data must carry labels")
-    m = len(data)
+    m = len(encoded)
 
     reps = model.rep_matrix().copy()
     norms = np.linalg.norm(reps, axis=1)
@@ -221,9 +223,9 @@ def retrain(model: ClassModel, encoded, alpha: float, iterations: int):
         )
     )
     order = rng.permutation(m)
-    packed = data.packed[order]
-    labels = data.labels[order]
-    shuffled = EncodedDataset(packed, data.dim, labels)
+    packed = encoded.packed[order]
+    labels = encoded.labels[order]
+    shuffled = EncodedDataset(packed, encoded.dim, labels)
 
     trace: list[float] = []
     for _ in range(iterations):
@@ -271,20 +273,41 @@ def retrain(model: ClassModel, encoded, alpha: float, iterations: int):
     return out, trace
 
 
+def atomic_write(path, data: bytes) -> None:
+    """Write data to path via a temp file and a rename, so a failing run
+    never leaves a partial file behind."""
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent or ".", prefix=path.name, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def _array_manifest(rows: int, width: int, classes: int, dim: int) -> list:
+    return [
+        {"name": "codebook", "dtype": "uint8", "shape": [rows, width]},
+        {"name": "representatives", "dtype": "float64", "shape": [classes, dim]},
+    ]
+
+
 def save_model(model: ClassModel, path) -> None:
     """Write the model container atomically (temp file + rename)."""
-    cb_manifest, cb_matrix = codebook_to_state(model.codebook, model.schema)
+    cb = model.codebook
+    matrix = np.ascontiguousarray(cb.matrix)
     reps = np.ascontiguousarray(model.rep_matrix())
     header = {
         "format_version": FORMAT_VERSION,
         "hyperparams": model.hyperparams.to_dict(),
         "schema": model.schema.to_dict(),
         "label_map": model.label_map.to_dict(),
-        "codebook": cb_manifest,
-        "arrays": [
-            {"name": "codebook", "dtype": "uint8", "shape": list(cb_matrix.shape)},
-            {"name": "representatives", "dtype": "float64", "shape": list(reps.shape)},
-        ],
+        "codebook": {"dim": cb.dim, "bins": cb.bins, "seed": cb.seed,
+                     "rows": matrix.shape[0]},
+        "arrays": _array_manifest(*matrix.shape, *reps.shape),
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
 
@@ -293,20 +316,10 @@ def save_model(model: ClassModel, path) -> None:
     body += FORMAT_VERSION.to_bytes(4, "little")
     body += len(header_bytes).to_bytes(8, "little")
     body += header_bytes
-    body += np.ascontiguousarray(cb_matrix).tobytes()
+    body += matrix.tobytes()
     body += reps.tobytes()
     body += hashlib.sha256(bytes(body)).digest()
-
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or ".", prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(bytes(body))
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write(path, bytes(body))
 
 
 def load_model(path) -> ClassModel:
@@ -324,35 +337,50 @@ def load_model(path) -> ClassModel:
         raise CorruptModelError(
             f"{path}: format version {version} unsupported (expected {FORMAT_VERSION})"
         )
-    header_len = int.from_bytes(blob[12:20], "little")
-    header_end = 20 + header_len
+    header_end = 20 + int.from_bytes(blob[12:20], "little")
+    if header_end > len(blob) - 32:
+        raise CorruptModelError(f"{path}: header runs past the end of the file")
     try:
         header = json.loads(blob[20:header_end].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CorruptModelError(f"{path}: unreadable header: {exc}") from None
+        return _model_from(header, blob[header_end:-32])
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise CorruptModelError(f"{path}: bad header: {exc!r}") from None
 
-    offset = header_end
-    arrays = {}
-    for spec in header["arrays"]:
-        dtype = np.dtype(spec["dtype"])
-        shape = tuple(spec["shape"])
-        nbytes = dtype.itemsize * int(np.prod(shape))
-        chunk = blob[offset : offset + nbytes]
-        if len(chunk) != nbytes:
-            raise CorruptModelError(f"{path}: array {spec['name']!r} truncated")
-        arrays[spec["name"]] = np.frombuffer(chunk, dtype=dtype).reshape(shape).copy()
-        offset += nbytes
-    if offset != len(blob) - 32:
-        raise CorruptModelError(f"{path}: trailing bytes after arrays")
 
+def _model_from(header: dict, payload: bytes) -> ClassModel:
+    """The model a decoded header and its array bytes describe.
+
+    Raises ValueError, KeyError or TypeError when a header field is missing,
+    mistyped or out of range, or when the arrays do not have the shapes the
+    schema, codebook manifest and label map imply.
+    """
     schema = FeatureSchema.from_dict(header["schema"])
     label_map = LabelMap.from_dict(header["label_map"])
     hyper = Hyperparams.from_dict(header["hyperparams"])
-    codebook = codebook_from_state(header["codebook"], arrays["codebook"], schema)
-    reps = arrays["representatives"]
+    hyper.validate()
+    manifest = header["codebook"]
+    dim, bins, seed = manifest["dim"], manifest["bins"], manifest["seed"]
+    # the codebook's own dim, bins and seed obey the hyperparameter ranges
+    Hyperparams(dim=dim, bins=bins, seed=seed).validate()
+    classes = len(label_map.class_names)
+    indices = [*label_map.raw_to_class.values(), label_map.fallback_class]
+    if not all(isinstance(c, int) and 0 <= c < classes for c in indices):
+        raise ValueError(f"label map has class indices outside [0, {classes})")
+
+    offsets = row_offsets(schema, bins)
+    rows, width = offsets[-1] + 1, (dim + 7) // 8
+    expected = _array_manifest(rows, width, classes, dim)
+    if manifest["rows"] != rows or header["arrays"] != expected:
+        raise ValueError(f"arrays {header['arrays']} do not match the schema's {expected}")
+    need = rows * width + classes * dim * 8
+    if len(payload) != need:
+        raise ValueError(f"arrays take {len(payload)} bytes, the header implies {need}")
+    matrix = np.frombuffer(payload, np.uint8, count=rows * width).reshape(rows, width)
+    reps = np.frombuffer(payload, np.float64, offset=rows * width).reshape(classes, dim)
     return ClassModel(
-        representatives=[AccumulatorVector(reps[c]) for c in range(reps.shape[0])],
-        codebook=codebook,
+        representatives=[AccumulatorVector(r) for r in reps.copy()],
+        codebook=Codebook(dim=dim, bins=bins, seed=seed, matrix=matrix.copy(),
+                          offsets=offsets),
         schema=schema,
         label_map=label_map,
         hyperparams=hyper,

@@ -8,6 +8,8 @@ label mapping applies, and a mix of 42- and 43-field forms so both parse
 paths stay exercised.
 """
 
+import hashlib
+import json
 import os
 from pathlib import Path
 
@@ -102,6 +104,20 @@ def train_small_model(path, dim=2000, bins=10, alpha=1.0, iterations=10,
     if iterations > 0:
         model, _ = retrain(model, data, alpha=alpha, iterations=iterations)
     return model, data, records
+
+
+def reframe(blob, header_bytes):
+    """A model file's bytes with its header replaced by header_bytes, the
+    header length and the SHA-256 trailer made to match."""
+    end = 20 + int.from_bytes(blob[12:20], "little")
+    body = blob[:12] + len(header_bytes).to_bytes(8, "little") + header_bytes + blob[end:-32]
+    return body + hashlib.sha256(body).digest()
+
+
+def edit_header(blob, edit):
+    """reframe with the JSON header passed through edit(header) -> header."""
+    header = json.loads(blob[20 : 20 + int.from_bytes(blob[12:20], "little")])
+    return reframe(blob, json.dumps(edit(header), sort_keys=True).encode("utf-8"))
 
 
 def find_nslkdd():

@@ -1,12 +1,24 @@
 """Naive unpacked reference implementations used as test oracles.
 
 Everything here works on plain Python lists of 0/1 ints, one element per
-bit, with straightforward loops. No packing, no numpy vector tricks; the
+bit, with straightforward loops. No packing, no numpy vector tricks:
+packed rows from the code under test are unpacked by a plain loop. The
 point is that this code is simple enough to be obviously correct, so the
 fast packed kernel can be checked against it bit for bit.
 """
 
 import math
+
+import numpy as np
+
+
+def ref_unpack(row, dim):
+    """Bits of a packed row: byte i // 8 holds bit i at position i % 8."""
+    bits = []
+    for byte in row:
+        for k in range(8):
+            bits.append((int(byte) >> k) & 1)
+    return bits[:dim]
 
 
 def ref_xor(a, b):
@@ -57,16 +69,33 @@ def ref_cosine(bits, values):
 def ref_encode_binary(record, codebook, schema, threshold, level_for):
     """Bind each feature's base with its value vector, bundle, binarize.
 
-    level_for(j, raw_value) must return the value Hypervector for feature
+    level_for(j, raw_value) must return the packed value row for feature
     j; bin selection is shared with the implementation under test on
-    purpose, so this oracle isolates the bit-level kernel work.
+    purpose, so this oracle isolates the bit-level kernel work. Feature j's
+    base is codebook row codebook.offsets[j].
     """
     rows = []
     for j, raw in enumerate(record):
-        base = codebook.base[j].to_bits().tolist()
-        level = level_for(j, raw).to_bits().tolist()
+        base = ref_unpack(codebook.matrix[codebook.offsets[j]], codebook.dim)
+        level = ref_unpack(level_for(j, raw), codebook.dim)
         rows.append(ref_xor(base, level))
     return ref_binarize(ref_bundle(rows), threshold)
+
+
+def ref_bin(raw, spec, bins):
+    """0-based uniform-width bin of one continuous raw value, clamped to the
+    edge bins; a degenerate range (min == max) puts everything in bin 0."""
+    value = float(raw)
+    if spec.transform == "log1p":
+        # numpy's log1p, as the encoder uses: libm's can differ in the last ulp
+        value = float(np.log1p(max(value, 0.0)))
+    lo, hi = spec.min, spec.max
+    if lo == hi:
+        return 0
+    if value >= hi:
+        return bins - 1
+    width = (hi - lo) / bins
+    return min(max(math.floor((value - lo) / width), 0), bins - 1)
 
 
 def ref_retrain_epoch(reps, samples, labels, alpha):

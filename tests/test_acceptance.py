@@ -15,8 +15,10 @@ from hdnids.cli import main as cli_main
 from hdnids.codebook import (
     FeatureSchema,
     FeatureSpec,
+    RandomSource,
     build_codebook,
-    lookup_level,
+    flip_bits,
+    random_hv,
 )
 from hdnids.dataset import (
     class_indices,
@@ -25,21 +27,10 @@ from hdnids.dataset import (
     map_label,
     parse_file,
 )
-from hdnids.encoding import encode_binary, encode_dataset
+from hdnids.encoding import EncodedDataset, encode_dataset, lookup_level
 from hdnids.evaluation import evaluate, render_report
-from hdnids.hypervector import (
-    AccumulatorVector,
-    Hypervector,
-    RandomSource,
-    accumulate,
-    cosine,
-    flip_bits,
-    hamming,
-    popcount,
-    random_hv,
-    xor,
-)
 from hdnids.model import (
+    AccumulatorVector,
     ClassModel,
     CorruptModelError,
     Hyperparams,
@@ -50,8 +41,8 @@ from hdnids.model import (
     train_initial,
 )
 from conftest import NSLKDD_REASON, find_nslkdd, make_synth_lines
-from reference import ref_encode_binary
-from test_model import toy_clusters, toy_model
+from reference import ref_encode_binary, ref_unpack
+from test_model import tiny_label_map, toy_clusters, toy_model
 
 SEED = 42
 
@@ -94,6 +85,10 @@ def stratified_subset(records, label_map, size, seed):
     return [records[i] for i in chosen]
 
 
+def popcount(row):
+    return int(np.bitwise_count(row).sum())
+
+
 def test_criterion_1_kernel_property_suite():
     """XOR algebra, hamming/popcount, flip exactness, cosine, accumulate
     over >=1,000 randomized cases at D in {64, 10000} in under 10 s."""
@@ -106,19 +101,26 @@ def test_criterion_1_kernel_property_suite():
             a = random_hv(dim, root)
             b = random_hv(dim, root)
             c = random_hv(dim, root)
-            assert xor(xor(a, b), b) == a
-            assert popcount(xor(a, a)) == 0
-            assert xor(xor(a, b), c) == xor(a, xor(b, c))
-            assert hamming(a, b) == popcount(xor(a, b))
+            assert np.array_equal(a ^ b ^ b, a)
+            assert popcount(a ^ a) == 0
+            assert np.array_equal((a ^ b) ^ c, a ^ (b ^ c))
             k = int(gen.integers(0, dim + 1))
-            assert hamming(a, flip_bits(a, k, root)) == k
+            assert popcount(a ^ flip_bits(a, dim, k, root)) == k
             values = gen.normal(size=dim)
             scale = float(gen.uniform(0.01, 100.0))
-            base = cosine(a, AccumulatorVector(values))
-            assert abs(base - cosine(a, AccumulatorVector(values * scale))) < 1e-9
-            w = float(gen.uniform(-10, 10))
-            acc = accumulate(AccumulatorVector.zeros(dim), a, w)
-            assert np.array_equal(acc.values, a.to_bits() * w)
+            model = ClassModel(
+                representatives=[AccumulatorVector(values), AccumulatorVector(values * scale)],
+                codebook=None, schema=None, label_map=tiny_label_map(["x", "y"]),
+                hyperparams=Hyperparams(dim=dim),
+            )
+            data = EncodedDataset(np.vstack([a, b, c]), dim, np.array([0, 0, 1]))
+            _, sims = predict_batch(model, data)
+            assert np.all(np.abs(sims[:, 0] - sims[:, 1]) < 1e-9)
+            reps = train_initial(data, 2)
+            a_bits, b_bits = data.unpack(0, 1)[0], data.unpack(1, 2)[0]
+            assert np.array_equal(reps[0].values, a_bits + b_bits)
+            assert np.array_equal(reps[1].values, data.unpack(2, 3)[0])
+            assert popcount(a) == int(a_bits.sum())
             cases += 1
     elapsed = time.perf_counter() - start
     assert cases >= 1000
@@ -128,7 +130,7 @@ def test_criterion_1_kernel_property_suite():
 
 
 def test_criterion_2_packed_vs_naive_oracle():
-    """Packed encode_binary bit-identical to the unpacked pure-Python
+    """Packed encode_dataset bit-identical to the unpacked pure-Python
     reference on 100 random records, D=64, N=41, in under 5 s."""
     start = time.perf_counter()
     feats = []
@@ -147,6 +149,7 @@ def test_criterion_2_packed_vs_naive_oracle():
     threshold = schema.num_features / 2.0
 
     gen = np.random.default_rng(SEED)
+    rows = []
     for _ in range(100):
         row = []
         for spec in schema.features:
@@ -154,12 +157,14 @@ def test_criterion_2_packed_vs_naive_oracle():
                 row.append(spec.vocabulary[gen.integers(len(spec.vocabulary))])
             else:
                 row.append(str(gen.uniform(-50.0, 1100.0)))
-        got = encode_binary(row, cb, schema, threshold).binary.to_bits().tolist()
+        rows.append(row)
+    data = encode_dataset(rows, cb, schema, threshold)
+    for i, row in enumerate(rows):
         want = ref_encode_binary(
             row, cb, schema, threshold,
             level_for=lambda j, raw: lookup_level(j, raw, cb, schema),
         )
-        assert got == want
+        assert ref_unpack(data.packed[i], 64) == want
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
     print(f"\nCRITERION 2 PASS: 100 records bit-identical to unpacked reference "
@@ -174,15 +179,15 @@ def test_criterion_3_level_chain_contract():
         class_names=["x"],
     )
     cb = build_codebook(schema, dim=10000, bins=10, seed=SEED)
-    chain = cb.levels[0]
+    chain = cb.matrix[cb.offsets[0] + 1 : cb.offsets[1]]
     assert len(chain) == 10
     for lo, hi in zip(chain, chain[1:]):
-        assert hamming(lo, hi) == 1000
-    d_far = hamming(chain[0], chain[9])
-    d_near = hamming(chain[0], chain[1])
+        assert popcount(lo ^ hi) == 1000
+    d_far = popcount(chain[0] ^ chain[9])
+    d_near = popcount(chain[0] ^ chain[1])
     assert d_far > d_near
     again = build_codebook(schema, dim=10000, bins=10, seed=SEED)
-    assert again.levels[0] == chain
+    assert np.array_equal(again.matrix[again.offsets[0] + 1 : again.offsets[1]], chain)
     print(f"\nCRITERION 3 PASS: adjacent levels differ by exactly 1000 bits; "
           f"hamming(L1,L10)={d_far} > hamming(L1,L2)={d_near}; deterministic per seed")
 

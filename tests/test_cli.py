@@ -5,7 +5,7 @@ import json
 import pytest
 
 from hdnids.cli import main
-from conftest import make_synth_lines
+from conftest import edit_header, make_synth_lines
 
 
 @pytest.fixture()
@@ -62,6 +62,15 @@ class TestTrain:
     def test_bad_hyperparameter(self, tmp_path, corpus):
         assert run(["train", "--train", corpus, "--model", tmp_path / "m.hdm",
                     "--dim", 0]) == 2
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--alpha", "nan"), ("--alpha", "inf"), ("--threshold", "inf"),
+        ("--threshold", "nan"), ("--bins", 300),
+    ])
+    def test_non_finite_or_out_of_range_hyperparameter(self, tmp_path, corpus, flag, value):
+        assert run(["train", "--train", corpus, "--model", tmp_path / "m.hdm",
+                    "--dim", 256, "--iterations", 1, flag, value]) == 2
+        assert not (tmp_path / "m.hdm").exists()
 
     def test_malformed_data(self, tmp_path):
         bad = tmp_path / "bad.txt"
@@ -151,6 +160,29 @@ class TestEvaluate:
         broken = tmp_path / "broken.hdm"
         broken.write_bytes(model.read_bytes()[:64])
         assert run(["evaluate", "--model", broken, "--test", corpus]) == 5
+
+    def test_damaged_header_exit_code(self, tmp_path, corpus):
+        model = quick_train(tmp_path, corpus)
+        broken = tmp_path / "broken.hdm"
+
+        def drop_schema(header):
+            del header["schema"]
+            return header
+
+        broken.write_bytes(edit_header(model.read_bytes(), drop_schema))
+        assert run(["evaluate", "--model", broken, "--test", corpus]) == 5
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    @pytest.mark.parametrize("value", ["abc", "inf"])
+    def test_non_numeric_value_is_data_error(self, tmp_path, corpus, capsys,
+                                             command, value):
+        model = quick_train(tmp_path, corpus)
+        odd = tmp_path / "odd.txt"
+        odd.write_text(",".join(["5"] * 4 + [value] + ["5"] * 36) + ",normal,10\n")
+        flag = "--test" if command == "evaluate" else "--input"
+        capsys.readouterr()
+        assert run([command, "--model", model, flag, odd]) == 4
+        assert "src_bytes" in capsys.readouterr().err
 
     def test_missing_model_is_io_error(self, tmp_path, corpus):
         assert run(["evaluate", "--model", tmp_path / "none.hdm",
@@ -246,6 +278,23 @@ class TestSweep:
                     "--dims", "128", "--iterations", "1"]) == 0
         rows = capsys.readouterr().out.strip().splitlines()
         assert len(rows) == 2 and rows[1].endswith("ok")
+
+
+    def test_config_file_supplies_grid(self, tmp_path, corpus, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"iterations": 0, "dim": 300, "bins": 5,
+                                   "alpha": 0.5, "seed": 7}))
+        capsys.readouterr()
+        assert run(["sweep", "--train", corpus, "--test", corpus,
+                    "--config", cfg]) == 0
+        rows = capsys.readouterr().out.strip().splitlines()
+        assert len(rows) == 2
+        assert rows[1].startswith(f"300,5,0.5,7,0,{len(corpus.read_text().splitlines())},")
+        assert rows[1].endswith("ok")
+        # flags still beat the config file
+        assert run(["sweep", "--train", corpus, "--test", corpus, "--config", cfg,
+                    "--dims", "128", "--iterations", "1"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].startswith("128,5,0.5,7,1,")
 
 
 class TestUsage:

@@ -1,19 +1,16 @@
-"""Scalar-vs-batch encoder equivalence and encoding edge cases."""
+"""The batch encoder against the unpacked reference, and encoding edge cases."""
 
 import numpy as np
 import pytest
 
-from hdnids.codebook import FeatureSchema, FeatureSpec, build_codebook, lookup_level
+from hdnids.codebook import FeatureSchema, FeatureSpec, build_codebook
 from hdnids.encoding import (
     EncodedDataset,
-    binarize,
     default_threshold,
-    encode,
-    encode_binary,
     encode_dataset,
+    lookup_level,
 )
-from hdnids.hypervector import AccumulatorVector, Hypervector
-from reference import ref_encode_binary
+from reference import ref_encode_binary, ref_unpack
 
 
 def cont(name, lo=0.0, hi=100.0, transform="none"):
@@ -46,48 +43,63 @@ def random_rows(schema, n, seed):
     return rows
 
 
+def oracle(row, cb, schema, threshold):
+    return ref_encode_binary(
+        row, cb, schema, threshold,
+        level_for=lambda j, raw: lookup_level(j, raw, cb, schema),
+    )
+
+
+def bits(data, i):
+    return ref_unpack(data.packed[i], data.dim)
+
+
 class TestScalarPath:
+    """Single-record behaviour of the batch encoder."""
+
     def test_default_threshold_is_half_feature_count(self):
         assert default_threshold(mixed_schema(4, 2)) == 3.0
         assert default_threshold(mixed_schema(5, 2)) == 3.5
 
     def test_binarize_is_strict(self):
-        acc = AccumulatorVector(np.array([1.0, 2.0, 3.0]))
-        assert binarize(acc, 2.0).to_bits().tolist() == [0, 0, 1]
+        # one feature: every coordinate sum is 0 or 1, so threshold 1 is
+        # never exceeded while threshold 0 keeps exactly the set bits
+        schema = FeatureSchema(features=[cont("c0")], class_names=["x"])
+        cb = build_codebook(schema, dim=64, bins=4, seed=3)
+        row = [("50",)]
+        assert not encode_dataset(row, cb, schema, 1.0).packed.any()
+        assert bits(encode_dataset(row, cb, schema, 0.0), 0) == oracle(row[0], cb, schema, 0.0)
 
     def test_encode_coordinate_range(self):
+        # coordinate sums lie in [0, N]: below 0 sets every bit, N sets none
         schema = mixed_schema()
         cb = build_codebook(schema, dim=128, bins=8, seed=3)
-        acc = encode(random_rows(schema, 1, 0)[0], cb, schema)
-        assert acc.values.min() >= 0
-        assert acc.values.max() <= schema.num_features
-        assert np.array_equal(acc.values, acc.values.astype(np.int64))
+        rows = random_rows(schema, 5, 0)
+        assert all(all(bits(encode_dataset(rows, cb, schema, -0.5), i)) for i in range(5))
+        assert not encode_dataset(rows, cb, schema, schema.num_features).packed.any()
 
     def test_encode_rejects_wrong_arity(self):
         schema = mixed_schema()
         cb = build_codebook(schema, dim=128, bins=8, seed=3)
         with pytest.raises(ValueError, match="6"):
-            encode(("1", "2"), cb, schema)
+            encode_dataset([("1", "2")], cb, schema, 3.0)
 
     def test_matches_unpacked_reference(self):
         schema = mixed_schema(3, 2)
         cb = build_codebook(schema, dim=64, bins=8, seed=11)
         threshold = default_threshold(schema)
-        for row in random_rows(schema, 25, seed=1):
-            got = encode_binary(row, cb, schema, threshold).binary.to_bits().tolist()
-            want = ref_encode_binary(
-                row, cb, schema, threshold,
-                level_for=lambda j, raw: lookup_level(j, raw, cb, schema),
-            )
-            assert got == want
+        rows = random_rows(schema, 25, seed=1)
+        data = encode_dataset(rows, cb, schema, threshold)
+        for i, row in enumerate(rows):
+            assert bits(data, i) == oracle(row, cb, schema, threshold)
 
     def test_encode_binary_keeps_sum_and_label(self):
         schema = mixed_schema()
         cb = build_codebook(schema, dim=128, bins=8, seed=3)
-        row = random_rows(schema, 1, 0)[0]
-        rec = encode_binary(row, cb, schema, default_threshold(schema), label=3)
-        assert rec.label == 3
-        assert rec.binary == binarize(rec.sum, default_threshold(schema))
+        data = encode_dataset(random_rows(schema, 4, 0), cb, schema,
+                              default_threshold(schema), labels=[3, 0, 1, 3])
+        assert data.labels.tolist() == [3, 0, 1, 3]
+        assert data.labels.dtype == np.int64
 
 
 class TestEncodedDataset:
@@ -95,14 +107,12 @@ class TestEncodedDataset:
         schema = mixed_schema()
         cb = build_codebook(schema, dim=128, bins=8, seed=3)
         t = default_threshold(schema)
-        recs = [encode_binary(r, cb, schema, t, label=i % 2)
-                for i, r in enumerate(random_rows(schema, 5, 0))]
-        data = EncodedDataset.from_records(recs)
+        rows = random_rows(schema, 5, 0)
+        data = encode_dataset(rows, cb, schema, t, labels=[i % 2 for i in range(5)])
         assert len(data) == 5
         assert data.labels.tolist() == [0, 1, 0, 1, 0]
-        for i, rec in enumerate(recs):
-            assert data.record(i) == rec.binary
-            assert np.array_equal(data.unpack(i, i + 1)[0], rec.binary.to_bits())
+        for i, row in enumerate(rows):
+            assert data.unpack(i, i + 1)[0].tolist() == oracle(row, cb, schema, t)
 
     def test_label_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -122,7 +132,7 @@ class TestBatchPath:
         rows = random_rows(schema, 40, seed=2)
         data = encode_dataset(rows, cb, schema, t)
         for i, row in enumerate(rows):
-            assert data.record(i) == encode_binary(row, cb, schema, t).binary
+            assert bits(data, i) == oracle(row, cb, schema, t)
 
     def test_batch_boundaries_do_not_matter(self):
         schema = mixed_schema()
@@ -153,7 +163,7 @@ class TestBatchPath:
         rows = [tuple(str(v % 10) for v in range(300)) for _ in range(3)]
         data = encode_dataset(rows, cb, schema, t)
         for i, row in enumerate(rows):
-            assert data.record(i) == encode_binary(row, cb, schema, t).binary
+            assert bits(data, i) == oracle(row, cb, schema, t)
 
     def test_arity_checked_on_every_row(self):
         schema = mixed_schema()

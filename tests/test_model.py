@@ -1,26 +1,29 @@
 """Centroid training, retraining invariants, prediction, persistence."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hdnids.codebook import FeatureSchema, FeatureSpec
 from hdnids.dataset import LabelMap
 from hdnids.encoding import EncodedDataset
-from hdnids.hypervector import AccumulatorVector, Hypervector
 from hdnids.model import (
     _RETRAIN_STREAM_TAG,
+    AccumulatorVector,
     ClassModel,
     CorruptModelError,
     Hyperparams,
     load_model,
-    predict,
     predict_batch,
     retrain,
     save_model,
     train_initial,
 )
-from conftest import train_small_model
-from reference import ref_retrain_epoch
+from conftest import edit_header, make_synth_lines, reframe, train_small_model
+from reference import ref_cosine, ref_retrain_epoch, ref_unpack
 
 
 def packed(bits):
@@ -99,45 +102,44 @@ class TestTrainInitial:
 class TestPredict:
     def test_separable_clusters_classified(self):
         data = toy_clusters(flip=8)
-        model = toy_model(data)
-        correct = sum(
-            predict(data.record(i), model).class_index == data.labels[i]
-            for i in range(len(data))
-        )
-        assert correct == len(data)
+        preds, _ = predict_batch(toy_model(data), data)
+        assert np.array_equal(preds, data.labels)
 
     def test_tie_breaks_to_lowest_index(self):
-        rep = AccumulatorVector(np.array([1.0, 1.0, 0.0, 0.0]))
+        rep = np.array([1.0, 1.0, 0.0, 0.0])
         model = ClassModel(
-            representatives=[rep.copy(), rep.copy()],
+            representatives=[AccumulatorVector(rep), AccumulatorVector(rep.copy())],
             codebook=None, schema=tiny_schema(["a", "b"]),
             label_map=tiny_label_map(["a", "b"]),
             hyperparams=Hyperparams(dim=4),
         )
-        p = predict(Hypervector.from_bits([1, 1, 0, 0]), model)
-        assert p.similarities[0] == p.similarities[1]
-        assert p.class_index == 0
+        preds, sims = predict_batch(model, EncodedDataset(packed([1, 1, 0, 0])[None, :], 4))
+        assert sims[0, 0] == sims[0, 1]
+        assert preds[0] == 0
 
     def test_degenerate_flag(self):
+        # an all-zero encoding scores 0 against every class and goes to class 0
         data = toy_clusters()
         model = toy_model(data)
-        p = predict(Hypervector.zeros(data.dim), model)
-        assert p.degenerate and p.class_index == 0
-        assert all(s == 0.0 for s in p.similarities)
+        zero = EncodedDataset(np.zeros((1, data.packed.shape[1]), dtype=np.uint8), data.dim)
+        preds, sims = predict_batch(model, zero)
+        assert preds[0] == 0
+        assert sims[0].tolist() == [0.0] * model.num_classes
 
     def test_dim_mismatch(self):
         model = toy_model(toy_clusters())
         with pytest.raises(ValueError):
-            predict(Hypervector.zeros(32), model)
+            predict_batch(model, EncodedDataset(np.zeros((1, 4), dtype=np.uint8), 32))
 
     def test_batch_matches_scalar(self):
         data = toy_clusters()
         model = toy_model(data)
         preds, sims = predict_batch(model, data)
+        reps = [r.values.tolist() for r in model.representatives]
         for i in range(len(data)):
-            p = predict(data.record(i), model)
-            assert preds[i] == p.class_index
-            assert sims[i] == pytest.approx(p.similarities, abs=1e-12)
+            want = [ref_cosine(ref_unpack(data.packed[i], data.dim), r) for r in reps]
+            assert sims[i] == pytest.approx(want, abs=1e-12)
+            assert preds[i] == max(range(len(want)), key=lambda c: (want[c], -c))
 
     def test_batch_worker_count_invariant(self):
         data = toy_clusters(n_per=200)
@@ -146,6 +148,27 @@ class TestPredict:
         p4, s4 = predict_batch(model, data, jobs=4)
         assert np.array_equal(p1, p4)
         assert np.array_equal(s1, s4)
+
+
+class TestHyperparams:
+    def test_defaults_are_valid(self):
+        Hyperparams().validate()
+        Hyperparams(dim=1, bins=1, threshold=0.5, alpha=1e-9, iterations=0).validate()
+
+    @pytest.mark.parametrize("field, value", [
+        ("dim", 0), ("dim", 2.5), ("dim", "300"), ("bins", 0), ("bins", 10001),
+        ("alpha", 0.0), ("alpha", -1.0), ("alpha", float("nan")), ("alpha", float("inf")),
+        ("alpha", "1"), ("threshold", float("inf")), ("threshold", float("nan")),
+        ("threshold", "20"), ("iterations", -1), ("seed", None),
+    ])
+    def test_rejects(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            Hyperparams(**{field: value}).validate()
+
+    def test_retrain_rejects_non_finite_alpha(self):
+        data = toy_clusters()
+        with pytest.raises(ValueError, match="alpha"):
+            retrain(toy_model(data), data, alpha=float("nan"), iterations=5)
 
 
 class TestRetrain:
@@ -246,10 +269,10 @@ class TestPersistence:
         assert back.schema == model.schema
         assert back.label_map.to_dict() == model.label_map.to_dict()
         assert np.array_equal(back.rep_matrix(), model.rep_matrix())
-        assert back.codebook.base == model.codebook.base
-        assert back.codebook.levels == model.codebook.levels
-        assert back.codebook.categories == model.codebook.categories
-        assert back.codebook.oov == model.codebook.oov
+        assert np.array_equal(back.codebook.matrix, model.codebook.matrix)
+        assert back.codebook.offsets == model.codebook.offsets
+        assert (back.codebook.dim, back.codebook.bins, back.codebook.seed) == (
+            model.codebook.dim, model.codebook.bins, model.codebook.seed)
 
     def test_save_is_deterministic(self, tmp_path, synth_lines):
         model, _, _ = self.build(tmp_path, synth_lines)
@@ -292,3 +315,99 @@ class TestPersistence:
         p2, s2 = predict_batch(back, data)
         assert np.array_equal(p1, p2)
         assert np.array_equal(s1, s2)
+
+
+def _drop_schema(h):
+    del h["schema"]
+    return h
+
+
+def _bad_dtype(h):
+    h["arrays"][0]["dtype"] = "bogus"
+    return h
+
+
+def _class_out_of_range(h):
+    h["label_map"]["raw_to_class"]["neptune"] = 7
+    return h
+
+
+def _infinite_threshold(h):
+    h["hyperparams"]["threshold"] = 1e999
+    return h
+
+
+class TestDamagedHeader:
+    """Checksum-valid files whose header is inconsistent or mistyped."""
+
+    @pytest.fixture(scope="class")
+    def blob(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("hdr")
+        src = tmp / "train.txt"
+        src.write_text("\n".join(make_synth_lines({"normal": 20, "dos": 20}, seed=2)) + "\n")
+        model, _, _ = train_small_model(src, dim=64, iterations=1)
+        save_model(model, tmp / "m.hdm")
+        return (tmp / "m.hdm").read_bytes()
+
+    @pytest.mark.parametrize("edit", [
+        _drop_schema, _bad_dtype, _class_out_of_range, _infinite_threshold,
+    ])
+    def test_rejected(self, tmp_path, blob, edit):
+        path = tmp_path / "bad.hdm"
+        path.write_bytes(edit_header(blob, edit))
+        with pytest.raises(CorruptModelError):
+            load_model(path)
+
+    def test_unedited_header_loads(self, tmp_path, blob):
+        path = tmp_path / "same.hdm"
+        path.write_bytes(edit_header(blob, lambda h: h))
+        assert path.read_bytes() == blob
+        load_model(path)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(raw=st.binary(max_size=200))
+    def test_fuzz_arbitrary_bytes(self, tmp_path, blob, raw):
+        for data in (raw, blob[:20] + raw, reframe(blob, raw)):
+            path = tmp_path / "fuzz.hdm"
+            path.write_bytes(data)
+            try:
+                load_model(path)
+            except CorruptModelError:
+                pass
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_fuzz_mutated_header(self, tmp_path, blob, data):
+        header = json.loads(blob[20 : 20 + int.from_bytes(blob[12:20], "little")])
+        values = st.recursive(
+            st.none() | st.booleans() | st.integers(-3, 300) | st.floats() | st.text(max_size=4),
+            lambda inner: st.lists(inner, max_size=3)
+            | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+            max_leaves=6,
+        )
+        for _ in range(data.draw(st.integers(1, 3))):
+            # walk to a random node, then replace, delete or shorten it
+            node, path_ = header, []
+            while isinstance(node, (dict, list)) and node and data.draw(st.booleans()):
+                key = data.draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                                else range(len(node))))
+                path_.append((node, key))
+                node = node[key]
+            if not path_:
+                continue
+            parent, key = path_[-1]
+            action = data.draw(st.sampled_from(["replace", "delete", "shorten"]))
+            if action == "replace":
+                parent[key] = data.draw(values)
+            elif action == "delete":
+                del parent[key]
+            elif isinstance(node, list) and node:
+                node.pop()
+        path = tmp_path / "mut.hdm"
+        path.write_bytes(reframe(blob, json.dumps(header).encode("utf-8")))
+        try:
+            load_model(path)
+        except CorruptModelError:
+            pass
