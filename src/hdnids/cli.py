@@ -95,9 +95,11 @@ def _resolve(args, config: dict, key: str):
     flag = getattr(args, key, None)
     if flag is not None:
         return flag
-    if key in config:
-        return config[key]
-    return DEFAULTS.get(key)
+    value = config.get(key, DEFAULTS.get(key))
+    # a JSON string such as "false" is truthy, so a switch must be a real bool
+    if isinstance(DEFAULTS.get(key), bool) and not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
+    return value
 
 
 def _resolve_jobs(args, config: dict) -> int:
@@ -190,6 +192,8 @@ def cmd_train(args) -> int:
     model, acc0, trace, timings = _train_pipeline(
         result.records, label_map, jobs=jobs, **settings)
 
+    # save before printing, so a closed stdout cannot cost the trained model
+    save_model(model, args.model)
     echo = dict(model.hyperparams.to_dict())
     echo["jobs"] = jobs
     echo["train"] = str(args.train)
@@ -200,7 +204,6 @@ def cmd_train(args) -> int:
         print(f"epoch {i:2d}: train accuracy {acc:.4f}")
     if trace and len(trace) < model.hyperparams.iterations:
         print(f"converged after {len(trace)} epoch(s): a full pass made no updates")
-    save_model(model, args.model)
     total = sum(timings.values())
     detail = ", ".join(f"{k} {v:.2f}s" for k, v in timings.items())
     print(f"model written to {args.model}  ({total:.2f}s total: {detail})")

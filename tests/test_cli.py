@@ -1,10 +1,13 @@
 """Command line behavior: happy paths, config precedence, exit codes."""
 
+import io
 import json
+import sys
 
 import pytest
 
 from hdnids.cli import main
+from hdnids.model import load_model
 from conftest import edit_header, make_synth_lines
 
 
@@ -72,6 +75,18 @@ class TestTrain:
                     "--dim", 256, "--iterations", 1, flag, value]) == 2
         assert not (tmp_path / "m.hdm").exists()
 
+    def test_closed_stdout_keeps_model(self, tmp_path, corpus, monkeypatch):
+        """`hdnids train ... | head` closes stdout early; the model is still written."""
+        class ClosedPipe(io.TextIOBase):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        model = tmp_path / "m.hdm"
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert run(["train", "--train", corpus, "--model", model,
+                    "--dim", 256, "--iterations", 2]) == 3
+        assert load_model(model).hyperparams.dim == 256
+
     def test_malformed_data(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("this,is,not,a,record\n")
@@ -109,6 +124,22 @@ class TestConfigPrecedence:
         cfg.write_text("{not json")
         assert run(["train", "--train", corpus, "--model", tmp_path / "m.hdm",
                     "--config", cfg]) == 2
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_non_bool_log_scale_rejected(self, tmp_path, corpus, command, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"log_scale": value, "iterations": 1, "dim": 500}))
+        out = ["--model", tmp_path / "m.hdm"] if command == "train" else []
+        assert run([command, "--train", corpus, *out, "--config", cfg]) == 2
+        assert not (tmp_path / "m.hdm").exists()
+
+    def test_bool_log_scale_from_config(self, tmp_path, corpus):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"log_scale": True, "iterations": 1, "dim": 500}))
+        assert run(["train", "--train", corpus, "--model", tmp_path / "m.hdm",
+                    "--config", cfg]) == 0
+        assert load_model(tmp_path / "m.hdm").hyperparams.log_scale is True
 
     def test_jobs_env_variable(self, tmp_path, corpus, capsys, monkeypatch):
         monkeypatch.setenv("HDNIDS_JOBS", "2")

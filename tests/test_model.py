@@ -1,5 +1,6 @@
 """Centroid training, retraining invariants, prediction, persistence."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -22,7 +23,9 @@ from hdnids.model import (
     save_model,
     train_initial,
 )
-from conftest import edit_header, make_synth_lines, reframe, train_small_model
+from conftest import (
+    DEFAULT_COUNTS, edit_header, make_synth_lines, reframe, train_small_model,
+)
 from reference import ref_cosine, ref_retrain_epoch, ref_unpack
 
 
@@ -244,6 +247,64 @@ class TestRetrain:
                 break
         assert np.array_equal(got.rep_matrix(), np.array(reps))
 
+    @settings(max_examples=12, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        n=st.integers(300, 360),
+        dim=st.sampled_from([9, 30, 47]),
+        classes=st.integers(2, 4),
+        alpha=st.sampled_from([0.25, 0.5, 1.0, 2.0]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_prop_retrain_equals_naive_sequential(self, n, dim, classes, alpha, seed):
+        """Several retrain chunks, set padding bits past a dim that is not a
+        multiple of 8, and an empty (zero-norm) class, against the oracle."""
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(0, classes, size=n)
+        labels[labels == classes - 1] = 0  # the last class has no samples
+        protos = rng.random((classes, dim)) < 0.5
+        bits = protos[labels] ^ (rng.random((n, dim)) < 0.3)
+        rows = np.packbits(bits.astype(np.uint8), axis=1, bitorder="little")
+        rows[:, -1] |= rng.integers(0, 256, size=n, dtype=np.uint8) & ~np.uint8(
+            (1 << dim % 8) - 1)
+        data = EncodedDataset(rows, dim, labels)
+        names = ["a", "b", "c", "d"][:classes]
+        model = ClassModel(
+            representatives=train_initial(data, classes), codebook=None,
+            schema=tiny_schema(names), label_map=tiny_label_map(names),
+            hyperparams=Hyperparams(dim=dim, bins=1, alpha=alpha, seed=seed),
+        )
+        epochs = 2
+        got, trace = retrain(model, data, alpha=alpha, iterations=epochs)
+
+        order = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence([seed, _RETRAIN_STREAM_TAG]))).permutation(n)
+        samples = [bits[i].astype(int).tolist() for i in order]
+        visit_labels = [int(labels[i]) for i in order]
+        reps = [r.values.tolist() for r in model.representatives]
+        want = []
+        for _ in range(epochs):
+            reps, updates, correct = ref_retrain_epoch(reps, samples, visit_labels, alpha)
+            want.append(correct / n)
+            if updates == 0:
+                break
+        assert trace == want
+        assert np.array_equal(got.rep_matrix(), np.array(reps))
+
+    @pytest.mark.parametrize("alpha, digest", [
+        (1.0, "b15e2391035b82763dfafb62962f938b3f82cd8e6910d109a3edd0d6eb611900"),
+        (0.5, "8e719546b6f94c6290b0047c1048e2aa36ef743c6d37b5721b9b0a8b8c929c32"),
+    ])
+    def test_model_bytes_match_recorded_digest(self, tmp_path, alpha, digest):
+        """Model file bytes are pinned, so any change to the training
+        arithmetic shows. The class ranges overlap, so the first epoch misses
+        about 8% of the 340 records, spread over several retrain chunks."""
+        src = tmp_path / "train.txt"
+        src.write_text("\n".join(make_synth_lines(DEFAULT_COUNTS, seed=7, gap=-280)) + "\n")
+        model, _, _ = train_small_model(src, dim=2000, alpha=alpha, iterations=10)
+        save_model(model, tmp_path / "m.hdm")
+        assert hashlib.sha256((tmp_path / "m.hdm").read_bytes()).hexdigest() == digest
+
     def test_retrain_deterministic(self):
         data = toy_clusters()
         model = toy_model(data)
@@ -273,6 +334,16 @@ class TestPersistence:
         assert back.codebook.offsets == model.codebook.offsets
         assert (back.codebook.dim, back.codebook.bins, back.codebook.seed) == (
             model.codebook.dim, model.codebook.bins, model.codebook.seed)
+
+    def test_string_log_scale_still_loads(self, tmp_path, synth_lines):
+        """Files written while config values went unchecked may hold a string
+        log_scale; format v1 stays readable, so they load as written."""
+        model, _, _ = self.build(tmp_path, synth_lines)
+        path = tmp_path / "m.hdm"
+        save_model(model, path)
+        path.write_bytes(edit_header(path.read_bytes(), lambda h: {
+            **h, "hyperparams": {**h["hyperparams"], "log_scale": "false"}}))
+        assert load_model(path).hyperparams.log_scale == "false"
 
     def test_save_is_deterministic(self, tmp_path, synth_lines):
         model, _, _ = self.build(tmp_path, synth_lines)
