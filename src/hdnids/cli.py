@@ -16,6 +16,7 @@ failing run never leaves a partial model, report, or split behind.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import logging
@@ -59,103 +60,127 @@ EXIT_IO = 3
 EXIT_DATA = 4
 EXIT_CORRUPT_MODEL = 5
 
-DEFAULTS = {
-    "dim": 10000,
-    "bins": 10,
-    "alpha": 1.0,
-    "iterations": 50,
-    "threshold": None,
-    "seed": 42,
-    "log_scale": False,
-    "fraction": 0.8,
-    "unknown_label": "fallback",
-    "fallback_class": "normal",
-    "format": "text",
+# key -> (type, default, flag help): config values are checked against the
+# type and flags are parsed as it. A tuple type lists the allowed values.
+# Only keys whose default is None accept a JSON null.
+SETTINGS = {
+    "dim": (int, 10000, "hypervector dimension"),
+    "bins": (int, 10, "quantization levels per numeric feature"),
+    "alpha": (float, 1.0, "retraining learning rate"),
+    "iterations": (int, 50, "retraining epochs, 0 disables"),
+    "threshold": (float, None, "binarization threshold; null means feature count / 2"),
+    "seed": (int, 42, "RNG seed"),
+    "log_scale": (bool, False, "log1p-compress continuous features before binning"),
+    "fraction": (float, 0.8, "train fraction when splitting"),
+    "jobs": (int, os.cpu_count() or 1, "worker threads; HDNIDS_JOBS replaces the default"),
+    "label_map": (str, None, "attack->category CSV; null means the built-in mapping"),
+    "unknown_label": (("fallback", "strict"), "fallback",
+                      "unmapped label policy; evaluate defaults to the model's"),
+    "fallback_class": (tuple(CLASS_NAMES), "normal",
+                       "class for unmapped labels; evaluate defaults to the model's"),
+    "format": (REPORT_FORMATS, "text", "report format"),
 }
+
+_KIND_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a path"}
 
 
 class ConfigError(ValueError):
     """Bad flag/config value; maps to exit code 2."""
 
 
-def _load_config_file(path) -> dict:
+def _typed(key: str, value):
+    """value as the type SETTINGS gives key; a ConfigError naming key if it is not one.
+
+    A JSON int is accepted for a float key and converted, so a config file and
+    a flag give the same model bytes; bools are never numbers here.
+    """
+    kind, default, _ = SETTINGS[key]
+    if value is None:
+        ok = default is None
+    elif isinstance(kind, tuple):
+        ok = value in kind
+    elif isinstance(value, bool):
+        ok = kind is bool
+    else:
+        ok = isinstance(value, (int, float) if kind is float else kind)
+    if not ok:
+        expected = f"one of {kind}" if isinstance(kind, tuple) else _KIND_NAMES[kind]
+        if default is None:
+            expected += " or null"
+        raise ConfigError(f"{key} must be {expected}, got {value!r}")
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON: {exc}") from None
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
-    unknown = set(obj) - set(DEFAULTS) - {"jobs", "label_map"}
-    if unknown:
-        raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
-    return obj
+        return float(value) if kind is float and value is not None else value
+    except OverflowError:
+        raise ConfigError(f"{key} is out of range, got {value!r}") from None
 
 
-def _resolve(args, config: dict, key: str):
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    value = config.get(key, DEFAULTS.get(key))
-    # a JSON string such as "false" is truthy, so a switch must be a real bool
-    if isinstance(DEFAULTS.get(key), bool) and not isinstance(value, bool):
-        raise ConfigError(f"{key} must be true or false, got {value!r}")
-    return value
+def _settings(args, **defaults) -> dict:
+    """Every setting in SETTINGS, resolved flag > config file (--config) >
+    HDNIDS_JOBS (jobs only) > default; `defaults` replaces built-in defaults.
+
+    Every key in the config file is type-checked, whichever command reads it.
+    Ranges are checked where the values are used (Hyperparams.validate,
+    SplitSpec), except jobs >= 1, which is checked here.
+    """
+    config = {}
+    if args.config:
+        try:
+            config = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{args.config}: not valid JSON: {exc}") from None
+        if not isinstance(config, dict):
+            raise ConfigError(f"{args.config}: config must be a JSON object")
+        unknown = set(config) - set(SETTINGS)
+        if unknown:
+            raise ConfigError(f"{args.config}: unknown config keys {sorted(unknown)}")
+        config = {key: _typed(key, value) for key, value in config.items()}
+
+    out = {}
+    for key, (_, default, _) in SETTINGS.items():
+        flag = getattr(args, key, None)  # parsed as SETTINGS types it
+        if flag is not None:
+            out[key] = flag
+        elif key in config:
+            out[key] = config[key]
+        elif key == "jobs" and "HDNIDS_JOBS" in os.environ:
+            env = os.environ["HDNIDS_JOBS"]
+            try:
+                out[key] = int(env)
+            except ValueError:
+                raise ConfigError(f"HDNIDS_JOBS (jobs) must be an integer, got {env!r}") from None
+        else:
+            out[key] = defaults.get(key, default)
+    if out["jobs"] < 1:
+        raise ConfigError(f"jobs must be >= 1, got {out['jobs']}")
+    return out
 
 
-def _resolve_jobs(args, config: dict) -> int:
-    value = getattr(args, "jobs", None)
-    if value is None:
-        value = config.get("jobs")
-    if value is None:
-        value = os.environ.get("HDNIDS_JOBS")
-    if value is None:
-        return os.cpu_count() or 1
-    try:
-        jobs = int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"jobs must be an integer, got {value!r}") from None
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    return jobs
+def _label_map(settings: dict, table=None):
+    """The label table (settings' label_map file, else `table`, else the
+    packaged one) under the settings' unknown-label policy."""
+    if settings["label_map"] is not None or table is None:
+        table = load_label_map(settings["label_map"])
+    table.strict = settings["unknown_label"] == "strict"
+    table.fallback_class = table.class_names.index(settings["fallback_class"])
+    return table
 
 
-def _resolve_label_map(args, config: dict):
-    path = getattr(args, "label_map", None)
-    if path is None:
-        path = config.get("label_map")
-    policy = _resolve(args, config, "unknown_label")
-    if policy not in ("fallback", "strict"):
-        raise ConfigError(f"--unknown-label must be 'fallback' or 'strict', got {policy!r}")
-    fallback_name = _resolve(args, config, "fallback_class")
-    if fallback_name not in CLASS_NAMES:
-        raise ConfigError(
-            f"--fallback-class must be one of {CLASS_NAMES}, got {fallback_name!r}"
-        )
-    return load_label_map(
-        path, strict=policy == "strict", fallback_class=CLASS_NAMES.index(fallback_name)
-    )
-
-
-def _train_pipeline(records, label_map, *, dim, bins, threshold, alpha,
-                    iterations, seed, log_scale, jobs):
+def _train_pipeline(records, label_map, hyper: Hyperparams, jobs: int):
     """Schema, codebook, encode, centroid init, optional retraining.
 
     Returns (model, initial_accuracy, trace, timings dict).
     """
-    hyper = Hyperparams(
-        dim=dim, bins=bins, threshold=threshold, alpha=alpha,
-        iterations=iterations, seed=seed, log_scale=log_scale,
-    )
     hyper.validate()
 
     timings = {}
     t0 = time.perf_counter()
     schema = infer_schema(records, class_names=label_map.class_names,
-                          log_scale=log_scale)
-    codebook = build_codebook(schema, dim=dim, bins=bins, seed=seed)
+                          log_scale=hyper.log_scale)
+    codebook = build_codebook(schema, dim=hyper.dim, bins=hyper.bins, seed=hyper.seed)
     timings["codebook"] = time.perf_counter() - t0
 
-    hyper.threshold = default_threshold(schema) if threshold is None else float(threshold)
+    if hyper.threshold is None:
+        hyper = dataclasses.replace(hyper, threshold=default_threshold(schema))
     labels = class_indices(records, label_map)
     t0 = time.perf_counter()
     data = encode_dataset(
@@ -166,36 +191,35 @@ def _train_pipeline(records, label_map, *, dim, bins, threshold, alpha,
 
     t0 = time.perf_counter()
     reps = train_initial(data, num_classes=len(label_map.class_names))
+    timings["train_initial"] = time.perf_counter() - t0
     model = ClassModel(
         representatives=reps, codebook=codebook, schema=schema,
         label_map=label_map, hyperparams=hyper,
     )
+    t0 = time.perf_counter()
     preds, _ = predict_batch(model, data, jobs=jobs)
     initial_accuracy = float((preds == data.labels).mean())
-    timings["train_initial"] = time.perf_counter() - t0
+    timings["initial_score"] = time.perf_counter() - t0
 
     trace = []
-    if iterations > 0:
+    if hyper.iterations > 0:
         t0 = time.perf_counter()
-        model, trace = retrain(model, data, alpha=alpha, iterations=iterations)
+        model, trace = retrain(model, data, alpha=hyper.alpha, iterations=hyper.iterations)
         timings["retrain"] = time.perf_counter() - t0
     return model, initial_accuracy, trace, timings
 
 
 def cmd_train(args) -> int:
-    config = _load_config_file(args.config) if args.config else {}
-    jobs = _resolve_jobs(args, config)
-    label_map = _resolve_label_map(args, config)
-    settings = {k: _resolve(args, config, k) for k in
-                ("dim", "bins", "threshold", "alpha", "iterations", "seed", "log_scale")}
+    s = _settings(args)
+    label_map = _label_map(s)
     result = parse_file(args.train)
     model, acc0, trace, timings = _train_pipeline(
-        result.records, label_map, jobs=jobs, **settings)
+        result.records, label_map, Hyperparams.from_dict(s), s["jobs"])
 
     # save before printing, so a closed stdout cannot cost the trained model
     save_model(model, args.model)
     echo = dict(model.hyperparams.to_dict())
-    echo["jobs"] = jobs
+    echo["jobs"] = s["jobs"]
     echo["train"] = str(args.train)
     print("effective-config: " + json.dumps(echo, sort_keys=True))
     print(f"records: {len(result.records)}  (malformed skipped: {result.malformed_count})")
@@ -210,37 +234,16 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _apply_label_overrides(model, args, config) -> None:
-    """Let evaluate-time flags override the label policy stored in the model."""
-    if getattr(args, "label_map", None) or config.get("label_map"):
-        model.label_map = _resolve_label_map(args, config)
-        return
-    policy = getattr(args, "unknown_label", None) or config.get("unknown_label")
-    if policy is not None:
-        if policy not in ("fallback", "strict"):
-            raise ConfigError(
-                f"--unknown-label must be 'fallback' or 'strict', got {policy!r}")
-        model.label_map.strict = policy == "strict"
-    fallback = getattr(args, "fallback_class", None) or config.get("fallback_class")
-    if fallback is not None:
-        if fallback not in model.label_map.class_names:
-            raise ConfigError(
-                f"--fallback-class must be one of {model.label_map.class_names}, "
-                f"got {fallback!r}")
-        model.label_map.fallback_class = model.label_map.class_names.index(fallback)
-
-
 def cmd_evaluate(args) -> int:
-    config = _load_config_file(args.config) if args.config else {}
-    jobs = _resolve_jobs(args, config)
-    fmt = _resolve(args, config, "format")
-    if fmt not in REPORT_FORMATS:
-        raise ConfigError(f"--format must be one of {REPORT_FORMATS}, got {fmt!r}")
     model = load_model(args.model)
-    _apply_label_overrides(model, args, config)
+    # the model's stored label policy is the default; a flag or the config overrides it
+    stored = model.label_map
+    s = _settings(args, unknown_label="strict" if stored.strict else "fallback",
+                  fallback_class=stored.class_names[stored.fallback_class])
+    model.label_map = _label_map(s, stored)
     result = parse_file(args.test)
-    report = evaluate(model, result.records, jobs=jobs)
-    rendered = render_report(report, fmt)
+    report = evaluate(model, result.records, jobs=s["jobs"])
+    rendered = render_report(report, s["format"])
     if args.report:
         atomic_write(args.report, rendered.encode("utf-8"))
         print(f"report written to {args.report}", file=sys.stderr)
@@ -252,8 +255,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    config = _load_config_file(args.config) if args.config else {}
-    jobs = _resolve_jobs(args, config)
+    jobs = _settings(args)["jobs"]
     model = load_model(args.model)
     result = parse_file(args.input, allow_unlabeled=True)
     if not result.records:
@@ -278,12 +280,10 @@ def cmd_predict(args) -> int:
 
 
 def cmd_split(args) -> int:
-    config = _load_config_file(args.config) if args.config else {}
-    fraction = _resolve(args, config, "fraction")
-    seed = _resolve(args, config, "seed")
-    label_map = _resolve_label_map(args, config)
+    s = _settings(args)
+    label_map = _label_map(s)
     result = parse_file(args.input, keep_raw=True)
-    spec = SplitSpec(mode="random", train_fraction=float(fraction), seed=int(seed))
+    spec = SplitSpec(mode="random", train_fraction=s["fraction"], seed=s["seed"])
     train_recs, test_recs = split(result.records, spec, label_map)
 
     def _lines(records):
@@ -297,61 +297,43 @@ def cmd_split(args) -> int:
     return EXIT_OK
 
 
-def _int_list(text: str):
-    try:
-        return [int(p) for p in text.split(",") if p.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated ints, got {text!r}")
-
-
-def _float_list(text: str):
-    try:
-        return [float(p) for p in text.split(",") if p.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}")
+def _list_of(kind):
+    """argparse type for a comma-separated list of `kind` values."""
+    def parse(text: str):
+        try:
+            return [kind(p) for p in text.split(",") if p.strip()]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {kind.__name__}s, got {text!r}")
+    return parse
 
 
 def cmd_sweep(args) -> int:
-    config = _load_config_file(args.config) if args.config else {}
-    jobs = _resolve_jobs(args, config)
-    label_map = _resolve_label_map(args, config)
-    log_scale = _resolve(args, config, "log_scale")
-    iterations = _resolve(args, config, "iterations")
-    threshold = _resolve(args, config, "threshold")
-    fraction = float(_resolve(args, config, "fraction"))
-
-    def grid(flag, key):
-        return flag or [config.get(key, DEFAULTS[key])]
-
-    dims = grid(args.dims, "dim")
-    bins_grid = grid(args.bins, "bins")
-    alphas = grid(args.alphas, "alpha")
-    seeds = grid(args.seeds, "seed")
+    s = _settings(args)
+    label_map = _label_map(s)
+    base = Hyperparams.from_dict(s)
+    # a list flag spans its axis of the grid; otherwise the axis is the one setting
+    grid = {key: getattr(args, f"{key}_grid") or [s[key]]
+            for key in ("dim", "bins", "alpha", "seed")}
 
     records = parse_file(args.train).records
-    test_records = parse_file(args.test).records if args.test else None
-
     # one split per seed, reused across the (dim, bins, alpha) grid
-    splits = {}
-    for seed in seeds:
-        if test_records is not None:
-            splits[seed] = (records, test_records)
-        else:
-            spec = SplitSpec(mode="random", train_fraction=fraction, seed=seed)
-            splits[seed] = split(records, spec, label_map)
+    if args.test:
+        splits = dict.fromkeys(grid["seed"], (records, parse_file(args.test).records))
+    else:
+        splits = {seed: split(records, SplitSpec(train_fraction=s["fraction"], seed=seed),
+                              label_map) for seed in grid["seed"]}
 
     rows = ["dim,bins,alpha,seed,iterations,train_records,test_records,"
             "accuracy,macro_f1,status"]
-    for dim, bins, alpha, seed in itertools.product(dims, bins_grid, alphas, seeds):
+    for dim, bins, alpha, seed in itertools.product(*grid.values()):
         train_recs, test_recs = splits[seed]
-        prefix = f"{dim},{bins},{alpha},{seed},{iterations},{len(train_recs)},{len(test_recs)}"
+        prefix = (f"{dim},{bins},{alpha},{seed},{base.iterations},"
+                  f"{len(train_recs)},{len(test_recs)}")
         try:
-            model, _, _, _ = _train_pipeline(
-                train_recs, label_map, dim=dim, bins=bins, threshold=threshold,
-                alpha=alpha, iterations=iterations, seed=seed,
-                log_scale=log_scale, jobs=jobs,
-            )
-            report = evaluate(model, test_recs, jobs=jobs)
+            hyper = dataclasses.replace(base, dim=dim, bins=bins, alpha=alpha, seed=seed)
+            model, _, _, _ = _train_pipeline(train_recs, label_map, hyper, s["jobs"])
+            report = evaluate(model, test_recs, jobs=s["jobs"])
             rows.append(f"{prefix},{repr(report.accuracy)},{repr(report.macro_f1)},ok")
         except Exception as exc:  # a bad combo must not kill the sweep
             log.error("sweep combo dim=%s bins=%s alpha=%s seed=%s failed: %s",
@@ -366,33 +348,20 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _add_common(p, *, with_model_params=False):
+def _add_settings(p, *keys):
+    """--config, and one flag per setting: the given keys plus jobs and the
+    label settings, each typed and documented from SETTINGS."""
     p.add_argument("--config", help="JSON config file; flags override it")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker threads (default: HDNIDS_JOBS env or cpu count)")
-    p.add_argument("--label-map", dest="label_map", default=None,
-                   help="attack->category CSV (default: built-in mapping)")
-    p.add_argument("--unknown-label", dest="unknown_label",
-                   choices=("fallback", "strict"), default=None,
-                   help="unmapped label policy (default: fallback with a warning)")
-    p.add_argument("--fallback-class", dest="fallback_class", default=None,
-                   help=f"class for unmapped labels (default: {DEFAULTS['fallback_class']})")
-    if with_model_params:
-        p.add_argument("--dim", type=int, default=None,
-                       help=f"hypervector dimension (default {DEFAULTS['dim']})")
-        p.add_argument("--bins", type=int, default=None,
-                       help=f"quantization levels per numeric feature (default {DEFAULTS['bins']})")
-        p.add_argument("--threshold", type=float, default=None,
-                       help="binarization threshold (default: feature count / 2)")
-        p.add_argument("--alpha", type=float, default=None,
-                       help=f"retraining learning rate (default {DEFAULTS['alpha']})")
-        p.add_argument("--iterations", type=int, default=None,
-                       help=f"retraining epochs, 0 disables (default {DEFAULTS['iterations']})")
-        p.add_argument("--seed", type=int, default=None,
-                       help=f"RNG seed (default {DEFAULTS['seed']})")
-        p.add_argument("--log-scale", dest="log_scale",
-                       action=argparse.BooleanOptionalAction, default=None,
-                       help="log1p-compress continuous features before binning")
+    for key in (*keys, "jobs", "label_map", "unknown_label", "fallback_class"):
+        kind, default, text = SETTINGS[key]
+        if kind is bool:
+            kw = {"action": argparse.BooleanOptionalAction}
+        elif isinstance(kind, tuple):
+            kw = {"choices": kind}
+        else:
+            kw = {"type": kind}
+        p.add_argument("--" + key.replace("_", "-"), dest=key, default=None,
+                       help=f"{text} (default: {json.dumps(default)})", **kw)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -405,56 +374,44 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a model and save it")
     p.add_argument("--train", required=True, help="training data file")
     p.add_argument("--model", required=True, help="output model path")
-    _add_common(p, with_model_params=True)
+    _add_settings(p, "dim", "bins", "threshold", "alpha", "iterations", "seed", "log_scale")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="score a labelled file against a model")
     p.add_argument("--model", required=True, help="model file")
     p.add_argument("--test", required=True, help="labelled data file")
-    p.add_argument("--format", choices=REPORT_FORMATS, default=None,
-                   help=f"report format (default {DEFAULTS['format']})")
     p.add_argument("--report", default=None, help="write report here instead of stdout")
-    _add_common(p)
+    _add_settings(p, "format")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("predict", help="classify records (labels optional)")
     p.add_argument("--model", required=True, help="model file")
     p.add_argument("--input", required=True, help="data file; 41 or 42/43 fields per line")
     p.add_argument("--output", default=None, help="write CSV here instead of stdout")
-    _add_common(p)
+    _add_settings(p)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("split", help="seeded stratified split of a labelled file")
     p.add_argument("--input", required=True, help="labelled data file")
     p.add_argument("--train-out", dest="train_out", required=True)
     p.add_argument("--test-out", dest="test_out", required=True)
-    p.add_argument("--fraction", type=float, default=None,
-                   help=f"train fraction (default {DEFAULTS['fraction']})")
-    p.add_argument("--seed", type=int, default=None,
-                   help=f"RNG seed (default {DEFAULTS['seed']})")
-    _add_common(p)
+    _add_settings(p, "fraction", "seed")
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("sweep", help="grid over dim/bins/alpha/seed, CSV out")
     p.add_argument("--train", required=True, help="training data file")
     p.add_argument("--test", default=None,
                    help="fixed test file; otherwise a per-seed split of --train")
-    p.add_argument("--dims", type=_int_list, default=None,
+    p.add_argument("--dims", dest="dim_grid", metavar="DIMS", type=_list_of(int),
                    help="comma-separated dimensions, e.g. 2000,10000")
-    p.add_argument("--bins", type=_int_list, default=None,
+    p.add_argument("--bins", dest="bins_grid", metavar="BINS", type=_list_of(int),
                    help="comma-separated level counts")
-    p.add_argument("--alphas", type=_float_list, default=None,
+    p.add_argument("--alphas", dest="alpha_grid", metavar="ALPHAS", type=_list_of(float),
                    help="comma-separated learning rates")
-    p.add_argument("--seeds", type=_int_list, default=None,
+    p.add_argument("--seeds", dest="seed_grid", metavar="SEEDS", type=_list_of(int),
                    help="comma-separated seeds")
-    p.add_argument("--iterations", type=int, default=None,
-                   help=f"retraining epochs per combo (default {DEFAULTS['iterations']})")
-    p.add_argument("--fraction", type=float, default=None,
-                   help=f"train fraction when splitting (default {DEFAULTS['fraction']})")
-    p.add_argument("--log-scale", dest="log_scale",
-                   action=argparse.BooleanOptionalAction, default=None)
     p.add_argument("--output", default=None, help="write CSV here instead of stdout")
-    _add_common(p)
+    _add_settings(p, "iterations", "fraction", "log_scale")
     p.set_defaults(func=cmd_sweep)
     return parser
 

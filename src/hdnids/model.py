@@ -152,6 +152,13 @@ class ClassModel:
         return np.stack([r.values for r in self.representatives])
 
 
+def _real_bits(rows: np.ndarray, dim: int) -> np.ndarray:
+    """Packed rows with the padding bits past dim cleared, in place, so
+    popcounts see only the dim real bits."""
+    rows[:, -1] &= np.uint8((1 << (dim % 8 or 8)) - 1)
+    return rows
+
+
 def train_initial(encoded: EncodedDataset, num_classes: int) -> list:
     """Per-class sums of the binary training vectors.
 
@@ -200,7 +207,8 @@ def predict_batch(model: ClassModel, data: EncodedDataset, jobs: int | None = No
 
     def score(start: int, stop: int) -> None:
         block = data.unpack(start, stop)
-        ones = np.bitwise_count(data.packed[start:stop]).sum(axis=1, dtype=np.int64)
+        rows = _real_bits(data.packed[start:stop].copy(), data.dim)
+        ones = np.bitwise_count(rows).sum(axis=1, dtype=np.int64)
         h_norm = np.sqrt(ones.astype(np.float64))
         safe_h = np.where(h_norm > 0, h_norm, 1.0)
         dots = block @ reps.T
@@ -239,8 +247,6 @@ def retrain(model: ClassModel, encoded: EncodedDataset, alpha: float, iterations
     )
     order = rng.permutation(m)
     dim = encoded.dim
-    # popcounts below must only see the dim real bits of a row
-    pad_mask = np.uint8((1 << (dim % 8 or 8)) - 1)
 
     trace: list[float] = []
     for _ in range(iterations):
@@ -248,8 +254,7 @@ def retrain(model: ClassModel, encoded: EncodedDataset, alpha: float, iterations
         updates = 0
         for start in range(0, m, _RETRAIN_CHUNK):
             idx = order[start:start + _RETRAIN_CHUNK]
-            rows = encoded.packed[idx]
-            rows[:, -1] &= pad_mask
+            rows = _real_bits(encoded.packed[idx], dim)
             y = encoded.labels[idx]
             block = np.unpackbits(rows, axis=1, count=dim, bitorder="little").astype(np.float64)
             dots = block @ reps.T

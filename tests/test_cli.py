@@ -2,10 +2,16 @@
 
 import io
 import json
+import os
+import re
 import sys
+import time
+from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import hdnids.cli
 from hdnids.cli import main
 from hdnids.model import load_model
 from conftest import edit_header, make_synth_lines
@@ -30,6 +36,18 @@ def quick_train(tmp_path, corpus, **over):
         args += [k, v]
     assert run(args) == 0
     return model
+
+
+# (command, config file) pairs whose one value has the wrong type for its key
+MISTYPED_CONFIGS = [
+    ("split", {"seed": 1.5}), ("split", {"seed": "7"}), ("split", {"seed": None}),
+    ("split", {"fraction": None}), ("split", {"fraction": "0.5"}),
+    ("train", {"jobs": 2.7}), ("evaluate", {"jobs": True}), ("predict", {"jobs": "2"}),
+    *[(command, {"label_map": 5})
+      for command in ("train", "evaluate", "predict", "split", "sweep")],
+    ("sweep", {"iterations": 1.0}), ("sweep", {"dim": [128, 256]}),
+    ("sweep", {"threshold": "5"}), ("predict", {"format": "bogus"}),
+]
 
 
 class TestTrain:
@@ -87,6 +105,20 @@ class TestTrain:
                     "--dim", 256, "--iterations", 2]) == 3
         assert load_model(model).hyperparams.dim == 256
 
+    def test_initial_scoring_timed_apart(self, tmp_path, corpus, capsys, monkeypatch):
+        """train_initial's time in the summary line excludes the epoch-0 scoring."""
+        scorer = hdnids.cli.predict_batch
+
+        def slow_predict_batch(*args, **kwargs):
+            time.sleep(0.3)
+            return scorer(*args, **kwargs)
+
+        monkeypatch.setattr(hdnids.cli, "predict_batch", slow_predict_batch)
+        quick_train(tmp_path, corpus)
+        summary = capsys.readouterr().out.splitlines()[-1]
+        assert summary.startswith("model written to")
+        assert float(re.search(r"train_initial (\S+)s", summary).group(1)) < 0.3
+
     def test_malformed_data(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("this,is,not,a,record\n")
@@ -140,6 +172,80 @@ class TestConfigPrecedence:
         assert run(["train", "--train", corpus, "--model", tmp_path / "m.hdm",
                     "--config", cfg]) == 0
         assert load_model(tmp_path / "m.hdm").hyperparams.log_scale is True
+
+    @pytest.mark.parametrize("command, config", [
+        pytest.param(command, config, id=f"{command}-{json.dumps(config, separators=(',', ':'))}")
+        for command, config in MISTYPED_CONFIGS
+    ])
+    def test_mistyped_config_value_rejected(self, tmp_path, corpus, capsys,
+                                            command, config):
+        """Every config key is type-checked on every command: exit 2, no output."""
+        model = quick_train(tmp_path, corpus) if command in ("evaluate", "predict") else None
+        out, out2 = tmp_path / "out", tmp_path / "out2"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dim": 128, "iterations": 1, **config}))
+        argv = {
+            "train": ["--train", corpus, "--model", out],
+            "evaluate": ["--model", model, "--test", corpus, "--report", out],
+            "predict": ["--model", model, "--input", corpus, "--output", out],
+            "split": ["--input", corpus, "--train-out", out, "--test-out", out2],
+            "sweep": ["--train", corpus, "--test", corpus, "--output", out],
+        }[command]
+        capsys.readouterr()
+        assert run([command, *argv, "--config", cfg]) == 2
+        assert not out.exists() and not out2.exists()
+        err = capsys.readouterr().err
+        assert next(iter(config)) in err and "Traceback" not in err
+
+    def test_config_int_alpha_matches_flag_bytes(self, tmp_path, corpus):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alpha": 1}))
+        common = ["train", "--train", corpus, "--dim", 256, "--iterations", 2]
+        assert run([*common, "--model", tmp_path / "flag.hdm", "--alpha", 1]) == 0
+        assert run([*common, "--model", tmp_path / "cfg.hdm", "--config", cfg]) == 0
+        assert (tmp_path / "flag.hdm").read_bytes() == (tmp_path / "cfg.hdm").read_bytes()
+
+    def test_evaluate_label_map_keeps_stored_policy(self, tmp_path, corpus):
+        model = quick_train(tmp_path, corpus, **{"--unknown-label": "strict",
+                                                 "--fallback-class": "dos"})
+        table = tmp_path / "labels.csv"
+        table.write_text((resources.files("hdnids") / "data" /
+                          "attack_categories.txt").read_text())
+        odd = tmp_path / "odd.txt"
+        odd.write_text(",".join(["5"] * 41) + ",zero_day,10\n")
+        report = tmp_path / "r.json"
+        evaluate = ["evaluate", "--model", model, "--test", odd, "--label-map", table,
+                    "--format", "json", "--report", report]
+        assert run(evaluate) == 4
+        assert not report.exists()
+
+        def unmapped_class(*extra):
+            assert run([*evaluate, *extra]) == 0
+            classes = json.loads(report.read_text())["classes"]
+            return [name for name, m in classes.items() if m["support"]]
+
+        assert unmapped_class("--unknown-label", "fallback") == ["dos"]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"unknown_label": "fallback", "fallback_class": "probe"}))
+        assert unmapped_class("--config", cfg) == ["probe"]
+        assert unmapped_class("--config", cfg, "--fallback-class", "r2l") == ["r2l"]
+
+    def test_readme_defaults_match_settings(self):
+        """The README's configuration table lists every setting and its default."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("### Configuration", 1)[1].split("\n### ", 1)[0]
+        rows = [[cell.strip() for cell in line.strip().strip("|").split("|")]
+                for line in section.splitlines() if line.startswith("| `")]
+        documented = {row[0].strip("`"): row[2] for row in rows}
+        settings = hdnids.cli.SETTINGS
+        assert documented.keys() == settings.keys()
+        for key, cell in documented.items():
+            default = settings[key][1]
+            if key == "jobs":
+                assert cell == "CPU count" and default == (os.cpu_count() or 1)
+            else:
+                value = json.loads(cell.strip("`"))
+                assert (value, type(value)) == (default, type(default)), key
 
     def test_jobs_env_variable(self, tmp_path, corpus, capsys, monkeypatch):
         monkeypatch.setenv("HDNIDS_JOBS", "2")

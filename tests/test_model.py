@@ -144,6 +144,19 @@ class TestPredict:
             assert sims[i] == pytest.approx(want, abs=1e-12)
             assert preds[i] == max(range(len(want)), key=lambda c: (want[c], -c))
 
+    def test_padding_bits_do_not_count(self):
+        # dim 9 leaves 7 padding bits in the second byte; all of them are set
+        rows = np.array([[0xFF, 0xFF]], dtype=np.uint8)
+        reps = [np.ones(9), np.arange(9, dtype=np.float64)]
+        model = ClassModel(
+            representatives=[AccumulatorVector(r) for r in reps],
+            codebook=None, schema=tiny_schema(["a", "b"]),
+            label_map=tiny_label_map(["a", "b"]), hyperparams=Hyperparams(dim=9),
+        )
+        _, sims = predict_batch(model, EncodedDataset(rows, 9))
+        want = [ref_cosine(ref_unpack(rows[0], 9), r.tolist()) for r in reps]
+        assert sims[0] == pytest.approx(want, abs=1e-12)
+
     def test_batch_worker_count_invariant(self):
         data = toy_clusters(n_per=200)
         model = toy_model(data)
