@@ -244,11 +244,18 @@ class LabelMap:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LabelMap":
+        """The label map to_dict wrote; a mistyped policy raises ValueError."""
+        strict = d.get("strict", False)
+        fallback = d.get("fallback_class", 0)
+        if not isinstance(strict, bool):
+            raise ValueError(f"label map strict must be true or false, got {strict!r}")
+        if not isinstance(fallback, int) or isinstance(fallback, bool):
+            raise ValueError(f"label map fallback_class must be an integer, got {fallback!r}")
         return cls(
             raw_to_class=dict(d["raw_to_class"]),
             class_names=list(d["class_names"]),
-            strict=bool(d.get("strict", False)),
-            fallback_class=int(d.get("fallback_class", 0)),
+            strict=strict,
+            fallback_class=fallback,
         )
 
 

@@ -1,14 +1,23 @@
 """The batch encoder against the unpacked reference, and encoding edge cases."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import hdnids.encoding as encoding
+from hdnids import infer_schema, load_label_map
 from hdnids.codebook import FeatureSchema, FeatureSpec, build_codebook
+from hdnids.dataset import parse_line
 from hdnids.encoding import (
+    DEFAULT_BATCH_SIZE,
     EncodedDataset,
     default_threshold,
     encode_dataset,
     lookup_level,
+    run_chunks,
 )
 from reference import ref_encode_binary, ref_unpack
 
@@ -194,3 +203,90 @@ class TestBatchPath:
         cb = build_codebook(schema, dim=128, bins=8, seed=3)
         with pytest.raises(ValueError):
             encode_dataset([], cb, schema, 3.0)
+
+
+class TestPackedKernel:
+    """The bit-sliced counter and the distinct-row pass against the oracle."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        features=st.sampled_from([1, 2, 3, 63, 64, 65, 300]),
+        dim=st.sampled_from([1, 7, 8, 63, 64, 65, 333]),
+        kind=st.sampled_from(["negative", "zero", "integer", "half", "at_least_f"]),
+        duplicate=st.booleans(),
+        data=st.data(),
+    )
+    def test_prop_matches_reference(self, features, dim, kind, duplicate, data):
+        # plane counts cross powers of two (F = 1..3, 63..65, 300) and rows
+        # end mid-word and mid-byte; padding bits past dim must stay clear
+        bins = min(dim, 8)
+        feats = [cat(f"k{j}", ["a", "b", "c"]) if j % 5 == 4 else cont(f"c{j}", 0.0, bins)
+                 for j in range(features)]
+        schema = FeatureSchema(features=feats, class_names=["x"])
+        cb = build_codebook(schema, dim=dim, bins=bins, seed=data.draw(st.integers(0, 99)))
+        m = data.draw(st.integers(0, features))
+        threshold = {"negative": -0.5 - m, "zero": 0.0, "integer": float(m),
+                     "half": m + 0.5, "at_least_f": features + m / 2}[kind]
+        draw_row = st.tuples(*[
+            st.sampled_from(["a", "b", "c", "zz"]) if spec.kind == "categorical"
+            else st.integers(0, bins - 1).map(lambda v: str(v + 0.5))
+            for spec in feats])
+        if duplicate:
+            rows = [data.draw(draw_row)] * data.draw(st.integers(1, 9))
+        else:  # distinct raw values give distinct table rows
+            rows = list(dict.fromkeys(data.draw(st.lists(draw_row, min_size=1, max_size=9))))
+        want = {row: oracle(row, cb, schema, threshold) for row in set(rows)}
+        pad = [0] * (-dim % 8)
+        for batch_size in (1, 7, DEFAULT_BATCH_SIZE):
+            for jobs in (1, 2):
+                got = encode_dataset(rows, cb, schema, threshold, jobs=jobs,
+                                     batch_size=batch_size)
+                for i, row in enumerate(rows):
+                    assert ref_unpack(got.packed[i], dim + len(pad)) == want[row] + pad
+
+    @pytest.mark.parametrize("dim, log_scale, threshold, digest", [
+        (2000, False, None, "23be9b1de7ac9d962419f7510db645be53f92f732632e13f6d067393688fd2a4"),
+        (333, True, 17.0, "556b5822b7222e0672b944181686dbe4ea0fd3f584d9b8d197263faeae78a1b5"),
+        (333, False, -1.5, "8b5cc6a4b6747d7238926973fba42fe41b52ec159ad6271f6d0f0683971baf66"),
+    ])
+    def test_packed_bytes_match_recorded_digest(self, synth_lines, dim, log_scale,
+                                                threshold, digest):
+        """Encodings of the conftest corpus, a third of its records twice, are
+        pinned to the bytes the unpacked gather-and-add encoder wrote."""
+        records = [parse_line(line, i + 1) for i, line in enumerate(synth_lines)]
+        rows = [r.values for r in records]
+        rows += rows[::3]
+        schema = infer_schema(records, class_names=load_label_map().class_names,
+                              log_scale=log_scale)
+        cb = build_codebook(schema, dim=dim, bins=10, seed=42)
+        t = default_threshold(schema) if threshold is None else threshold
+        packed = encode_dataset(rows, cb, schema, t).packed
+        assert hashlib.sha256(packed.tobytes()).hexdigest() == digest
+
+
+class TestRunChunks:
+    def test_thread_pool_capped(self, monkeypatch):
+        """No more threads than jobs, slices or four per CPU; none start here."""
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(encoding.concurrent.futures, "ThreadPoolExecutor", InlinePool)
+        monkeypatch.setattr(encoding.os, "cpu_count", lambda: 2)
+        done = []
+        for n, jobs in ((100, 500), (5, 500), (100, 3), (100, 1), (1, 500)):
+            run_chunks(lambda s, e: done.append((s, e)), n, 1, jobs)
+            assert sorted(done) == [(i, i + 1) for i in range(n)]
+            done.clear()
+        assert sizes == [8, 5, 3]

@@ -131,7 +131,10 @@ class TestOps:
             [ref_xor(ref_unpack(rows[0], 37), ref_unpack(rows[r], 37)) for r in (1, 2, 3)],
             [ref_xor(ref_unpack(rows[4], 37), ref_unpack(rows[r], 37)) for r in (5, 6, -1)],
         ]
-        assert [t.tolist() for t in tables.tables] == want
+        # each table row is the packed bytes, zero-padded to whole uint64 words
+        assert [[ref_unpack(r.view(np.uint8), 37) for r in t] for t in tables.tables] == want
+        assert all(t.dtype == np.uint64 and t.shape[1] == 1 for t in tables.tables)
+        assert not any(any(ref_unpack(r.view(np.uint8), 64)[37:]) for t in tables.tables for r in t)
 
     def test_dim_mismatch_raises(self):
         data = EncodedDataset(np.zeros((2, 2), dtype=np.uint8), 16, np.array([0, 1]))

@@ -421,6 +421,21 @@ def _infinite_threshold(h):
     return h
 
 
+def _string_strict(h):
+    h["label_map"]["strict"] = "false"
+    return h
+
+
+def _fractional_fallback(h):
+    h["label_map"]["fallback_class"] = 1.9
+    return h
+
+
+def _bool_fallback(h):
+    h["label_map"]["fallback_class"] = True
+    return h
+
+
 class TestDamagedHeader:
     """Checksum-valid files whose header is inconsistent or mistyped."""
 
@@ -435,6 +450,7 @@ class TestDamagedHeader:
 
     @pytest.mark.parametrize("edit", [
         _drop_schema, _bad_dtype, _class_out_of_range, _infinite_threshold,
+        _string_strict, _fractional_fallback, _bool_fallback,
     ])
     def test_rejected(self, tmp_path, blob, edit):
         path = tmp_path / "bad.hdm"
