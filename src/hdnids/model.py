@@ -22,6 +22,24 @@ alpha (1, 0.5, 0.25, 2, ...) the in-place update therefore equals a fresh
 dot product to the bit, and the representatives and trace come out
 byte-identical to rescoring the tail.
 
+Every float64 dot product (retraining's chunk-start scores, predict_batch's
+scores) goes through _dots. It converts unpacked 0/1 rows to float64 a few
+rows at a time into one reused block of _DOT_BLOCK_BYTES and runs the thin
+(rows, dim) @ (dim, classes) GEMM on it. At D=10000 a whole 64-row chunk is
+5 MB of float64, more than a core's 2 MB L2 on the 2-vCPU Xeon this was
+tuned on, so converting it in one go and then multiplying reads it back
+from memory; an 8-row block (640 KB) is read while still in cache. Each
+retraining miss's tail popcount runs over the chunk's rows padded to whole
+uint64 words (157 words at D=10000, not 1,250 bytes).
+
+Blocking cannot change a dot product that is exact: a sum of integers, or
+of multiples of a dyadic alpha, below 2**53 has one float64 value whatever
+order a BLAS kernel adds it in, so any block size gives the same bits. A
+non-dyadic alpha rounds the representatives; there the last bits of a dot
+product may depend on the GEMM kernel a block's row count selects.
+Retraining only takes argmaxes of those scores, and its models matched
+bytes across block sizes at alpha 0.1 on the test and benchmark corpora.
+
 Model files are a versioned binary container (magic, format version,
 JSON header, raw array payload, SHA-256 trailer); see README for the
 exact byte layout.
@@ -58,6 +76,9 @@ _CHUNK = 128
 # benchmark corpus on 2 vCPUs (48 to 192 tried): larger chunks redo a longer
 # tail argmax after every miss, smaller ones make more per-chunk GEMM calls
 _RETRAIN_CHUNK = 64
+# bytes of the float64 block _dots converts unpacked rows into before each
+# GEMM: 8 rows at D=10000, which stays in L2 (see the module docstring)
+_DOT_BLOCK_BYTES = 640_000
 
 
 class CorruptModelError(ValueError):
@@ -159,6 +180,28 @@ def _real_bits(rows: np.ndarray, dim: int) -> np.ndarray:
     return rows
 
 
+def _check_labels(labels: np.ndarray, num_classes: int) -> None:
+    """Raise ValueError naming the first label outside [0, num_classes)."""
+    bad = labels[(labels < 0) | (labels >= num_classes)]
+    if bad.size:
+        raise ValueError(f"class index {int(bad[0])} outside [0, {num_classes})")
+
+
+def _dots(bits: np.ndarray, reps: np.ndarray) -> np.ndarray:
+    """float64 (n, classes) dot products of unpacked 0/1 rows (uint8, (n, dim))
+    with each representative row, one cache-sized float64 block at a time."""
+    n, dim = bits.shape
+    step = max(1, _DOT_BLOCK_BYTES // (8 * dim))
+    out = np.empty((n, reps.shape[0]), dtype=np.float64)
+    block = np.empty((min(step, n), dim), dtype=np.float64)
+    for start in range(0, n, step):
+        rows = bits[start:start + step]
+        part = block[:len(rows)]
+        part[...] = rows
+        np.matmul(part, reps.T, out=out[start:start + len(rows)])
+    return out
+
+
 def train_initial(encoded: EncodedDataset, num_classes: int) -> list:
     """Per-class sums of the binary training vectors.
 
@@ -170,18 +213,16 @@ def train_initial(encoded: EncodedDataset, num_classes: int) -> list:
         raise ValueError("empty training set")
     if encoded.labels is None:
         raise ValueError("training data must carry labels")
-    if int(encoded.labels.max()) >= num_classes or int(encoded.labels.min()) < 0:
-        raise ValueError(
-            f"class index {int(encoded.labels.max())} outside [0, {num_classes})"
-        )
-    # exact integer counts, summed over chunks of one class's rows at a time
+    _check_labels(encoded.labels, num_classes)
+    # exact integer counts: each chunk of at most _CHUNK rows of one class is
+    # summed in uint16, which cannot overflow, then added to the int64 total
     counts = np.zeros((num_classes, encoded.dim), dtype=np.int64)
     for c in range(num_classes):
         members = np.flatnonzero(encoded.labels == c)
         for start in range(0, len(members), _CHUNK):
             bits = np.unpackbits(encoded.packed[members[start:start + _CHUNK]], axis=1,
                                  count=encoded.dim, bitorder="little")
-            counts[c] += bits.sum(axis=0, dtype=np.int64)
+            counts[c] += bits.sum(axis=0, dtype=np.uint16)
     for c in range(num_classes):
         if not counts[c].any():
             log.warning("class %d has no training samples; representative is zero", c)
@@ -206,12 +247,11 @@ def predict_batch(model: ClassModel, data: EncodedDataset, jobs: int | None = No
     sims = np.empty((n, model.num_classes), dtype=np.float64)
 
     def score(start: int, stop: int) -> None:
-        block = data.unpack(start, stop)
         rows = _real_bits(data.packed[start:stop].copy(), data.dim)
         ones = np.bitwise_count(rows).sum(axis=1, dtype=np.int64)
         h_norm = np.sqrt(ones.astype(np.float64))
         safe_h = np.where(h_norm > 0, h_norm, 1.0)
-        dots = block @ reps.T
+        dots = _dots(np.unpackbits(rows, axis=1, count=data.dim, bitorder="little"), reps)
         s = (dots / safe_norms) / safe_h[:, None]
         sims[start:stop] = s
         preds[start:stop] = np.argmax(s, axis=1)
@@ -236,6 +276,8 @@ def retrain(model: ClassModel, encoded: EncodedDataset, alpha: float, iterations
         raise ValueError(f"iterations must be >= 1, got {iterations}")
     if encoded.labels is None:
         raise ValueError("retraining data must carry labels")
+    _check_labels(encoded.labels, model.num_classes)
+    alpha = float(alpha)  # an int alpha would keep alpha * bits in uint8
     m = len(encoded)
 
     reps = model.rep_matrix().copy()
@@ -247,6 +289,11 @@ def retrain(model: ClassModel, encoded: EncodedDataset, alpha: float, iterations
     )
     order = rng.permutation(m)
     dim = encoded.dim
+    width = encoded.packed.shape[1]
+    # each chunk's masked rows, zero-padded to whole uint64 words so the tail
+    # popcounts after a miss run a word at a time
+    padded = np.zeros((_RETRAIN_CHUNK, -(-width // 8) * 8), dtype=np.uint8)
+    words = padded.view(np.uint64)
 
     trace: list[float] = []
     for _ in range(iterations):
@@ -254,12 +301,14 @@ def retrain(model: ClassModel, encoded: EncodedDataset, alpha: float, iterations
         updates = 0
         for start in range(0, m, _RETRAIN_CHUNK):
             idx = order[start:start + _RETRAIN_CHUNK]
-            rows = _real_bits(encoded.packed[idx], dim)
-            y = encoded.labels[idx]
-            block = np.unpackbits(rows, axis=1, count=dim, bitorder="little").astype(np.float64)
-            dots = block @ reps.T
-            pos = 0
             b = len(idx)
+            rows = padded[:b, :width]
+            np.take(encoded.packed, idx, axis=0, out=rows, mode="clip")
+            _real_bits(rows, dim)
+            y = encoded.labels[idx]
+            bits = np.unpackbits(rows, axis=1, count=dim, bitorder="little")
+            dots = _dots(bits, reps)
+            pos = 0
             while pos < b:
                 safe = np.where(norms > 0, norms, 1.0)
                 preds = np.argmax(dots[pos:] / safe, axis=1)
@@ -271,9 +320,9 @@ def retrain(model: ClassModel, encoded: EncodedDataset, alpha: float, iterations
                 correct += int(misses[0])
                 wrong = int(preds[misses[0]])
                 true = int(y[i])
-                h = block[i]
-                reps[wrong] -= alpha * h
-                reps[true] += alpha * h
+                step = alpha * bits[i]
+                reps[wrong] -= step
+                reps[true] += step
                 norms[wrong] = np.linalg.norm(reps[wrong])
                 norms[true] = np.linalg.norm(reps[true])
                 updates += 1
@@ -281,7 +330,7 @@ def retrain(model: ClassModel, encoded: EncodedDataset, alpha: float, iterations
                 if pos < b:
                     # dot(h', h) for every later row h' is the popcount of
                     # their AND, so each tail dot moves by exactly alpha times it
-                    delta = alpha * np.bitwise_count(rows[pos:] & rows[i]).sum(axis=1)
+                    delta = alpha * np.bitwise_count(words[pos:b] & words[i]).sum(axis=1)
                     dots[pos:, wrong] -= delta
                     dots[pos:, true] += delta
         trace.append(correct / m)
@@ -376,8 +425,9 @@ def _model_from(header: dict, payload: bytes) -> ClassModel:
     """The model a decoded header and its array bytes describe.
 
     Raises ValueError, KeyError or TypeError when a header field is missing,
-    mistyped or out of range, or when the arrays do not have the shapes the
-    schema, codebook manifest and label map imply.
+    mistyped or out of range, when the arrays do not have the shapes the
+    schema, codebook manifest and label map imply, or when a representative
+    entry is NaN or infinite.
     """
     schema = FeatureSchema.from_dict(header["schema"])
     label_map = LabelMap.from_dict(header["label_map"])
@@ -402,6 +452,8 @@ def _model_from(header: dict, payload: bytes) -> ClassModel:
         raise ValueError(f"arrays take {len(payload)} bytes, the header implies {need}")
     matrix = np.frombuffer(payload, np.uint8, count=rows * width).reshape(rows, width)
     reps = np.frombuffer(payload, np.float64, offset=rows * width).reshape(classes, dim)
+    if not np.isfinite(reps).all():
+        raise ValueError("representatives hold a non-finite value")
     return ClassModel(
         representatives=[AccumulatorVector(r) for r in reps.copy()],
         codebook=Codebook(dim=dim, bins=bins, seed=seed, matrix=matrix.copy(),

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hdnids.codebook import FeatureSchema, FeatureSpec
 from hdnids.dataset import LabelMap
 from hdnids.encoding import EncodedDataset
+import hdnids.model
 from hdnids.model import (
     _RETRAIN_STREAM_TAG,
     AccumulatorVector,
@@ -72,6 +73,71 @@ def toy_model(data, classes=3, seed=6, alpha=1.0):
     )
 
 
+# several retrain chunks; dims that are not multiples of 8; dyadic alphas
+ORACLE_CASES = dict(
+    n=st.integers(300, 360),
+    dim=st.sampled_from([9, 30, 47]),
+    classes=st.integers(2, 4),
+    alpha=st.sampled_from([0.25, 0.5, 1.0, 2.0]),
+    seed=st.integers(0, 2**16),
+)
+
+
+def check_retrain_against_oracle(n, dim, classes, alpha, seed):
+    """retrain on seeded clustered rows (set padding bits, an empty last
+    class) must give the naive sequential loop's trace and representatives."""
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, classes, size=n)
+    labels[labels == classes - 1] = 0  # the last class has no samples
+    protos = rng.random((classes, dim)) < 0.5
+    bits = protos[labels] ^ (rng.random((n, dim)) < 0.3)
+    rows = np.packbits(bits.astype(np.uint8), axis=1, bitorder="little")
+    rows[:, -1] |= rng.integers(0, 256, size=n, dtype=np.uint8) & ~np.uint8(
+        (1 << dim % 8) - 1)
+    data = EncodedDataset(rows, dim, labels)
+    names = ["a", "b", "c", "d"][:classes]
+    model = ClassModel(
+        representatives=train_initial(data, classes), codebook=None,
+        schema=tiny_schema(names), label_map=tiny_label_map(names),
+        hyperparams=Hyperparams(dim=dim, bins=1, alpha=alpha, seed=seed),
+    )
+    epochs = 2
+    got, trace = retrain(model, data, alpha=alpha, iterations=epochs)
+
+    order = np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence([seed, _RETRAIN_STREAM_TAG]))).permutation(n)
+    samples = [bits[i].astype(int).tolist() for i in order]
+    visit_labels = [int(labels[i]) for i in order]
+    reps = [r.values.tolist() for r in model.representatives]
+    want = []
+    for _ in range(epochs):
+        reps, updates, correct = ref_retrain_epoch(reps, samples, visit_labels, alpha)
+        want.append(correct / n)
+        if updates == 0:
+            break
+    assert trace == want
+    assert np.array_equal(got.rep_matrix(), np.array(reps))
+
+
+# SHA-256 of the model file overlap_model_digest trains, one per alpha;
+# 0.1 is not dyadic, so its representatives are not multiples of alpha
+MODEL_DIGESTS = [
+    (1.0, "b15e2391035b82763dfafb62962f938b3f82cd8e6910d109a3edd0d6eb611900"),
+    (0.5, "8e719546b6f94c6290b0047c1048e2aa36ef743c6d37b5721b9b0a8b8c929c32"),
+    (0.1, "7ac5cf898db4b7ff8fd5ac13c6b1b50a4930fc4b484eee6d1ef9f4ad147f6935"),
+]
+
+
+def overlap_model_digest(tmp_path, alpha):
+    """SHA-256 of a D=2000 model trained for 10 epochs on 340 records whose
+    class ranges overlap."""
+    src = tmp_path / "train.txt"
+    src.write_text("\n".join(make_synth_lines(DEFAULT_COUNTS, seed=7, gap=-280)) + "\n")
+    model, _, _ = train_small_model(src, dim=2000, alpha=alpha, iterations=10)
+    save_model(model, tmp_path / "m.hdm")
+    return hashlib.sha256((tmp_path / "m.hdm").read_bytes()).hexdigest()
+
+
 class TestTrainInitial:
     def test_sums_exact(self):
         rows = [packed([1, 1, 0, 0]), packed([1, 0, 1, 0]), packed([0, 0, 1, 1])]
@@ -99,6 +165,10 @@ class TestTrainInitial:
     def test_label_out_of_range(self):
         data = EncodedDataset(np.vstack([packed([1, 0])]), 2, np.array([5]))
         with pytest.raises(ValueError, match="5"):
+            train_initial(data, 2)
+        # the message names the offending label, not the largest one
+        data = EncodedDataset(np.vstack([packed([1, 0])] * 3), 2, np.array([1, -3, 0]))
+        with pytest.raises(ValueError, match=r"class index -3 outside \[0, 2\)"):
             train_initial(data, 2)
 
 
@@ -196,6 +266,23 @@ class TestRetrain:
         with pytest.raises(ValueError):
             retrain(model, data, alpha=1.0, iterations=0)
 
+    @pytest.mark.parametrize("bad", [-1, 3, 7])
+    def test_label_out_of_range(self, bad):
+        # -1 would index the last class and 3 would raise IndexError mid-epoch
+        data = toy_clusters()
+        model = toy_model(data)
+        data.labels[17] = bad
+        with pytest.raises(ValueError, match=rf"class index {bad} outside \[0, 3\)"):
+            retrain(model, data, alpha=1.0, iterations=2)
+
+    def test_integer_alpha_matches_float(self):
+        data = toy_clusters()
+        model = toy_model(data)
+        a, trace_a = retrain(model, data, alpha=2, iterations=3)
+        b, trace_b = retrain(model, data, alpha=2.0, iterations=3)
+        assert trace_a == trace_b
+        assert np.array_equal(a.rep_matrix(), b.rep_matrix())
+
     def test_representative_mass_conserved(self):
         data = toy_clusters()
         model = toy_model(data)
@@ -262,61 +349,18 @@ class TestRetrain:
 
     @settings(max_examples=12, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(
-        n=st.integers(300, 360),
-        dim=st.sampled_from([9, 30, 47]),
-        classes=st.integers(2, 4),
-        alpha=st.sampled_from([0.25, 0.5, 1.0, 2.0]),
-        seed=st.integers(0, 2**16),
-    )
+    @given(**ORACLE_CASES)
     def test_prop_retrain_equals_naive_sequential(self, n, dim, classes, alpha, seed):
         """Several retrain chunks, set padding bits past a dim that is not a
         multiple of 8, and an empty (zero-norm) class, against the oracle."""
-        rng = np.random.default_rng(seed)
-        labels = rng.integers(0, classes, size=n)
-        labels[labels == classes - 1] = 0  # the last class has no samples
-        protos = rng.random((classes, dim)) < 0.5
-        bits = protos[labels] ^ (rng.random((n, dim)) < 0.3)
-        rows = np.packbits(bits.astype(np.uint8), axis=1, bitorder="little")
-        rows[:, -1] |= rng.integers(0, 256, size=n, dtype=np.uint8) & ~np.uint8(
-            (1 << dim % 8) - 1)
-        data = EncodedDataset(rows, dim, labels)
-        names = ["a", "b", "c", "d"][:classes]
-        model = ClassModel(
-            representatives=train_initial(data, classes), codebook=None,
-            schema=tiny_schema(names), label_map=tiny_label_map(names),
-            hyperparams=Hyperparams(dim=dim, bins=1, alpha=alpha, seed=seed),
-        )
-        epochs = 2
-        got, trace = retrain(model, data, alpha=alpha, iterations=epochs)
+        check_retrain_against_oracle(n, dim, classes, alpha, seed)
 
-        order = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence([seed, _RETRAIN_STREAM_TAG]))).permutation(n)
-        samples = [bits[i].astype(int).tolist() for i in order]
-        visit_labels = [int(labels[i]) for i in order]
-        reps = [r.values.tolist() for r in model.representatives]
-        want = []
-        for _ in range(epochs):
-            reps, updates, correct = ref_retrain_epoch(reps, samples, visit_labels, alpha)
-            want.append(correct / n)
-            if updates == 0:
-                break
-        assert trace == want
-        assert np.array_equal(got.rep_matrix(), np.array(reps))
-
-    @pytest.mark.parametrize("alpha, digest", [
-        (1.0, "b15e2391035b82763dfafb62962f938b3f82cd8e6910d109a3edd0d6eb611900"),
-        (0.5, "8e719546b6f94c6290b0047c1048e2aa36ef743c6d37b5721b9b0a8b8c929c32"),
-    ])
+    @pytest.mark.parametrize("alpha, digest", MODEL_DIGESTS)
     def test_model_bytes_match_recorded_digest(self, tmp_path, alpha, digest):
         """Model file bytes are pinned, so any change to the training
         arithmetic shows. The class ranges overlap, so the first epoch misses
         about 8% of the 340 records, spread over several retrain chunks."""
-        src = tmp_path / "train.txt"
-        src.write_text("\n".join(make_synth_lines(DEFAULT_COUNTS, seed=7, gap=-280)) + "\n")
-        model, _, _ = train_small_model(src, dim=2000, alpha=alpha, iterations=10)
-        save_model(model, tmp_path / "m.hdm")
-        assert hashlib.sha256((tmp_path / "m.hdm").read_bytes()).hexdigest() == digest
+        assert overlap_model_digest(tmp_path, alpha) == digest
 
     def test_retrain_deterministic(self):
         data = toy_clusters()
@@ -325,6 +369,45 @@ class TestRetrain:
         b, trace_b = retrain(model, data, alpha=1.0, iterations=5)
         assert trace_a == trace_b
         assert np.array_equal(a.rep_matrix(), b.rep_matrix())
+
+
+class TestDotBlocks:
+    """The float64 scoring block holds 1, 2 or 3 rows, so every chunk spans
+    many blocks, and a 3-row block or a short last chunk ends in a short
+    block; at the test dims the default budget fits a whole chunk in one."""
+
+    @pytest.fixture(params=[1, 2, 3])
+    def block_rows(self, request, monkeypatch):
+        def budget(dim):
+            monkeypatch.setattr(hdnids.model, "_DOT_BLOCK_BYTES", request.param * 8 * dim)
+        return budget
+
+    def test_predict_matches_oracle(self, block_rows):
+        data = toy_clusters(n_per=43, dim=67)  # 129 rows: chunks of 128 and 1
+        model, _ = retrain(toy_model(data), data, alpha=1.0, iterations=2)
+        want_preds, want_sims = predict_batch(model, data)
+        block_rows(data.dim)
+        preds, sims = predict_batch(model, data, jobs=2)
+        assert np.array_equal(sims, want_sims) and np.array_equal(preds, want_preds)
+        reps = [r.values.tolist() for r in model.representatives]
+        for i in range(len(data)):
+            want = [ref_cosine(ref_unpack(data.packed[i], data.dim), r) for r in reps]
+            assert sims[i] == pytest.approx(want, abs=1e-12)
+            assert preds[i] == max(range(len(want)), key=lambda c: (want[c], -c))
+
+    @settings(max_examples=6, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.function_scoped_fixture])
+    @given(**ORACLE_CASES)
+    def test_prop_retrain_equals_naive_sequential(self, block_rows, n, dim, classes,
+                                                  alpha, seed):
+        block_rows(dim)
+        check_retrain_against_oracle(n, dim, classes, alpha, seed)
+
+    @pytest.mark.parametrize("alpha, digest", MODEL_DIGESTS)
+    def test_model_bytes_match_recorded_digest(self, tmp_path, block_rows, alpha, digest):
+        block_rows(2000)
+        assert overlap_model_digest(tmp_path, alpha) == digest
 
 
 class TestPersistence:
@@ -456,6 +539,16 @@ class TestDamagedHeader:
         path = tmp_path / "bad.hdm"
         path.write_bytes(edit_header(blob, edit))
         with pytest.raises(CorruptModelError):
+            load_model(path)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_representative_rejected(self, tmp_path, blob, value):
+        # the last 8 payload bytes are the last representative entry
+        header = blob[20 : 20 + int.from_bytes(blob[12:20], "little")]
+        path = tmp_path / "bad.hdm"
+        path.write_bytes(reframe(blob[:-40] + np.float64(value).tobytes() + blob[-32:],
+                                 header))
+        with pytest.raises(CorruptModelError, match="finite"):
             load_model(path)
 
     def test_unedited_header_loads(self, tmp_path, blob):
