@@ -11,10 +11,10 @@ from .codebook import (
     Codebook,
     FeatureSchema,
     FeatureSpec,
-    RandomSource,
     build_codebook,
     flip_bits,
     random_hv,
+    stream,
 )
 from .dataset import (
     CLASS_NAMES,
@@ -61,8 +61,8 @@ from .evaluation import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Codebook", "FeatureSchema", "FeatureSpec", "RandomSource", "build_codebook",
-    "flip_bits", "random_hv",
+    "Codebook", "FeatureSchema", "FeatureSpec", "build_codebook",
+    "flip_bits", "random_hv", "stream",
     "CLASS_NAMES", "COLUMN_NAMES", "NUM_FEATURES", "LabelMap", "ParseError",
     "RawRecord", "SplitSpec", "UnknownLabelError", "class_indices", "infer_schema",
     "load_label_map", "map_label", "parse_file", "parse_line", "split",

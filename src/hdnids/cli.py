@@ -31,7 +31,6 @@ from .dataset import (
     SplitSpec,
     UnknownLabelError,
     class_indices,
-    format_record,
     infer_schema,
     load_label_map,
     parse_file,
@@ -60,18 +59,22 @@ EXIT_IO = 3
 EXIT_DATA = 4
 EXIT_CORRUPT_MODEL = 5
 
+_HYPER, _SPLIT = Hyperparams(), SplitSpec()
+
 # key -> (type, default, flag help): config values are checked against the
 # type and flags are parsed as it. A tuple type lists the allowed values.
-# Only keys whose default is None accept a JSON null.
+# Only keys whose default is None accept a JSON null. The model and split
+# settings take their defaults from Hyperparams and SplitSpec.
 SETTINGS = {
-    "dim": (int, 10000, "hypervector dimension"),
-    "bins": (int, 10, "quantization levels per numeric feature"),
-    "alpha": (float, 1.0, "retraining learning rate"),
-    "iterations": (int, 50, "retraining epochs, 0 disables"),
-    "threshold": (float, None, "binarization threshold; null means feature count / 2"),
-    "seed": (int, 42, "RNG seed"),
-    "log_scale": (bool, False, "log1p-compress continuous features before binning"),
-    "fraction": (float, 0.8, "train fraction when splitting"),
+    "dim": (int, _HYPER.dim, "hypervector dimension"),
+    "bins": (int, _HYPER.bins, "quantization levels per numeric feature"),
+    "alpha": (float, _HYPER.alpha, "retraining learning rate"),
+    "iterations": (int, _HYPER.iterations, "retraining epochs, 0 disables"),
+    "threshold": (float, _HYPER.threshold,
+                  "binarization threshold; null means feature count / 2"),
+    "seed": (int, _HYPER.seed, "RNG seed"),
+    "log_scale": (bool, _HYPER.log_scale, "log1p-compress continuous features before binning"),
+    "fraction": (float, _SPLIT.train_fraction, "train fraction when splitting"),
     "jobs": (int, os.cpu_count() or 1, "worker threads; HDNIDS_JOBS replaces the default"),
     "label_map": (str, None, "attack->category CSV; null means the built-in mapping"),
     "unknown_label": (("fallback", "strict"), "fallback",
@@ -258,8 +261,6 @@ def cmd_predict(args) -> int:
     jobs = _settings(args)["jobs"]
     model = load_model(args.model)
     result = parse_file(args.input, allow_unlabeled=True)
-    if not result.records:
-        raise ParseError(f"{args.input}: no records")
     data = encode_dataset(
         [r.values for r in result.records], model.codebook, model.schema,
         model.threshold, jobs=jobs,
@@ -283,12 +284,11 @@ def cmd_split(args) -> int:
     s = _settings(args)
     label_map = _label_map(s)
     result = parse_file(args.input, keep_raw=True)
-    spec = SplitSpec(mode="random", train_fraction=s["fraction"], seed=s["seed"])
+    spec = SplitSpec(train_fraction=s["fraction"], seed=s["seed"])
     train_recs, test_recs = split(result.records, spec, label_map)
 
     def _lines(records):
-        return "".join((r.raw if r.raw is not None else format_record(r)) + "\n"
-                       for r in records).encode("utf-8")
+        return "".join(r.raw + "\n" for r in records).encode("utf-8")
 
     atomic_write(args.train_out, _lines(train_recs))
     atomic_write(args.test_out, _lines(test_recs))

@@ -14,9 +14,11 @@ Vectors are packed rows: uint8 words, 8 logical bits per byte in little
 bit order, padding bits past dim forced to zero, so popcount over the raw
 bytes is exact.
 
-Every vector is drawn from a sub-stream of the master seed keyed by
-(purpose tag, sha256 of the feature name), so adding or reordering
-features never perturbs the codes of existing ones.
+Every vector is drawn from stream(seed, purpose tag, feature key): the
+PCG64 generator of SeedSequence([seed mod 2**64, tag, key]), where the key
+is the first 16 bytes of sha256 of the feature name (the OOV vector's
+stream has no key). Adding or reordering features therefore never
+perturbs the codes of existing ones.
 """
 
 from __future__ import annotations
@@ -140,40 +142,25 @@ class FeatureSchema:
         )
 
 
-class RandomSource:
-    """Seeded deterministic bit-stream source.
+def stream(seed: int, *tags: int) -> np.random.Generator:
+    """The PCG64 stream keyed by SeedSequence([seed mod 2**64, *tags]).
 
-    A master 64-bit seed plus an optional tuple of integer tags selects one
-    PCG64 stream via numpy's SeedSequence. Derived streams (see derive())
-    are independent of each other, so consumers can partition one master
-    seed into documented sub-streams without cross-talk.
+    Distinct tag tuples give independent streams, so one master seed is
+    partitioned into documented sub-streams without cross-talk.
     """
-
-    __slots__ = ("seed", "key", "generator")
-
-    def __init__(self, seed: int, key: tuple[int, ...] = ()):
-        self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
-        self.key = tuple(int(k) for k in key)
-        ss = np.random.SeedSequence([self.seed, *self.key])
-        self.generator = np.random.Generator(np.random.PCG64(ss))
-
-    def derive(self, *tags: int) -> "RandomSource":
-        """A fresh independent stream keyed by (seed, *key, *tags)."""
-        return RandomSource(self.seed, self.key + tags)
-
-    def __repr__(self) -> str:
-        return f"RandomSource(seed={self.seed}, key={self.key})"
+    return np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence([int(seed) & 0xFFFFFFFFFFFFFFFF, *tags])))
 
 
-def random_hv(dim: int, rng: RandomSource) -> np.ndarray:
-    """Packed row of dim i.i.d. fair-coin bits drawn from rng's stream."""
-    packed = rng.generator.integers(0, 256, size=(dim + 7) // 8, dtype=np.uint8)
+def random_hv(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Packed row of dim i.i.d. fair-coin bits drawn from rng."""
+    packed = rng.integers(0, 256, size=(dim + 7) // 8, dtype=np.uint8)
     if dim % 8:
         packed[-1] &= (1 << dim % 8) - 1
     return packed
 
 
-def flip_bits(row: np.ndarray, dim: int, count: int, rng: RandomSource) -> np.ndarray:
+def flip_bits(row: np.ndarray, dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """Copy of a packed dim-bit row with exactly `count` distinct bits inverted.
 
     Positions are sampled without replacement, so the result differs from
@@ -181,7 +168,7 @@ def flip_bits(row: np.ndarray, dim: int, count: int, rng: RandomSource) -> np.nd
     """
     out = row.copy()
     if count:
-        positions = rng.generator.choice(dim, size=count, replace=False)
+        positions = rng.choice(dim, size=count, replace=False)
         np.bitwise_xor.at(
             out,
             positions // 8,
@@ -232,21 +219,20 @@ def build_codebook(schema: FeatureSchema, dim: int, bins: int, seed: int) -> Cod
         raise ValueError(f"bins must be >= 1, got {bins}")
     if dim < bins:
         raise ValueError(f"bins ({bins}) cannot exceed hypervector dim ({dim})")
-    root = RandomSource(seed)
     flips = dim // bins
 
     rows: list[np.ndarray] = []
     for spec in schema.features:
         key = _name_key(spec.name)
-        rows.append(random_hv(dim, root.derive(_TAG_BASE, key)))
+        rows.append(random_hv(dim, stream(seed, _TAG_BASE, key)))
         if spec.kind == KIND_CONTINUOUS:
-            rng = root.derive(_TAG_LEVELS, key)
+            rng = stream(seed, _TAG_LEVELS, key)
             rows.append(random_hv(dim, rng))
             for _ in range(1, bins):
                 rows.append(flip_bits(rows[-1], dim, flips, rng))
         else:
-            rng = root.derive(_TAG_CATEGORIES, key)
+            rng = stream(seed, _TAG_CATEGORIES, key)
             rows.extend(random_hv(dim, rng) for _ in spec.vocabulary)
-    rows.append(random_hv(dim, root.derive(_TAG_OOV)))
+    rows.append(random_hv(dim, stream(seed, _TAG_OOV)))
     return Codebook(dim=dim, bins=bins, seed=seed, matrix=np.vstack(rows),
                     offsets=row_offsets(schema, bins))

@@ -53,14 +53,41 @@ SYMBOLIC_COLUMNS = (1, 2, 3)
 
 CLASS_NAMES = ["normal", "dos", "probe", "r2l", "u2r"]
 
-MODE_FILE_PAIR = "file-pair"
-MODE_RANDOM = "random"
-
 _SPLIT_STREAM_TAG = 0x5B117
 
 
 class ParseError(ValueError):
     """Malformed dataset input (wrong arity, bad numerics, wrong file)."""
+
+
+def numeric_column(values, name: str, transform: str, lines=None) -> np.ndarray:
+    """A continuous column's raw strings as float64, log1p(max(v, 0)) when
+    transform is "log1p".
+
+    The one reader of continuous values, for schema inference and binning
+    alike, so a schema's [min, max] and the bins always see the same
+    numbers. Raises ParseError naming the column and the first value that
+    is not a finite number, with its line number when lines (one per value)
+    is given.
+    """
+    try:
+        vals = np.asarray(values, dtype=np.float64)
+        finite = bool(np.isfinite(vals).all())
+    except ValueError:
+        finite = False
+    if not finite:
+        for i, v in enumerate(values):
+            try:
+                if math.isfinite(float(v)):
+                    continue
+            except ValueError:
+                pass
+            where = "" if lines is None else f"line {lines[i]}: "
+            raise ParseError(f"{where}column {name!r} has non-numeric value {v!r}")
+        raise ParseError(f"column {name!r} has a non-numeric value")
+    if transform == TRANSFORM_LOG1P:
+        vals = np.log1p(np.maximum(vals, 0.0))
+    return vals
 
 
 class UnknownLabelError(ValueError):
@@ -131,7 +158,8 @@ def parse_file(path, allow_unlabeled: bool = False, keep_raw: bool = False) -> P
 
     Malformed lines are collected (with reasons), not silently dropped;
     more than 1% malformed lines aborts with a ParseError since that
-    almost certainly means the wrong file was given.
+    almost certainly means the wrong file was given, and so does a file
+    with no records at all (empty or blank lines only).
     """
     path = Path(path)
     records: list[RawRecord] = []
@@ -150,7 +178,9 @@ def parse_file(path, allow_unlabeled: bool = False, keep_raw: bool = False) -> P
                 )
             except ParseError as exc:
                 malformed.append((line_no, str(exc)))
-    if total and len(malformed) / total > 0.01:
+    if not total:
+        raise ParseError(f"{path}: no records")
+    if len(malformed) / total > 0.01:
         raise ParseError(
             f"{path}: {len(malformed)} of {total} lines malformed (>1%); "
             f"first: {malformed[0][1]}"
@@ -158,16 +188,6 @@ def parse_file(path, allow_unlabeled: bool = False, keep_raw: bool = False) -> P
     if malformed:
         log.warning("%s: %d malformed line(s) skipped", path, len(malformed))
     return ParseResult(records=records, malformed=malformed, path=str(path))
-
-
-def format_record(record: RawRecord) -> str:
-    """Serialize back to the NSL-KDD line format (inverse of parse_line)."""
-    fields = list(record.values)
-    if record.label is not None:
-        fields.append(record.label)
-    if record.difficulty is not None:
-        fields.append(str(record.difficulty))
-    return ",".join(fields)
 
 
 def infer_schema(records, class_names=None, log_scale: bool = False) -> FeatureSchema:
@@ -181,6 +201,8 @@ def infer_schema(records, class_names=None, log_scale: bool = False) -> FeatureS
     """
     if not records:
         raise ValueError("cannot infer a schema from zero records")
+    transform = TRANSFORM_LOG1P if log_scale else TRANSFORM_NONE
+    lines = [r.line_no for r in records]
     specs: list[FeatureSpec] = []
     for j, name in enumerate(COLUMN_NAMES):
         column = [r.values[j] for r in records]
@@ -193,35 +215,12 @@ def infer_schema(records, class_names=None, log_scale: bool = False) -> FeatureS
             specs.append(FeatureSpec(name=name, kind=KIND_CATEGORICAL,
                                      vocabulary=["0", "1"]))
             continue
-        try:
-            vals = np.asarray(column, dtype=np.float64)
-        except ValueError:
-            _raise_numeric_error(records, j, name)
-        if not np.all(np.isfinite(vals)):
-            _raise_numeric_error(records, j, name, finite=True)
-        transform = TRANSFORM_LOG1P if log_scale else TRANSFORM_NONE
-        if log_scale:
-            vals = np.log1p(np.maximum(vals, 0.0))
+        vals = numeric_column(column, name, transform, lines)
         specs.append(FeatureSpec(name=name, kind=KIND_CONTINUOUS,
                                  min=float(vals.min()), max=float(vals.max()),
                                  transform=transform))
     return FeatureSchema(features=specs,
                          class_names=list(class_names or CLASS_NAMES))
-
-
-def _raise_numeric_error(records, j, name, finite=False):
-    for r in records:
-        try:
-            v = float(r.values[j])
-            if not finite or math.isfinite(v):
-                continue
-        except ValueError:
-            pass
-        raise ParseError(
-            f"line {r.line_no}: column {name!r} has non-numeric value "
-            f"{r.values[j]!r}"
-        )
-    raise ParseError(f"column {name!r} has a non-numeric value")
 
 
 @dataclass
@@ -307,33 +306,25 @@ def map_label(raw: str, label_map: LabelMap) -> int:
 
 @dataclass
 class SplitSpec:
-    """How to obtain (train, test): an explicit file pair or a seeded cut."""
+    """A seeded stratified cut of one labelled file into (train, test)."""
 
-    mode: str = MODE_RANDOM
     train_fraction: float = 0.8
     seed: int = 42
 
     def __post_init__(self):
-        if self.mode not in (MODE_RANDOM, MODE_FILE_PAIR):
-            raise ValueError(f"unknown split mode {self.mode!r}")
-        if self.mode == MODE_RANDOM and not 0.0 < self.train_fraction < 1.0:
+        if not 0.0 < self.train_fraction < 1.0:
             raise ValueError(
                 f"train_fraction must be in (0, 1), got {self.train_fraction}"
             )
 
 
-def split(records, spec: SplitSpec, label_map: LabelMap, test_records=None):
+def split(records, spec: SplitSpec, label_map: LabelMap):
     """Produce (train, test) record lists.
 
-    FilePair mode passes both loaded files through unchanged. RandomSplit
-    shuffles with the seed and cuts per class so every class with at least
+    Shuffles with the seed and cuts per class so every class with at least
     two members lands on both sides; singleton classes go wholly to train
     with a warning (never an abort; u2r is tiny).
     """
-    if spec.mode == MODE_FILE_PAIR:
-        if test_records is None:
-            raise ValueError("file-pair split needs the test records")
-        return list(records), list(test_records)
     if len(records) < 2:
         raise ValueError("random split needs at least 2 records")
 

@@ -35,8 +35,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .codebook import KIND_CONTINUOUS, TRANSFORM_LOG1P, Codebook, FeatureSchema, FeatureSpec
-from .dataset import ParseError
+from .codebook import KIND_CONTINUOUS, Codebook, FeatureSchema, FeatureSpec
+from .dataset import numeric_column
 
 # Distinct records per encoder batch. Measured on the bench corpus (seed
 # 3001, D=10000, 2 vCPUs, jobs 2, best of 3, whole encode_dataset, test /
@@ -73,11 +73,12 @@ def run_chunks(fn: Callable[[int, int], None], n: int, chunk: int,
 def value_index(column: Sequence, spec: FeatureSpec, bins: int) -> np.ndarray:
     """Index of each raw value among its feature's value rows, as int32.
 
-    Continuous values are parsed, transformed when the spec asks, and put
-    in one of `bins` uniform-width bins over [min, max]; out-of-range values
-    clamp to the edge bins and a degenerate range (min == max) maps
-    everything to bin 0. Categorical values take their position in the
-    sorted vocabulary, and unseen ones len(vocabulary), the OOV row.
+    Continuous values are read by numeric_column (parsed, checked finite,
+    transformed when the spec asks) and put in one of `bins` uniform-width
+    bins over [min, max]; out-of-range values clamp to the edge bins and a
+    degenerate range (min == max) maps everything to bin 0. Categorical
+    values take their position in the sorted vocabulary, and unseen ones
+    len(vocabulary), the OOV row.
 
     Raises ParseError naming the column on a non-numeric or non-finite
     continuous value.
@@ -85,16 +86,7 @@ def value_index(column: Sequence, spec: FeatureSpec, bins: int) -> np.ndarray:
     if spec.kind != KIND_CONTINUOUS:
         lut = {v: i for i, v in enumerate(sorted(spec.vocabulary))}
         return np.array([lut.get(str(v), len(lut)) for v in column], dtype=np.int32)
-    try:
-        vals = np.asarray(column, dtype=np.float64)
-    except ValueError as exc:
-        raise ParseError(
-            f"non-numeric value in continuous column {spec.name!r}: {exc}"
-        ) from None
-    if not np.all(np.isfinite(vals)):
-        raise ParseError(f"non-finite value in continuous column {spec.name!r}")
-    if spec.transform == TRANSFORM_LOG1P:
-        vals = np.log1p(np.maximum(vals, 0.0))
+    vals = numeric_column(column, spec.name, spec.transform)
     lo, hi = spec.min, spec.max
     if lo == hi:
         return np.zeros(vals.shape, dtype=np.int32)
@@ -125,7 +117,10 @@ class EncodedDataset:
     """Packed binary encodings of many records, plus optional labels.
 
     Rows are packed uint8 (8 bits/byte, little bit order) so a full
-    KDDTrain+ encoding at D=10,000 fits in ~160 MB.
+    KDDTrain+ encoding at D=10,000 fits in ~160 MB. The bits past dim in a
+    row's last byte are always zero, so a popcount over a row's bytes
+    counts only its dim real bits: given rows with padding bits set are
+    copied and cleared, and others are kept as they are.
     """
 
     def __init__(self, packed: np.ndarray, dim: int, labels: np.ndarray | None = None):
@@ -137,6 +132,10 @@ class EncodedDataset:
             )
         if labels is not None and len(labels) != packed.shape[0]:
             raise ValueError("labels length must match record count")
+        padding = np.uint8(0xFF << (dim % 8 or 8) & 0xFF)
+        if (packed[:, -1] & padding).any():
+            packed = packed.copy()
+            packed[:, -1] &= ~padding
         self.packed = packed
         self.dim = dim
         self.labels = None if labels is None else np.asarray(labels, dtype=np.int64)
@@ -144,11 +143,9 @@ class EncodedDataset:
     def __len__(self) -> int:
         return self.packed.shape[0]
 
-    def unpack(self, start: int = 0, stop: int | None = None) -> np.ndarray:
-        """Rows [start:stop) as a float64 (n, dim) matrix for BLAS work."""
-        block = self.packed[start:stop]
-        bits = np.unpackbits(block, axis=1, count=self.dim, bitorder="little")
-        return bits.astype(np.float64)
+    def unpack(self, rows) -> np.ndarray:
+        """The records a slice or an index array selects, as (n, dim) uint8 0/1 rows."""
+        return np.unpackbits(self.packed[rows], axis=1, count=self.dim, bitorder="little")
 
 
 class EncoderTables:

@@ -115,12 +115,7 @@ def report_from_matrix(
     )
 
 
-def evaluate(
-    model: ClassModel,
-    records,
-    jobs: int | None = None,
-    extra_config: dict | None = None,
-) -> EvaluationReport:
+def evaluate(model: ClassModel, records, jobs: int | None = None) -> EvaluationReport:
     """Encode labelled records with the model's codebook and score them."""
     records = list(records)
     if not records:
@@ -140,7 +135,6 @@ def evaluate(
     matrix = ConfusionMatrix.from_pairs(labels, preds, model.label_map.class_names)
     config = dict(model.hyperparams.to_dict())
     config["classes"] = list(model.label_map.class_names)
-    config.update(extra_config or {})
     return report_from_matrix(matrix, config=config, wall_time=wall)
 
 

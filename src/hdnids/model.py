@@ -13,9 +13,10 @@ miss were scored under the unchanged model, and a miss update touches at
 most two representative rows, so only the chunk tail's scores against
 those two rows change. Each chunk's rows are gathered from the packed
 encodings by index, unpacked once and scored with one GEMM. After a miss
-on row h, a later row h' has dot(h', h) = popcount(h' AND h) (padding bits
-masked off), so its dots against the two moved rows shift by exactly
-alpha times that count and are updated in place, in the packed domain.
+on row h, a later row h' has dot(h', h) = popcount(h' AND h) (EncodedDataset
+keeps padding bits clear), so its dots against the two moved rows shift by
+exactly alpha times that count and are updated in place, in the packed
+domain.
 All dots are sums of representative entries, which stay integers, or
 multiples of alpha, small enough for float64 to hold exactly; for a dyadic
 alpha (1, 0.5, 0.25, 2, ...) the in-place update therefore equals a fresh
@@ -36,9 +37,17 @@ Blocking cannot change a dot product that is exact: a sum of integers, or
 of multiples of a dyadic alpha, below 2**53 has one float64 value whatever
 order a BLAS kernel adds it in, so any block size gives the same bits. A
 non-dyadic alpha rounds the representatives; there the last bits of a dot
-product may depend on the GEMM kernel a block's row count selects.
-Retraining only takes argmaxes of those scores, and its models matched
-bytes across block sizes at alpha 0.1 on the test and benchmark corpora.
+product depend on the GEMM kernel, which BLAS picks by the call's shape
+and, within a call, by the row's place in the kernel's unrolled tiles.
+Every GEMM therefore runs on a whole block of the same shape, the last
+block of a call zero-filled past its real rows, and a block's row count is
+a multiple of 8, so no row falls in a short tail tile (on OpenBLAS's
+Haswell kernel, 7-row blocks of one shape still gave position-dependent
+bits; multiples of 4 did not). A record's scores then do not depend on
+where it sits in the input or how many records come with it. They may
+still differ between BLAS builds and between block sizes. Retraining only
+takes argmaxes of those scores, and its models matched bytes across block
+sizes at alpha 0.1 on the test and benchmark corpora.
 
 Model files are a versioned binary container (magic, format version,
 JSON header, raw array payload, SHA-256 trailer); see README for the
@@ -77,7 +86,8 @@ _CHUNK = 128
 # tail argmax after every miss, smaller ones make more per-chunk GEMM calls
 _RETRAIN_CHUNK = 64
 # bytes of the float64 block _dots converts unpacked rows into before each
-# GEMM: 8 rows at D=10000, which stays in L2 (see the module docstring)
+# GEMM, rounded down to a multiple of 8 rows (at least 8): 8 rows at D=10000,
+# which stays in L2 (see the module docstring)
 _DOT_BLOCK_BYTES = 640_000
 
 
@@ -97,15 +107,12 @@ class Hyperparams:
     log_scale: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "dim": self.dim, "bins": self.bins, "threshold": self.threshold,
-            "alpha": self.alpha, "iterations": self.iterations,
-            "seed": self.seed, "log_scale": self.log_scale,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "Hyperparams":
-        return cls(**{k: d[k] for k in cls().to_dict() if k in d})
+        """The fields d holds; other keys are ignored."""
+        return cls(**{f.name: d[f.name] for f in dataclasses.fields(cls) if f.name in d})
 
     def validate(self) -> None:
         """Raise ValueError naming the first field that is out of range.
@@ -173,13 +180,6 @@ class ClassModel:
         return np.stack([r.values for r in self.representatives])
 
 
-def _real_bits(rows: np.ndarray, dim: int) -> np.ndarray:
-    """Packed rows with the padding bits past dim cleared, in place, so
-    popcounts see only the dim real bits."""
-    rows[:, -1] &= np.uint8((1 << (dim % 8 or 8)) - 1)
-    return rows
-
-
 def _check_labels(labels: np.ndarray, num_classes: int) -> None:
     """Raise ValueError naming the first label outside [0, num_classes)."""
     bad = labels[(labels < 0) | (labels >= num_classes)]
@@ -189,17 +189,22 @@ def _check_labels(labels: np.ndarray, num_classes: int) -> None:
 
 def _dots(bits: np.ndarray, reps: np.ndarray) -> np.ndarray:
     """float64 (n, classes) dot products of unpacked 0/1 rows (uint8, (n, dim))
-    with each representative row, one cache-sized float64 block at a time."""
+    with each representative row, one cache-sized float64 block at a time.
+
+    Every GEMM runs on a whole (step, dim) block, step a multiple of 8, the
+    last one zero-filled past its real rows, so a row's dots do not depend
+    on where it sits in bits even when BLAS rounds them (see the module
+    docstring)."""
     n, dim = bits.shape
-    step = max(1, _DOT_BLOCK_BYTES // (8 * dim))
-    out = np.empty((n, reps.shape[0]), dtype=np.float64)
-    block = np.empty((min(step, n), dim), dtype=np.float64)
+    step = 8 * max(1, _DOT_BLOCK_BYTES // (64 * dim))
+    out = np.empty((-(-n // step) * step, reps.shape[0]), dtype=np.float64)
+    block = np.empty((step, dim), dtype=np.float64)
     for start in range(0, n, step):
         rows = bits[start:start + step]
-        part = block[:len(rows)]
-        part[...] = rows
-        np.matmul(part, reps.T, out=out[start:start + len(rows)])
-    return out
+        block[:len(rows)] = rows
+        block[len(rows):] = 0
+        np.matmul(block, reps.T, out=out[start:start + step])
+    return out[:n]
 
 
 def train_initial(encoded: EncodedDataset, num_classes: int) -> list:
@@ -220,8 +225,7 @@ def train_initial(encoded: EncodedDataset, num_classes: int) -> list:
     for c in range(num_classes):
         members = np.flatnonzero(encoded.labels == c)
         for start in range(0, len(members), _CHUNK):
-            bits = np.unpackbits(encoded.packed[members[start:start + _CHUNK]], axis=1,
-                                 count=encoded.dim, bitorder="little")
+            bits = encoded.unpack(members[start:start + _CHUNK])
             counts[c] += bits.sum(axis=0, dtype=np.uint16)
     for c in range(num_classes):
         if not counts[c].any():
@@ -247,11 +251,10 @@ def predict_batch(model: ClassModel, data: EncodedDataset, jobs: int | None = No
     sims = np.empty((n, model.num_classes), dtype=np.float64)
 
     def score(start: int, stop: int) -> None:
-        rows = _real_bits(data.packed[start:stop].copy(), data.dim)
-        ones = np.bitwise_count(rows).sum(axis=1, dtype=np.int64)
+        ones = np.bitwise_count(data.packed[start:stop]).sum(axis=1, dtype=np.int64)
         h_norm = np.sqrt(ones.astype(np.float64))
         safe_h = np.where(h_norm > 0, h_norm, 1.0)
-        dots = _dots(np.unpackbits(rows, axis=1, count=data.dim, bitorder="little"), reps)
+        dots = _dots(data.unpack(slice(start, stop)), reps)
         s = (dots / safe_norms) / safe_h[:, None]
         sims[start:stop] = s
         preds[start:stop] = np.argmax(s, axis=1)
@@ -290,7 +293,7 @@ def retrain(model: ClassModel, encoded: EncodedDataset, alpha: float, iterations
     order = rng.permutation(m)
     dim = encoded.dim
     width = encoded.packed.shape[1]
-    # each chunk's masked rows, zero-padded to whole uint64 words so the tail
+    # each chunk's rows, zero-padded to whole uint64 words so the tail
     # popcounts after a miss run a word at a time
     padded = np.zeros((_RETRAIN_CHUNK, -(-width // 8) * 8), dtype=np.uint8)
     words = padded.view(np.uint64)
@@ -304,7 +307,6 @@ def retrain(model: ClassModel, encoded: EncodedDataset, alpha: float, iterations
             b = len(idx)
             rows = padded[:b, :width]
             np.take(encoded.packed, idx, axis=0, out=rows, mode="clip")
-            _real_bits(rows, dim)
             y = encoded.labels[idx]
             bits = np.unpackbits(rows, axis=1, count=dim, bitorder="little")
             dots = _dots(bits, reps)
@@ -337,14 +339,8 @@ def retrain(model: ClassModel, encoded: EncodedDataset, alpha: float, iterations
         if updates == 0:
             break
 
-    out = ClassModel(
-        representatives=[AccumulatorVector(reps[c]) for c in range(reps.shape[0])],
-        codebook=model.codebook,
-        schema=model.schema,
-        label_map=model.label_map,
-        hyperparams=model.hyperparams,
-    )
-    return out, trace
+    return dataclasses.replace(
+        model, representatives=[AccumulatorVector(r) for r in reps]), trace
 
 
 def atomic_write(path, data: bytes) -> None:

@@ -15,10 +15,10 @@ from hdnids.cli import main as cli_main
 from hdnids.codebook import (
     FeatureSchema,
     FeatureSpec,
-    RandomSource,
     build_codebook,
     flip_bits,
     random_hv,
+    stream,
 )
 from hdnids.dataset import (
     class_indices,
@@ -95,17 +95,16 @@ def test_criterion_1_kernel_property_suite():
     start = time.perf_counter()
     cases = 0
     for dim in (64, 10000):
-        root = RandomSource(SEED).derive(dim)
-        gen = root.generator
+        gen = stream(SEED, dim)
         for _ in range(500):
-            a = random_hv(dim, root)
-            b = random_hv(dim, root)
-            c = random_hv(dim, root)
+            a = random_hv(dim, gen)
+            b = random_hv(dim, gen)
+            c = random_hv(dim, gen)
             assert np.array_equal(a ^ b ^ b, a)
             assert popcount(a ^ a) == 0
             assert np.array_equal((a ^ b) ^ c, a ^ (b ^ c))
             k = int(gen.integers(0, dim + 1))
-            assert popcount(a ^ flip_bits(a, dim, k, root)) == k
+            assert popcount(a ^ flip_bits(a, dim, k, gen)) == k
             values = gen.normal(size=dim)
             scale = float(gen.uniform(0.01, 100.0))
             model = ClassModel(
@@ -117,9 +116,9 @@ def test_criterion_1_kernel_property_suite():
             _, sims = predict_batch(model, data)
             assert np.all(np.abs(sims[:, 0] - sims[:, 1]) < 1e-9)
             reps = train_initial(data, 2)
-            a_bits, b_bits = data.unpack(0, 1)[0], data.unpack(1, 2)[0]
+            a_bits, b_bits = data.unpack(slice(0, 1))[0], data.unpack(slice(1, 2))[0]
             assert np.array_equal(reps[0].values, a_bits + b_bits)
-            assert np.array_equal(reps[1].values, data.unpack(2, 3)[0])
+            assert np.array_equal(reps[1].values, data.unpack(slice(2, 3))[0])
             assert popcount(a) == int(a_bits.sum())
             cases += 1
     elapsed = time.perf_counter() - start

@@ -434,6 +434,31 @@ class TestSweep:
         assert capsys.readouterr().out.splitlines()[1].startswith("128,5,0.5,7,1,")
 
 
+class TestEmptyInput:
+    # command -> its arguments; {empty} is the file with no records
+    COMMANDS = {
+        "train": ["train", "--train", "{empty}", "--model", "{out}"],
+        "evaluate": ["evaluate", "--model", "{model}", "--test", "{empty}", "--report", "{out}"],
+        "predict": ["predict", "--model", "{model}", "--input", "{empty}", "--output", "{out}"],
+        "split": ["split", "--input", "{empty}", "--train-out", "{out}", "--test-out", "{out}"],
+        "sweep": ["sweep", "--train", "{empty}", "--output", "{out}"],
+        "sweep --test": ["sweep", "--train", "{corpus}", "--test", "{empty}", "--output", "{out}"],
+    }
+
+    @pytest.mark.parametrize("text", ["", "\n  \n\r\n"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_no_records_is_data_error(self, tmp_path, corpus, capsys, command, text):
+        empty = tmp_path / "empty.txt"
+        empty.write_text(text)
+        model = quick_train(tmp_path, corpus) if "{model}" in self.COMMANDS[command] else ""
+        out = tmp_path / "out"
+        paths = {"empty": empty, "out": out, "model": model, "corpus": corpus}
+        capsys.readouterr()
+        assert run([a.format(**paths) for a in self.COMMANDS[command]]) == 4
+        assert f"{empty}: no records" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestUsage:
     def test_no_command(self, capsys):
         with pytest.raises(SystemExit) as exc:

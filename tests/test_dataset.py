@@ -11,7 +11,6 @@ from hdnids.dataset import (
     SplitSpec,
     UnknownLabelError,
     class_indices,
-    format_record,
     infer_schema,
     load_label_map,
     map_label,
@@ -88,12 +87,6 @@ class TestParseFile:
     def test_missing_file_is_oserror(self, tmp_path):
         with pytest.raises(OSError):
             parse_file(tmp_path / "nope.txt")
-
-    def test_format_record_roundtrip(self, tmp_path, synth_lines):
-        p = tmp_path / "f.txt"
-        p.write_text("\n".join(synth_lines) + "\n")
-        for rec, line in zip(parse_file(p).records, synth_lines):
-            assert format_record(rec) == line
 
 
 class TestInferSchema:
@@ -237,23 +230,9 @@ class TestSplit:
         assert any(r.label == "perl" for r in train)
         assert not any(r.label == "perl" for r in test)
 
-    def test_file_pair_passthrough(self, tmp_path, synth_lines):
-        recs = self.records(tmp_path, synth_lines)
-        lm = load_label_map()
-        train, test = split(recs[:10], SplitSpec(mode="file-pair"), lm,
-                            test_records=recs[10:20])
-        assert train == recs[:10] and test == recs[10:20]
-
-    def test_file_pair_requires_test_records(self, tmp_path, synth_lines):
-        recs = self.records(tmp_path, synth_lines)
-        with pytest.raises(ValueError):
-            split(recs, SplitSpec(mode="file-pair"), load_label_map())
-
     def test_bad_spec(self):
         with pytest.raises(ValueError):
             SplitSpec(train_fraction=1.5)
-        with pytest.raises(ValueError):
-            SplitSpec(mode="threeway")
 
     def test_class_indices(self, tmp_path, synth_lines):
         recs = self.records(tmp_path, synth_lines)

@@ -121,7 +121,7 @@ class TestEncodedDataset:
         assert len(data) == 5
         assert data.labels.tolist() == [0, 1, 0, 1, 0]
         for i, row in enumerate(rows):
-            assert data.unpack(i, i + 1)[0].tolist() == oracle(row, cb, schema, t)
+            assert data.unpack(slice(i, i + 1))[0].tolist() == oracle(row, cb, schema, t)
 
     def test_label_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -130,6 +130,22 @@ class TestEncodedDataset:
     def test_requires_uint8(self):
         with pytest.raises(ValueError):
             EncodedDataset(np.zeros((3, 2), dtype=np.int32), 16)
+
+    def test_padding_bits_cleared_on_a_copy(self):
+        # dim 11 leaves 5 padding bits in the second byte
+        rows = np.array([[0xFF, 0xFF], [0x01, 0x07]], dtype=np.uint8)
+        data = EncodedDataset(rows, 11)
+        assert data.packed.tolist() == [[0xFF, 0x07], [0x01, 0x07]]
+        assert rows[0, 1] == 0xFF  # the caller's array is left alone
+        clean = data.packed
+        assert EncodedDataset(clean, 11).packed is clean  # nothing to clear, no copy
+
+    def test_unpack_slice_or_indices(self):
+        rows = np.array([[0b101], [0b011], [0b110]], dtype=np.uint8)
+        data = EncodedDataset(rows, 3)
+        assert data.unpack(slice(1, 3)).tolist() == [[1, 1, 0], [0, 1, 1]]
+        assert data.unpack(np.array([2, 0])).tolist() == [[0, 1, 1], [1, 0, 1]]
+        assert data.unpack(slice(0, 1)).dtype == np.uint8
 
 
 class TestBatchPath:

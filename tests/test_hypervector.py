@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from hdnids.codebook import (
     FeatureSchema,
     FeatureSpec,
-    RandomSource,
     build_codebook,
     flip_bits,
     random_hv,
+    stream,
 )
 from hdnids.dataset import LabelMap
 from hdnids.encoding import EncodedDataset, EncoderTables
@@ -37,7 +37,7 @@ DIMS = st.sampled_from([1, 7, 8, 9, 63, 64, 65, 200, 1000])
 
 
 def draw_hv(dim, seed, *tags):
-    return random_hv(dim, RandomSource(seed).derive(*tags))
+    return random_hv(dim, stream(seed, *tags))
 
 
 def popcount(row):
@@ -73,7 +73,7 @@ class TestHypervector:
         row = np.packbits(np.array(bits, dtype=np.uint8), bitorder="little")
         assert ref_unpack(row, 11) == bits
         data = EncodedDataset(row[None, :], 11)
-        assert data.unpack(0, 1)[0].tolist() == bits
+        assert data.unpack(slice(0, 1))[0].tolist() == bits
 
     def test_padding_bits_are_zero(self):
         for dim in (1, 7, 9, 11, 63):
@@ -108,9 +108,15 @@ class TestRandomSource:
         b = draw_hv(512, 42, 2)
         assert not np.array_equal(a, b)
         # consuming stream 1 must not move stream 2
-        src = RandomSource(42)
-        _ = random_hv(512, src.derive(1))
-        assert np.array_equal(random_hv(512, src.derive(2)), b)
+        one = stream(42, 1)
+        _ = random_hv(512, one)
+        assert np.array_equal(random_hv(512, stream(42, 2)), b)
+
+    def test_keyed_by_seed_sequence(self):
+        # the documented key: SeedSequence([seed mod 2**64, *tags])
+        want = np.random.Generator(np.random.PCG64(np.random.SeedSequence([2**64 - 1, 3, 7])))
+        assert stream(-1, 3, 7).integers(0, 2**32, 4).tolist() == \
+            want.integers(0, 2**32, 4).tolist()
 
     def test_roughly_balanced(self):
         assert abs(popcount(draw_hv(10000, 42)) - 5000) < 300  # ~6 sigma
@@ -146,7 +152,7 @@ class TestOps:
 
     def test_flip_count_bounds(self):
         hv = draw_hv(64, 1)
-        rng = RandomSource(2)
+        rng = stream(2)
         with pytest.raises(ValueError):
             flip_bits(hv, 64, -1, rng)
         with pytest.raises(ValueError):
@@ -154,18 +160,18 @@ class TestOps:
 
     def test_flip_zero_is_identity(self):
         hv = draw_hv(64, 1)
-        assert np.array_equal(flip_bits(hv, 64, 0, RandomSource(2)), hv)
+        assert np.array_equal(flip_bits(hv, 64, 0, stream(2)), hv)
 
     def test_flip_all_is_complement(self):
         hv = draw_hv(37, 1)
-        flipped = flip_bits(hv, 37, 37, RandomSource(2))
+        flipped = flip_bits(hv, 37, 37, stream(2))
         assert hamming(hv, flipped) == 37
         assert popcount(flipped) == 37 - popcount(hv)
 
     def test_flip_deterministic(self):
         hv = draw_hv(200, 1)
-        assert np.array_equal(flip_bits(hv, 200, 50, RandomSource(9)),
-                              flip_bits(hv, 200, 50, RandomSource(9)))
+        assert np.array_equal(flip_bits(hv, 200, 50, stream(9)),
+                              flip_bits(hv, 200, 50, stream(9)))
 
     def test_cosine_zero_operands(self):
         zero = np.zeros(4, dtype=np.uint8)
@@ -223,7 +229,7 @@ def test_prop_hamming_is_popcount_of_xor(dim, seed):
 def test_prop_flip_bits_exact(dim, seed, data):
     hv = draw_hv(dim, seed, 0)
     count = data.draw(st.integers(0, dim))
-    flipped = flip_bits(hv, dim, count, RandomSource(seed).derive(1))
+    flipped = flip_bits(hv, dim, count, stream(seed, 1))
     assert hamming(hv, flipped) == count
 
 
@@ -235,7 +241,7 @@ def test_prop_flip_bits_exact(dim, seed, data):
 )
 def test_prop_cosine_scale_invariant(dim, seed, scale):
     h = draw_hv(dim, seed, 0)
-    values = RandomSource(seed).derive(1).generator.normal(size=dim)
+    values = stream(seed, 1).normal(size=dim)
     base, scaled = sims_of([h, h], [values, values * scale], dim)[0]
     assert abs(base - scaled) < 1e-9
 
@@ -244,7 +250,7 @@ def test_prop_cosine_scale_invariant(dim, seed, scale):
 @given(dim=DIMS, seed=st.integers(0, 2**32 - 1))
 def test_prop_cosine_matches_reference(dim, seed):
     h = draw_hv(dim, seed, 0)
-    values = RandomSource(seed).derive(1).generator.normal(size=dim)
+    values = stream(seed, 1).normal(size=dim)
     got = sims_of([h], [values], dim)[0, 0]
     want = ref_cosine(ref_unpack(h, dim), values.tolist())
     assert got == pytest.approx(want, abs=1e-12)

@@ -227,6 +227,24 @@ class TestPredict:
         want = [ref_cosine(ref_unpack(rows[0], 9), r.tolist()) for r in reps]
         assert sims[0] == pytest.approx(want, abs=1e-12)
 
+    @pytest.mark.parametrize("dim", [3333, 11000])  # 24- and 7-row dot blocks
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_scores_do_not_depend_on_position(self, dim, k):
+        """Representatives holding tenths round their dot products; dropping
+        the first k records must not change any other record's bits."""
+        rng = np.random.default_rng(dim)
+        rows = np.packbits(rng.random((300, dim)) < 0.5, axis=1, bitorder="little")
+        reps = rng.integers(0, 10000, size=(5, dim)) / 10
+        names = ["a", "b", "c", "d", "e"]
+        model = ClassModel(
+            representatives=[AccumulatorVector(r) for r in reps],
+            codebook=None, schema=tiny_schema(names),
+            label_map=tiny_label_map(names), hyperparams=Hyperparams(dim=dim),
+        )
+        _, sims = predict_batch(model, EncodedDataset(rows, dim))
+        _, shifted = predict_batch(model, EncodedDataset(rows[k:], dim))
+        assert np.array_equal(shifted, sims[k:])
+
     def test_batch_worker_count_invariant(self):
         data = toy_clusters(n_per=200)
         model = toy_model(data)
@@ -338,7 +356,7 @@ class TestRetrain:
             )
         )
         order = rng.permutation(len(data))
-        samples = [data.unpack(i, i + 1)[0].astype(int).tolist() for i in order]
+        samples = [data.unpack(slice(i, i + 1))[0].astype(int).tolist() for i in order]
         labels = [int(data.labels[i]) for i in order]
         reps = [r.values.tolist() for r in model.representatives]
         for _ in range(epochs):
@@ -372,14 +390,15 @@ class TestRetrain:
 
 
 class TestDotBlocks:
-    """The float64 scoring block holds 1, 2 or 3 rows, so every chunk spans
-    many blocks, and a 3-row block or a short last chunk ends in a short
-    block; at the test dims the default budget fits a whole chunk in one."""
+    """The float64 scoring block holds 8, 16 or 24 rows (param times 8), so
+    every chunk spans several blocks, and a 24-row block or a short last
+    chunk ends in a zero-filled block; at the test dims the default budget
+    fits a whole chunk in one."""
 
     @pytest.fixture(params=[1, 2, 3])
     def block_rows(self, request, monkeypatch):
         def budget(dim):
-            monkeypatch.setattr(hdnids.model, "_DOT_BLOCK_BYTES", request.param * 8 * dim)
+            monkeypatch.setattr(hdnids.model, "_DOT_BLOCK_BYTES", request.param * 64 * dim)
         return budget
 
     def test_predict_matches_oracle(self, block_rows):
