@@ -23,6 +23,7 @@ from .dataset import (
     LabelMap,
     ParseError,
     RawRecord,
+    RecordTable,
     SplitSpec,
     UnknownLabelError,
     class_indices,
@@ -64,7 +65,7 @@ __all__ = [
     "Codebook", "FeatureSchema", "FeatureSpec", "build_codebook",
     "flip_bits", "random_hv", "stream",
     "CLASS_NAMES", "COLUMN_NAMES", "NUM_FEATURES", "LabelMap", "ParseError",
-    "RawRecord", "SplitSpec", "UnknownLabelError", "class_indices", "infer_schema",
+    "RawRecord", "RecordTable", "SplitSpec", "UnknownLabelError", "class_indices", "infer_schema",
     "load_label_map", "map_label", "parse_file", "parse_line", "split",
     "EncodedDataset", "default_threshold", "encode_dataset", "lookup_level",
     "value_index",

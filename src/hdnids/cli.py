@@ -61,6 +61,10 @@ EXIT_CORRUPT_MODEL = 5
 
 _HYPER, _SPLIT = Hyperparams(), SplitSpec()
 
+# predict formats its CSV this many rows at a time, so the Python floats of
+# only one slice of the similarity matrix exist at once
+_CSV_ROWS = 4096
+
 # key -> (type, default, flag help): config values are checked against the
 # type and flags are parsed as it. A tuple type lists the allowed values.
 # Only keys whose default is None accept a JSON null. The model and split
@@ -169,7 +173,8 @@ def _label_map(settings: dict, table=None):
 
 
 def _train_pipeline(records, label_map, hyper: Hyperparams, jobs: int):
-    """Schema, codebook, encode, centroid init, optional retraining.
+    """Schema, codebook, encode, centroid init, optional retraining, on a
+    RecordTable.
 
     Returns (model, initial_accuracy, trace, timings dict).
     """
@@ -186,10 +191,8 @@ def _train_pipeline(records, label_map, hyper: Hyperparams, jobs: int):
         hyper = dataclasses.replace(hyper, threshold=default_threshold(schema))
     labels = class_indices(records, label_map)
     t0 = time.perf_counter()
-    data = encode_dataset(
-        [r.values for r in records], codebook, schema, hyper.threshold,
-        labels=labels, jobs=jobs,
-    )
+    data = encode_dataset(records, codebook, schema, hyper.threshold,
+                          labels=labels, jobs=jobs)
     timings["encode"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -261,16 +264,16 @@ def cmd_predict(args) -> int:
     jobs = _settings(args)["jobs"]
     model = load_model(args.model)
     result = parse_file(args.input, allow_unlabeled=True)
-    data = encode_dataset(
-        [r.values for r in result.records], model.codebook, model.schema,
-        model.threshold, jobs=jobs,
-    )
+    data = encode_dataset(result.records, model.codebook, model.schema,
+                          model.threshold, jobs=jobs)
     preds, sims = predict_batch(model, data, jobs=jobs)
     names = model.label_map.class_names
     lines = ["index,predicted," + ",".join(f"sim_{n}" for n in names)]
-    for i in range(len(preds)):
-        scores = ",".join(repr(float(s)) for s in sims[i])
-        lines.append(f"{i},{names[preds[i]]},{scores}")
+    for start in range(0, len(preds), _CSV_ROWS):
+        rows = slice(start, start + _CSV_ROWS)
+        for i, pred, scores in zip(itertools.count(start), preds[rows].tolist(),
+                                   sims[rows].tolist()):
+            lines.append(f"{i},{names[pred]}," + ",".join(map(repr, scores)))
     text = "\n".join(lines) + "\n"
     if args.output:
         atomic_write(args.output, text.encode("utf-8"))
@@ -283,12 +286,12 @@ def cmd_predict(args) -> int:
 def cmd_split(args) -> int:
     s = _settings(args)
     label_map = _label_map(s)
-    result = parse_file(args.input, keep_raw=True)
+    result = parse_file(args.input)
     spec = SplitSpec(train_fraction=s["fraction"], seed=s["seed"])
     train_recs, test_recs = split(result.records, spec, label_map)
 
     def _lines(records):
-        return "".join(r.raw + "\n" for r in records).encode("utf-8")
+        return "".join(line + "\n" for line in records.lines()).encode("utf-8")
 
     atomic_write(args.train_out, _lines(train_recs))
     atomic_write(args.test_out, _lines(test_recs))

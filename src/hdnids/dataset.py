@@ -7,13 +7,39 @@ through an editable mapping file shipped with the package.
 
 Schema inference is train-side only: vocabularies and min/max ranges come
 from the records given to infer_schema, never from test data.
+
+Parsed records are dictionary-encoded columns (RecordTable): per field, a
+list of decoded strings and an int32 code per record. NSL-KDD repeats
+itself heavily (on a 125,973-line train file 3% of the feature fields are
+distinct strings), so schema inference, label mapping and binning each
+run once per distinct string and gather their results by code, and no
+Python object is made per field.
+
+parse_file reads the file as bytes, _READ_BYTES of whole lines at a time,
+and works through them in blocks of _BLOCK_LINES lines. In a block it
+finds the commas and keys every field of a well-formed line by its bytes
+and its length, so embedded NUL bytes cannot merge two strings, and
+groups equal keys by sorting. Only one field's bytes per group outlive
+the block, so the transients stay a few MB whatever the file's size. At
+the end each field's groups are merged the same way and each distinct
+byte string is decoded once.
+
+Decoding fields one at a time equals decoding the file, since ',', '\\r'
+and '\\n' are ASCII, but distinct bytes can decode to the same string
+(invalid UTF-8 becomes U+FFFD), so a column's strings may repeat and
+everything that compares strings acts on the decoded ones. A field is
+keyed by at most _KEY_BYTES bytes, which bounds a key's width whatever a
+line holds. Lines that are not plainly well formed (a blank line, a comma
+count other than 41 or 42, or 40 with allow_unlabeled, a field longer
+than _KEY_BYTES, a difficulty that int() rejects) are decoded and read by
+parse_line, so their records, errors and line numbers are its own.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -27,6 +53,7 @@ from .codebook import (
     TRANSFORM_NONE,
     FeatureSchema,
     FeatureSpec,
+    stream,
 )
 
 log = logging.getLogger(__name__)
@@ -54,6 +81,20 @@ SYMBOLIC_COLUMNS = (1, 2, 3)
 CLASS_NAMES = ["normal", "dos", "probe", "r2l", "u2r"]
 
 _SPLIT_STREAM_TAG = 0x5B117
+
+# fields a line can hold: the features, the label and the difficulty
+_FIELDS = NUM_FEATURES + 2
+# bytes of whole lines read at a time
+_READ_BYTES = 1 << 20
+# lines per parse block: a block's field bounds take _FIELDS + 1 int64 per
+# line, 1.4 MB at 4096 lines
+_BLOCK_LINES = 4096
+# the longest field keyed by its bytes; a line with a longer one goes to parse_line
+_KEY_BYTES = 63
+# zero bytes after the lines read, so every 8-byte key word read stays inside the buffer
+_PAD = _KEY_BYTES + 8
+# _MASKS[k] keeps the first k bytes of a little-endian word
+_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 
 
 class ParseError(ValueError):
@@ -102,12 +143,119 @@ class RawRecord:
     label: str | None = None
     difficulty: int | None = None
     line_no: int = 0
-    raw: str | None = None
+
+
+@dataclass(frozen=True, eq=False)
+class Column:
+    """One field of many records, dictionary-encoded.
+
+    Record i holds values[codes[i]], or no such field when codes[i] is -1.
+    values may repeat a string (distinct bytes can decode alike) and, in a
+    table cut by RecordTable.take, hold strings no record uses.
+    """
+
+    values: list
+    codes: np.ndarray  # int32
+
+    def strings(self) -> list:
+        """Each record's string, None where it has none."""
+        values = self.values + [None]  # a code of -1 picks the None
+        return [values[c] for c in self.codes.tolist()]
+
+    def present(self) -> list:
+        """The strings of values that some record holds."""
+        counts = np.bincount(self.codes[self.codes >= 0], minlength=len(self.values))
+        return [v for v, n in zip(self.values, counts.tolist()) if n]
+
+
+def _dictionary(strings) -> Column:
+    """Column of a sequence of strings (None for none), in first-occurrence order."""
+    lut: dict = {}
+    # keyed with the type too, so 1, 1.0 and True stay apart as they do as strings
+    codes = [-1 if s is None else lut.setdefault((type(s), s), len(lut)) for s in strings]
+    return Column([s for _, s in lut], np.array(codes, dtype=np.int32))
+
+
+class RecordTable(Sequence):
+    """Parsed records as dictionary-encoded columns.
+
+    features holds one Column per feature; labels and difficulty hold the
+    raw label and difficulty strings as read (code -1 where a line had
+    none), and line_no each record's 1-based line. As a read-only sequence
+    it gives RawRecords, built on access.
+    """
+
+    def __init__(self, features: list, labels: Column, difficulty: Column,
+                 line_no: np.ndarray):
+        self.features = features
+        self.labels = labels
+        self.difficulty = difficulty
+        self.line_no = line_no
+
+    def __len__(self) -> int:
+        return len(self.line_no)
+
+    def __getitem__(self, i) -> RawRecord:
+        i = range(len(self))[i]  # an int or numpy integer, negatives and IndexError as a list
+        return _record(tuple(c.values[c.codes[i]] for c in self.features),
+                       self._string(self.labels, i), self._string(self.difficulty, i),
+                       int(self.line_no[i]))
+
+    def __iter__(self):
+        columns = zip(*(c.strings() for c in self.features))
+        return map(_record, columns, self.labels.strings(), self.difficulty.strings(),
+                   self.line_no.tolist())
+
+    @staticmethod
+    def _string(column: Column, i: int):
+        code = column.codes[i]
+        return None if code < 0 else column.values[code]
+
+    def take(self, rows) -> "RecordTable":
+        """The records at index array rows, in that order; the dictionaries are shared."""
+        def cut(c: Column) -> Column:
+            return Column(c.values, c.codes[rows])
+
+        return RecordTable([cut(c) for c in self.features], cut(self.labels),
+                           cut(self.difficulty), self.line_no[rows])
+
+    def lines(self) -> list:
+        """Each record's line as read: decoded, without its line end."""
+        fields = [c.strings() for c in (*self.features, self.labels, self.difficulty)]
+        return [",".join(f for f in row if f is not None) for row in zip(*fields)]
+
+    @classmethod
+    def from_rows(cls, records, width: int | None = None) -> "RecordTable":
+        """Table of RawRecords or of plain value rows (unlabelled, line 0).
+
+        Every record must have width values (by default the first one's
+        count); a ValueError names the first that does not.
+        """
+        records = [r if isinstance(r, RawRecord) else RawRecord(tuple(r)) for r in records]
+        if width is None:
+            width = len(records[0].values) if records else NUM_FEATURES
+        for i, r in enumerate(records):
+            if len(r.values) != width:
+                raise ValueError(f"record {i} has {len(r.values)} values, expected {width}")
+        return cls(
+            [_dictionary([r.values[j] for r in records]) for j in range(width)],
+            _dictionary([r.label for r in records]),
+            _dictionary([None if r.difficulty is None else str(r.difficulty)
+                         for r in records]),
+            np.array([r.line_no for r in records], dtype=np.int64),
+        )
+
+
+def _record(values, label, difficulty, line_no) -> RawRecord:
+    return RawRecord(values=tuple(values),
+                     label=None if label is None else label.strip(),
+                     difficulty=None if difficulty is None else int(difficulty),
+                     line_no=line_no)
 
 
 @dataclass
 class ParseResult:
-    records: list
+    records: RecordTable
     malformed: list  # (line_no, reason) pairs
     path: str = ""
 
@@ -116,8 +264,21 @@ class ParseResult:
         return len(self.malformed)
 
 
-def parse_line(line: str, line_no: int = 0, allow_unlabeled: bool = False,
-               keep_raw: bool = False) -> RawRecord:
+def as_table(records, width: int | None = None) -> RecordTable:
+    """records as a RecordTable: a ParseResult's table, a table, or a sequence
+    of RawRecords or of value rows, dictionary-encoded here (one Python
+    string per field, so the slow way in). With width given, every record
+    must have that many values."""
+    if isinstance(records, ParseResult):
+        records = records.records
+    if not isinstance(records, RecordTable):
+        return RecordTable.from_rows(records, width)
+    if width is not None and len(records.features) != width:
+        raise ValueError(f"records have {len(records.features)} values, expected {width}")
+    return records
+
+
+def parse_line(line: str, line_no: int = 0, allow_unlabeled: bool = False) -> RawRecord:
     """Parse one comma-separated record line.
 
     Accepts 42 fields (features + label) or 43 (+ difficulty); 41 bare
@@ -143,41 +304,239 @@ def parse_line(line: str, line_no: int = 0, allow_unlabeled: bool = False,
             f"line {line_no}: expected {NUM_FEATURES + 1} or {NUM_FEATURES + 2} "
             f"comma-separated fields, got {n}"
         )
-    values = tuple(sys.intern(v) for v in values)
     return RawRecord(
-        values=values,
-        label=None if label is None else sys.intern(label.strip()),
+        values=tuple(values),
+        label=None if label is None else label.strip(),
         difficulty=difficulty,
         line_no=line_no,
-        raw=line if keep_raw else None,
     )
 
 
-def parse_file(path, allow_unlabeled: bool = False, keep_raw: bool = False) -> ParseResult:
-    """Parse a whole NSL-KDD text file.
+def _runs(fh):
+    """The lines of a binary file about _READ_BYTES at a time, as (buf,
+    size): buf[:size] holds whole lines with their line ends, and _PAD zero
+    bytes follow.
 
-    Malformed lines are collected (with reasons), not silently dropped;
-    more than 1% malformed lines aborts with a ParseError since that
-    almost certainly means the wrong file was given, and so does a file
-    with no records at all (empty or blank lines only).
+    A run never ends between the '\\r' and '\\n' of one line end; only the
+    last may end without a line end.
+    """
+    carry = b""
+    while True:
+        data = fh.read(_READ_BYTES)
+        text = carry + data
+        # cut after the last line end; a '\r' that ends the text may be
+        # half of a '\r\n', so it waits for the next read
+        cut = (max(text.rfind(b"\n"), text.rfind(b"\r", 0, len(text) - 1)) + 1
+               if data else len(text))
+        if cut:
+            buf = np.zeros(cut + _PAD, dtype=np.uint8)
+            buf[:cut] = np.frombuffer(text, dtype=np.uint8, count=cut)
+            yield buf, cut
+        if not data:
+            return
+        carry = text[cut:]
+
+
+def _line_bounds(buf: np.ndarray, size: int):
+    """First and end byte offset of every line of buf[:size], the end
+    excluding the line end: '\\n', '\\r\\n' and a lone '\\r' each end a line,
+    as in Python's text mode, and a last line needs no line end."""
+    cr = np.flatnonzero(buf[:size] == 13)
+    nl = np.flatnonzero(buf[:size] == 10)
+    nl = nl[buf[nl - 1] != 13]  # buf[-1], padding, stands before a newline at offset 0
+    ends = np.sort(np.concatenate((cr, nl)), kind="stable")  # two sorted runs
+    after = ends + 1 + ((buf[ends] == 13) & (buf[ends + 1] == 10))
+    starts = np.concatenate(([0], after))
+    stops = np.concatenate((ends, [size]))
+    if starts[-1] == size:  # nothing after the last line end
+        starts, stops = starts[:-1], stops[:-1]
+    return starts, stops
+
+
+def _keys(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """(w, n) uint64 keys of the fields buf[starts[i]:starts[i] + lens[i]],
+    none longer than _KEY_BYTES.
+
+    A key holds a field's bytes, little-endian, in w words, zero past the
+    field, and the field's length in the top byte of the last word; w is
+    the least word count that leaves that byte free for every field. Equal
+    keys therefore mean equal bytes, whatever the machine's byte order.
+    """
+    words_at = np.ndarray((len(buf) - 7,), dtype="<u8", buffer=buf, strides=(1,))
+    w = int(lens.max()) // 8 + 1 if len(lens) else 1
+    keys = np.empty((w, len(lens)), dtype=np.uint64)
+    for k in range(w):
+        np.bitwise_and(words_at[starts + 8 * k], _MASKS[np.clip(lens - 8 * k, 0, 8)],
+                       out=keys[k])
+    keys[-1] |= lens.astype(np.uint64) << np.uint64(56)
+    return keys
+
+
+def _distinct(x: np.ndarray):
+    """(inverse, rep) of a 1-D array: each entry's distinct number, and the
+    index of one entry holding each distinct value."""
+    order = np.argsort(x)
+    s = x[order]
+    new = np.empty(len(x), dtype=bool)
+    new[:1] = True
+    np.not_equal(s[1:], s[:-1], out=new[1:])
+    inverse = np.empty(len(x), dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    return inverse, order[new]
+
+
+def _group(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray):
+    """(inverse, rep) of byte fields: fields with equal keys share a number;
+    a field longer than _KEY_BYTES has one of its own."""
+    long = np.flatnonzero(lens > _KEY_BYTES)
+    short = np.flatnonzero(lens <= _KEY_BYTES) if long.size else slice(None)
+    keys = _keys(buf, starts[short], lens[short])
+    inverse, rep = _distinct(keys[0])
+    for word in keys[1:]:  # pairs of numbers to one number, word by word
+        word_inverse, word_rep = _distinct(word)
+        inverse, rep = _distinct(inverse * len(word_rep) + word_inverse)
+    if not long.size:
+        return inverse, rep
+    out = np.empty(len(lens), dtype=np.int64)
+    out[short] = inverse
+    out[long] = len(rep) + np.arange(len(long))
+    return out, np.concatenate((short[rep], long))
+
+
+def _joined(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The byte fields buf[starts[i]:starts[i] + lens[i]] end to end, each
+    followed by a comma."""
+    width = lens + 1
+    stops = np.cumsum(width)
+    at = np.repeat(starts - (stops - width), width) + np.arange(stops[-1] if len(stops) else 0)
+    joined = buf[at]
+    joined[stops - 1] = 44
+    return joined
+
+
+def _decode(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> list:
+    """The decoded strings of the byte fields buf[starts[i]:starts[i] + lens[i]].
+
+    Fields hold no commas, and an ASCII comma ends any invalid UTF-8
+    sequence, so the fields joined by commas decode in one call and split
+    back into each field's own decoding.
+    """
+    if not len(lens):
+        return []
+    return _joined(buf, starts, lens)[:-1].tobytes().decode("utf-8", "replace").split(",")
+
+
+def _fields(buf: np.ndarray, first: np.ndarray, end: np.ndarray):
+    """(count, seps, lens) of the lines buf[first[i]:end[i]]: each line's
+    comma count, and its first _FIELDS fields, field k running from
+    seps[k, i] + 1 to seps[k + 1, i] and lens[k, i] bytes long, or -1 bytes
+    when the line lacks it."""
+    commas = np.flatnonzero(buf[first[0]:end[-1]] == 44) + first[0]
+    commas = np.append(commas, end[-1])  # past every line's commas
+    at = np.searchsorted(commas, first)
+    count = np.searchsorted(commas, end) - at
+    step = np.arange(_FIELDS - 1)[:, None]
+    seps = np.empty((_FIELDS + 1, len(first)), dtype=np.int64)
+    seps[0] = first - 1
+    np.take(commas, at + step, out=seps[1:_FIELDS], mode="clip")
+    short = np.flatnonzero(count < _FIELDS - 1)  # past its last comma, a line ends
+    seps[1:_FIELDS, short] = np.where(step < count[short], seps[1:_FIELDS, short], end[short])
+    seps[_FIELDS] = end
+    lens = np.subtract(seps[1:], seps[:-1])
+    lens -= 1
+    return count, seps, lens
+
+
+def _merge(rep_bytes: list):
+    """(values, lut) of one field: the groups' bytes, end to end with a comma
+    after each, grouped again over the blocks; values holds each distinct
+    byte string decoded once, lut[g] the index in values of group g, and
+    lut[-1] is -1."""
+    blob = np.frombuffer(b"".join(rep_bytes) + bytes(_PAD), dtype=np.uint8)
+    field_end = np.flatnonzero(blob == 44)
+    field_at = np.concatenate(([0], field_end + 1))[:-1]
+    field_len = field_end - field_at
+    inverse, rep = _group(blob, field_at, field_len)
+    return (_decode(blob, field_at[rep], field_len[rep]),
+            np.append(inverse, -1).astype(np.int32))
+
+
+def _is_int(text: str) -> bool:
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True
+
+
+def parse_file(path, allow_unlabeled: bool = False) -> ParseResult:
+    """Parse a whole NSL-KDD text file into a RecordTable.
+
+    Line ends and blank lines are read as in Python's text mode, with
+    invalid UTF-8 replaced by U+FFFD. Malformed lines are collected (with
+    reasons), not silently dropped; more than 1% malformed lines aborts
+    with a ParseError since that almost certainly means the wrong file was
+    given, and so does a file with no records at all (empty or blank lines
+    only). Blank lines count toward line numbers but not toward the 1%.
     """
     path = Path(path)
-    records: list[RawRecord] = []
+    arity = [NUM_FEATURES, NUM_FEATURES + 1] + ([NUM_FEATURES - 1] if allow_unlabeled else [])
+    # per field, per block: the bytes of one field of each group, each
+    # followed by a comma (fields hold none)
+    rep_bytes = [[] for _ in range(_FIELDS)]
+    reps = [0] * _FIELDS
+    # per field, per block: each record's group counted over the blocks so
+    # far, -1 where it lacks the field; per block: each record's line number
+    slots = [[] for _ in range(_FIELDS)]
+    line_no: list[np.ndarray] = []
     malformed: list[tuple[int, str]] = []
     total = 0
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\r\n")
-            if not line.strip():
-                continue
-            total += 1
-            try:
-                records.append(
-                    parse_line(line, line_no, allow_unlabeled=allow_unlabeled,
-                               keep_raw=keep_raw)
-                )
-            except ParseError as exc:
-                malformed.append((line_no, str(exc)))
+    lines_before = 0
+    with open(path, "rb") as fh:
+        for buf, size in _runs(fh):
+            text = memoryview(buf)
+            starts, stops = _line_bounds(buf, size)
+            for b in range(0, len(starts), _BLOCK_LINES):
+                first, end = starts[b:b + _BLOCK_LINES], stops[b:b + _BLOCK_LINES]
+                base = lines_before + b + 1  # the block's first line number
+                count, seps, lens = _fields(buf, first, end)
+                fast = np.isin(count, arity) & (lens.max(axis=0) <= _KEY_BYTES)
+                scored = np.flatnonzero(fast & (count == NUM_FEATURES + 1))
+                if scored.size:  # a difficulty int() rejects makes parse_line's error
+                    field_at = seps[_FIELDS - 1, scored] + 1
+                    field_len = lens[_FIELDS - 1, scored]
+                    inverse, rep = _group(buf, field_at, field_len)
+                    ok = [_is_int(v) for v in _decode(buf, field_at[rep], field_len[rep])]
+                    fast[scored[~np.array(ok)[inverse]]] = False
+
+                keep = fast.copy()
+                for i in np.flatnonzero(~fast).tolist():
+                    line = str(text[first[i]:end[i]], "utf-8", "replace")
+                    if not line.strip():
+                        continue
+                    total += 1
+                    try:
+                        parse_line(line, base + i, allow_unlabeled=allow_unlabeled)
+                        keep[i] = True
+                    except ParseError as exc:
+                        malformed.append((base + i, str(exc)))
+                total += int(fast.sum())
+
+                rows = np.flatnonzero(keep)
+                line_no.append(base + rows)
+                if len(rows) < len(keep):
+                    seps, lens = seps[:, rows], lens[:, rows]
+                for j in range(_FIELDS):
+                    has = slice(None) if j < NUM_FEATURES else lens[j] >= 0
+                    field_at, field_len = seps[j, has] + 1, lens[j, has]
+                    inverse, rep = _group(buf, field_at, field_len)
+                    slot = np.full(len(rows), -1, dtype=np.int32)
+                    slot[has] = reps[j] + inverse
+                    slots[j].append(slot)
+                    rep_bytes[j].append(_joined(buf, field_at[rep], field_len[rep]).tobytes())
+                    reps[j] += len(rep)
+            lines_before += len(starts)
+
     if not total:
         raise ParseError(f"{path}: no records")
     if len(malformed) / total > 0.01:
@@ -187,35 +546,49 @@ def parse_file(path, allow_unlabeled: bool = False, keep_raw: bool = False) -> P
         )
     if malformed:
         log.warning("%s: %d malformed line(s) skipped", path, len(malformed))
-    return ParseResult(records=records, malformed=malformed, path=str(path))
+
+    columns = []
+    for j in range(_FIELDS):  # each field's blocks freed as its codes are built
+        values, lut = _merge(rep_bytes[j])
+        codes = np.concatenate([lut[slot] for slot in slots[j]])
+        rep_bytes[j] = slots[j] = None
+        columns.append(Column(values, codes))
+    table = RecordTable(columns[:NUM_FEATURES], columns[NUM_FEATURES],
+                        columns[NUM_FEATURES + 1], np.concatenate(line_no))
+    return ParseResult(records=table, malformed=malformed, path=str(path))
 
 
 def infer_schema(records, class_names=None, log_scale: bool = False) -> FeatureSchema:
     """Infer the per-feature schema from training records only.
 
+    records is a ParseResult, a RecordTable, or a sequence of RawRecords.
     Symbolic columns (protocol_type, service, flag) become categorical with
     lexicographically sorted vocabularies. Numeric columns whose raw strings
     are all "0"/"1" become two-category indicators; the rest are continuous
     with [min, max] taken over the (optionally log1p-transformed) training
     values.
     """
-    if not records:
+    table = as_table(records)
+    if not len(table):
         raise ValueError("cannot infer a schema from zero records")
     transform = TRANSFORM_LOG1P if log_scale else TRANSFORM_NONE
-    lines = [r.line_no for r in records]
     specs: list[FeatureSpec] = []
     for j, name in enumerate(COLUMN_NAMES):
-        column = [r.values[j] for r in records]
+        column = table.features[j]
         if j in SYMBOLIC_COLUMNS:
             specs.append(FeatureSpec(name=name, kind=KIND_CATEGORICAL,
-                                     vocabulary=sorted(set(column))))
+                                     vocabulary=sorted(set(column.present()))))
             continue
-        distinct = set(column)
-        if distinct <= {"0", "1"}:
+        if set(column.present()) <= {"0", "1"}:
             specs.append(FeatureSpec(name=name, kind=KIND_CATEGORICAL,
                                      vocabulary=["0", "1"]))
             continue
-        vals = numeric_column(column, name, transform, lines)
+        try:
+            vals = numeric_column(column.values, name, transform)[column.codes]
+        except ParseError:
+            # record by record: names the first bad value and its line, or
+            # reads a table whose dictionary holds a bad string no record uses
+            vals = numeric_column(column.strings(), name, transform, table.line_no)
         specs.append(FeatureSpec(name=name, kind=KIND_CONTINUOUS,
                                  min=float(vals.min()), max=float(vals.max()),
                                  transform=transform))
@@ -304,6 +677,27 @@ def map_label(raw: str, label_map: LabelMap) -> int:
     return label_map.fallback_class
 
 
+def _classes(labels: Column, label_map: LabelMap, rows=None) -> np.ndarray:
+    """Class index of every record, or of the records at index array rows in
+    that order, each distinct raw label stripped and looked up once.
+
+    Unknown labels go through map_label in the order the records meet
+    them, so strict mode raises on, and fallback mode warns about, the same
+    labels in the same order as one map_label call per record.
+    """
+    codes = labels.codes if rows is None else labels.codes[rows]
+    raw = [v.strip() for v in labels.values] + [None]  # a code of -1 picks the None
+    known = np.array([label_map.raw_to_class.get(v, -1) for v in raw], dtype=np.int64)
+    out = known[codes]
+    unknown = np.flatnonzero(out < 0)
+    if unknown.size:
+        _, first = np.unique(codes[unknown], return_index=True)
+        for i in np.sort(unknown[first]).tolist():
+            known[codes[i]] = map_label(raw[codes[i]], label_map)
+        out = known[codes]
+    return out
+
+
 @dataclass
 class SplitSpec:
     """A seeded stratified cut of one labelled file into (train, test)."""
@@ -319,45 +713,38 @@ class SplitSpec:
 
 
 def split(records, spec: SplitSpec, label_map: LabelMap):
-    """Produce (train, test) record lists.
+    """Produce (train, test) RecordTables, each in file order.
 
-    Shuffles with the seed and cuts per class so every class with at least
-    two members lands on both sides; singleton classes go wholly to train
-    with a warning (never an abort; u2r is tiny).
+    Shuffles with the seed's split stream (codebook.stream, so any integer
+    seed works, taken mod 2**64) and cuts per class so every class with at
+    least two members lands on both sides; singleton classes go wholly to
+    train with a warning (never an abort; u2r is tiny).
     """
-    if len(records) < 2:
+    table = as_table(records)
+    if len(table) < 2:
         raise ValueError("random split needs at least 2 records")
 
-    rng = np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence([spec.seed, _SPLIT_STREAM_TAG]))
-    )
-    perm = rng.permutation(len(records))
-    buckets: dict[int, list[int]] = {}
-    for i in perm:
-        cls = map_label(records[i].label, label_map)
-        buckets.setdefault(cls, []).append(int(i))
-
-    train_idx: list[int] = []
-    test_idx: list[int] = []
-    for cls in sorted(buckets):
-        idxs = buckets[cls]
+    perm = stream(spec.seed, _SPLIT_STREAM_TAG).permutation(len(table))
+    classes = _classes(table.labels, label_map, perm)
+    train_idx = [np.empty(0, dtype=np.int64)]
+    test_idx = [np.empty(0, dtype=np.int64)]
+    for cls in np.unique(classes).tolist():
+        idxs = perm[classes == cls]
         if len(idxs) < 2:
             log.warning(
                 "class %r has %d record(s); placing all in train",
                 label_map.class_names[cls], len(idxs),
             )
-            train_idx.extend(idxs)
+            train_idx.append(idxs)
             continue
         k = int(math.floor(spec.train_fraction * len(idxs) + 0.5))
         k = min(max(k, 1), len(idxs) - 1)
-        train_idx.extend(idxs[:k])
-        test_idx.extend(idxs[k:])
-
-    train_idx.sort()
-    test_idx.sort()
-    return [records[i] for i in train_idx], [records[i] for i in test_idx]
+        train_idx.append(idxs[:k])
+        test_idx.append(idxs[k:])
+    return (table.take(np.sort(np.concatenate(train_idx))),
+            table.take(np.sort(np.concatenate(test_idx))))
 
 
 def class_indices(records, label_map: LabelMap) -> np.ndarray:
     """Mapped class index per record, as an int64 array."""
-    return np.array([map_label(r.label, label_map) for r in records], dtype=np.int64)
+    return _classes(as_table(records).labels, label_map)

@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .codebook import KIND_CONTINUOUS, Codebook, FeatureSchema, FeatureSpec
-from .dataset import numeric_column
+from .dataset import ParseError, RecordTable, as_table, numeric_column
 
 # Distinct records per encoder batch. Measured on the bench corpus (seed
 # 3001, D=10000, 2 vCPUs, jobs 2, best of 3, whole encode_dataset, test /
@@ -121,9 +121,15 @@ class EncodedDataset:
     row's last byte are always zero, so a popcount over a row's bytes
     counts only its dim real bits: given rows with padding bits set are
     copied and cleared, and others are kept as they are.
+
+    Row inverse[i] of packed[first] equals row i, so work that depends on a
+    row's bytes alone runs on packed[first] and is gathered by inverse.
+    encode_dataset sets them to its distinct rows; given packed rows alone,
+    both are the identity.
     """
 
-    def __init__(self, packed: np.ndarray, dim: int, labels: np.ndarray | None = None):
+    def __init__(self, packed: np.ndarray, dim: int, labels: np.ndarray | None = None,
+                 first: np.ndarray | None = None, inverse: np.ndarray | None = None):
         if packed.ndim != 2 or packed.dtype != np.uint8:
             raise ValueError("packed must be a 2-D uint8 array")
         if packed.shape[1] != (dim + 7) // 8:
@@ -136,8 +142,13 @@ class EncodedDataset:
         if (packed[:, -1] & padding).any():
             packed = packed.copy()
             packed[:, -1] &= ~padding
+        if first is None:
+            first = inverse = np.arange(packed.shape[0])
+        elif len(inverse) != packed.shape[0]:
+            raise ValueError("inverse length must match record count")
         self.packed = packed
         self.dim = dim
+        self.first, self.inverse = first, inverse
         self.labels = None if labels is None else np.asarray(labels, dtype=np.int64)
 
     def __len__(self) -> int:
@@ -177,11 +188,17 @@ class EncoderTables:
         self.real_bits = np.packbits(np.arange(self.words * 64) < self.dim,
                                      bitorder="little").view(np.uint64)
 
-    def row_indices(self, rows: Sequence[Sequence]) -> np.ndarray:
-        """(records, features) table row index of every value in rows, as int32."""
-        idx = np.empty((len(rows), self.schema.num_features), dtype=np.int32)
-        for j, spec in enumerate(self.schema.features):
-            idx[:, j] = value_index([row[j] for row in rows], spec, self.bins)
+    def row_indices(self, table: RecordTable) -> np.ndarray:
+        """(records, features) table row index of every value of a RecordTable,
+        as int32, each feature's distinct strings indexed once."""
+        idx = np.empty((len(table), self.schema.num_features), dtype=np.int32)
+        for j, (spec, column) in enumerate(zip(self.schema.features, table.features)):
+            try:
+                idx[:, j] = value_index(column.values, spec, self.bins)[column.codes]
+            except ParseError:
+                # record by record: names the first bad value, or reads a table
+                # whose dictionary holds a bad string no record uses
+                idx[:, j] = value_index(column.strings(), spec, self.bins)
         return idx
 
     def encode_rows(self, idx: np.ndarray, threshold: float) -> np.ndarray:
@@ -259,7 +276,7 @@ class EncoderTables:
 
 
 def encode_dataset(
-    rows: Sequence[Sequence],
+    records,
     codebook: Codebook,
     schema: FeatureSchema,
     threshold: float,
@@ -269,26 +286,25 @@ def encode_dataset(
 ) -> EncodedDataset:
     """Encode many records, each distinct one once, in fixed batches.
 
-    Records with equal table row indices have equal encodings, so only the
-    distinct index rows are encoded, in [k*batch_size, (k+1)*batch_size)
-    slices of their sorted order, each written straight into its first
-    record's row of the one output array; the duplicates are then copied
-    from those rows, in slices of the same size. A record's bytes depend on
-    its own values alone, so neither the batch size nor the worker count
-    changes the output.
+    records is a ParseResult, a RecordTable, or a sequence of RawRecords or
+    of value rows (see dataset.as_table); each must have one value per
+    schema feature. Records with equal table row indices have equal
+    encodings, so only the distinct index rows are encoded, in
+    [k*batch_size, (k+1)*batch_size) slices of their sorted order, each
+    written straight into its first record's row of the one output array;
+    the duplicates are then copied from those rows, in slices of the same
+    size. The result keeps which rows are distinct (EncodedDataset.first,
+    .inverse). A record's bytes depend on its own values alone, so neither
+    the batch size nor the worker count changes the output.
     """
-    if not rows:
+    table = as_table(records, schema.num_features)
+    if not len(table):
         raise ValueError("no records to encode")
-    for i, row in enumerate(rows):
-        if len(row) != schema.num_features:
-            raise ValueError(
-                f"record {i} has {len(row)} values, schema expects {schema.num_features}"
-            )
     tables = EncoderTables(codebook, schema)
-    idx = tables.row_indices(rows)
+    idx = tables.row_indices(table)
     keys = idx.view(np.dtype((np.void, idx.shape[1] * idx.itemsize))).ravel()
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    packed = np.empty((len(rows), (codebook.dim + 7) // 8), dtype=np.uint8)
+    packed = np.empty((len(table), (codebook.dim + 7) // 8), dtype=np.uint8)
 
     def encode(start: int, stop: int) -> None:
         at = first[start:stop]
@@ -297,7 +313,7 @@ def encode_dataset(
 
     run_chunks(encode, len(first), batch_size, jobs)
     source = first[inverse]
-    duplicates = np.flatnonzero(source != np.arange(len(rows)))
+    duplicates = np.flatnonzero(source != np.arange(len(table)))
 
     def copy(start: int, stop: int) -> None:
         at = duplicates[start:stop]
@@ -305,4 +321,4 @@ def encode_dataset(
 
     run_chunks(copy, len(duplicates), batch_size, jobs)
     lab = None if labels is None else np.asarray(labels, dtype=np.int64)
-    return EncodedDataset(packed, codebook.dim, lab)
+    return EncodedDataset(packed, codebook.dim, lab, first=first, inverse=inverse)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import class_indices
+from .dataset import as_table, class_indices
 from .encoding import encode_dataset
 from .model import ClassModel, predict_batch
 
@@ -116,14 +116,15 @@ def report_from_matrix(
 
 
 def evaluate(model: ClassModel, records, jobs: int | None = None) -> EvaluationReport:
-    """Encode labelled records with the model's codebook and score them."""
-    records = list(records)
-    if not records:
+    """Encode labelled records (a ParseResult, a RecordTable or a sequence of
+    RawRecords) with the model's codebook and score them."""
+    table = as_table(records)
+    if not len(table):
         raise ValueError("empty test set")
     t0 = time.perf_counter()
-    labels = class_indices(records, model.label_map)
+    labels = class_indices(table, model.label_map)
     data = encode_dataset(
-        [r.values for r in records],
+        table,
         model.codebook,
         model.schema,
         model.threshold,

@@ -69,7 +69,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .codebook import Codebook, FeatureSchema, row_offsets
+from .codebook import Codebook, FeatureSchema, row_offsets, stream
 from .dataset import LabelMap
 from .encoding import EncodedDataset, default_threshold, run_chunks
 
@@ -241,26 +241,30 @@ def predict_batch(model: ClassModel, data: EncodedDataset, jobs: int | None = No
     similarity is dot(h, r) / (sqrt(|h|) * ||r||), |h| the set bits of h,
     and 0 when either side is all-zero; argmax wins, lowest index on ties.
     Read-only on the model, chunked, and safe to parallelize; chunk
-    boundaries are fixed so worker count cannot change the output.
+    boundaries are fixed so worker count cannot change the output. Only
+    the distinct rows (data.first) are scored, and their results gathered
+    to every record: a row's scores do not depend on its position (see the
+    module docstring), so this gives the bits scoring every row would.
     """
     reps = model.rep_matrix()
     norms = np.linalg.norm(reps, axis=1)
     safe_norms = np.where(norms > 0, norms, 1.0)
-    n = len(data)
-    preds = np.empty(n, dtype=np.int64)
-    sims = np.empty((n, model.num_classes), dtype=np.float64)
+    rows = data.first
+    preds = np.empty(len(rows), dtype=np.int64)
+    sims = np.empty((len(rows), model.num_classes), dtype=np.float64)
 
     def score(start: int, stop: int) -> None:
-        ones = np.bitwise_count(data.packed[start:stop]).sum(axis=1, dtype=np.int64)
+        packed = data.packed[rows[start:stop]]
+        ones = np.bitwise_count(packed).sum(axis=1, dtype=np.int64)
         h_norm = np.sqrt(ones.astype(np.float64))
         safe_h = np.where(h_norm > 0, h_norm, 1.0)
-        dots = _dots(data.unpack(slice(start, stop)), reps)
-        s = (dots / safe_norms) / safe_h[:, None]
+        bits = np.unpackbits(packed, axis=1, count=data.dim, bitorder="little")
+        s = (_dots(bits, reps) / safe_norms) / safe_h[:, None]
         sims[start:stop] = s
         preds[start:stop] = np.argmax(s, axis=1)
 
-    run_chunks(score, n, _CHUNK, jobs)
-    return preds, sims
+    run_chunks(score, len(rows), _CHUNK, jobs)
+    return preds[data.inverse], sims[data.inverse]
 
 
 def retrain(model: ClassModel, encoded: EncodedDataset, alpha: float, iterations: int):
@@ -269,10 +273,11 @@ def retrain(model: ClassModel, encoded: EncodedDataset, alpha: float, iterations
     For each misclassified sample, alpha times its vector is subtracted
     from the wrongly predicted representative and added to the true one;
     correct samples change nothing. Samples are visited in one seeded
-    shuffle that is fixed across epochs. Stops early on a zero-update
-    epoch. Returns (updated model, per-epoch accuracy trace); the trace
-    records the fraction of samples correct at the moment they were
-    visited.
+    shuffle that is fixed across epochs, drawn from the seed's retrain
+    stream (codebook.stream, so any integer seed works, taken mod 2**64).
+    Stops early on a zero-update epoch. Returns (updated model, per-epoch
+    accuracy trace); the trace records the fraction of samples correct at
+    the moment they were visited.
     """
     dataclasses.replace(model.hyperparams, alpha=alpha, iterations=iterations).validate()
     if iterations < 1:
@@ -285,12 +290,7 @@ def retrain(model: ClassModel, encoded: EncodedDataset, alpha: float, iterations
 
     reps = model.rep_matrix().copy()
     norms = np.linalg.norm(reps, axis=1)
-    rng = np.random.Generator(
-        np.random.PCG64(
-            np.random.SeedSequence([model.hyperparams.seed, _RETRAIN_STREAM_TAG])
-        )
-    )
-    order = rng.permutation(m)
+    order = stream(model.hyperparams.seed, _RETRAIN_STREAM_TAG).permutation(m)
     dim = encoded.dim
     width = encoded.packed.shape[1]
     # each chunk's rows, zero-padded to whole uint64 words so the tail

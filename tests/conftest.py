@@ -91,8 +91,7 @@ def train_small_model(path, dim=2000, bins=10, alpha=1.0, iterations=10,
     codebook = build_codebook(schema, dim=dim, bins=bins, seed=seed)
     threshold = schema.num_features / 2.0
     labels = class_indices(records, label_map)
-    data = encode_dataset([r.values for r in records], codebook, schema,
-                          threshold, labels=labels, jobs=jobs)
+    data = encode_dataset(records, codebook, schema, threshold, labels=labels, jobs=jobs)
     reps = train_initial(data, num_classes=len(label_map.class_names))
     model = ClassModel(
         representatives=reps, codebook=codebook, schema=schema,

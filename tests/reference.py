@@ -4,9 +4,12 @@ Everything here works on plain Python lists of 0/1 ints, one element per
 bit, with straightforward loops. No packing, no numpy vector tricks:
 packed rows from the code under test are unpacked by a plain loop. The
 point is that this code is simple enough to be obviously correct, so the
-fast packed kernel can be checked against it bit for bit.
+fast packed kernel can be checked against it bit for bit. The ingestion
+oracles at the end likewise read a file line by line and map every value
+of every record one string at a time.
 """
 
+import logging
 import math
 
 import numpy as np
@@ -123,3 +126,105 @@ def ref_retrain_epoch(reps, samples, labels, alpha):
                 reps[pred][i] -= alpha
                 reps[true][i] += alpha
     return reps, updates, correct
+
+
+# --- ingestion oracles --------------------------------------------------------
+# The per-record text path that the columnar ingestion in hdnids.dataset
+# replaced: the file read line by line in text mode, and every column of every
+# record mapped one string at a time.
+
+
+def ref_parse_file(path, allow_unlabeled=False):
+    """(records, lines, malformed) of a file read line by line in text mode.
+
+    lines holds each record's line as read, without its line end. Raises
+    the ParseError parse_file raises for a file with no records or more
+    than 1% malformed lines.
+    """
+    from hdnids.dataset import ParseError, parse_line
+
+    records, lines, malformed = [], [], []
+    total = 0
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.rstrip("\r\n")
+            if not line.strip():
+                continue
+            total += 1
+            try:
+                records.append(parse_line(line, line_no, allow_unlabeled=allow_unlabeled))
+                lines.append(line)
+            except ParseError as exc:
+                malformed.append((line_no, str(exc)))
+    if not total:
+        raise ParseError(f"{path}: no records")
+    if len(malformed) / total > 0.01:
+        raise ParseError(
+            f"{path}: {len(malformed)} of {total} lines malformed (>1%); "
+            f"first: {malformed[0][1]}"
+        )
+    return records, lines, malformed
+
+
+def ref_infer_schema(records, log_scale=False):
+    """The schema of RawRecords, every column read as a list of strings."""
+    from hdnids.codebook import FeatureSchema, FeatureSpec
+    from hdnids.dataset import CLASS_NAMES, COLUMN_NAMES, SYMBOLIC_COLUMNS, numeric_column
+
+    transform = "log1p" if log_scale else "none"
+    lines = [r.line_no for r in records]
+    specs = []
+    for j, name in enumerate(COLUMN_NAMES):
+        column = [r.values[j] for r in records]
+        if j in SYMBOLIC_COLUMNS:
+            specs.append(FeatureSpec(name=name, kind="categorical",
+                                     vocabulary=sorted(set(column))))
+        elif set(column) <= {"0", "1"}:
+            specs.append(FeatureSpec(name=name, kind="categorical", vocabulary=["0", "1"]))
+        else:
+            vals = numeric_column(column, name, transform, lines)
+            specs.append(FeatureSpec(name=name, kind="continuous", min=float(vals.min()),
+                                     max=float(vals.max()), transform=transform))
+    return FeatureSchema(features=specs, class_names=list(CLASS_NAMES))
+
+
+def ref_row_indices(rows, schema, bins):
+    """(records, features) value index of every value of plain value rows."""
+    from hdnids.encoding import value_index
+
+    idx = np.empty((len(rows), schema.num_features), dtype=np.int32)
+    for j, spec in enumerate(schema.features):
+        idx[:, j] = value_index([row[j] for row in rows], spec, bins)
+    return idx
+
+
+def ref_class_indices(records, label_map):
+    from hdnids.dataset import map_label
+
+    return np.array([map_label(r.label, label_map) for r in records], dtype=np.int64)
+
+
+def ref_split(records, lines, spec, label_map):
+    """(train lines, test lines) of a seeded stratified split, one map_label
+    call per record in shuffled order."""
+    from hdnids.dataset import map_label
+
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([spec.seed, 0x5B117])))
+    perm = rng.permutation(len(records))
+    buckets = {}
+    for i in perm:
+        buckets.setdefault(map_label(records[i].label, label_map), []).append(int(i))
+    train, test = [], []
+    for cls in sorted(buckets):
+        idxs = buckets[cls]
+        if len(idxs) < 2:
+            logging.getLogger("hdnids.dataset").warning(
+                "class %r has %d record(s); placing all in train",
+                label_map.class_names[cls], len(idxs))
+            train.extend(idxs)
+            continue
+        k = int(math.floor(spec.train_fraction * len(idxs) + 0.5))
+        k = min(max(k, 1), len(idxs) - 1)
+        train.extend(idxs[:k])
+        test.extend(idxs[k:])
+    return [lines[i] for i in sorted(train)], [lines[i] for i in sorted(test)]

@@ -126,6 +126,18 @@ class TestTrain:
         assert not (tmp_path / "m.hdm").exists()
 
 
+class TestSeeds:
+    def test_seed_taken_mod_2_64(self, tmp_path, corpus):
+        """Codebook and retraining order both take the seed mod 2**64."""
+        reps = []
+        for seed in (-1, 2**64 - 1):
+            model = tmp_path / f"m{seed}.hdm"
+            assert run(["train", "--train", corpus, "--model", model, "--dim", 256,
+                        "--iterations", 1, "--seed", seed]) == 0
+            reps.append(load_model(model).rep_matrix())
+        assert reps[0].tobytes() == reps[1].tobytes()
+
+
 class TestConfigPrecedence:
     def test_config_file_supplies_defaults(self, tmp_path, corpus, capsys):
         cfg = tmp_path / "cfg.json"
@@ -388,6 +400,15 @@ class TestSplit:
     def test_bad_fraction(self, tmp_path, corpus):
         assert run(["split", "--input", corpus, "--train-out", tmp_path / "a",
                     "--test-out", tmp_path / "b", "--fraction", 1.5]) == 2
+
+    def test_seed_taken_mod_2_64(self, tmp_path, corpus):
+        outs = []
+        for seed in (-1, 2**64 - 1):
+            tr, te = tmp_path / f"tr{seed}.txt", tmp_path / f"te{seed}.txt"
+            assert run(["split", "--input", corpus, "--train-out", tr,
+                        "--test-out", te, "--seed", seed]) == 0
+            outs.append((tr.read_bytes(), te.read_bytes()))
+        assert outs[0] == outs[1]
 
 
 class TestSweep:

@@ -56,11 +56,6 @@ class TestParseLine:
         with pytest.raises(ParseError, match="difficulty"):
             parse_line(make_line("normal") + ",high")
 
-    def test_keep_raw(self):
-        line = make_line("normal", 15)
-        assert parse_line(line, keep_raw=True).raw == line
-        assert parse_line(line).raw is None
-
 
 class TestParseFile:
     def test_skips_blank_lines(self, tmp_path):

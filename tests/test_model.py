@@ -245,6 +245,19 @@ class TestPredict:
         _, shifted = predict_batch(model, EncodedDataset(rows[k:], dim))
         assert np.array_equal(shifted, sims[k:])
 
+    @pytest.mark.parametrize("alpha", [1.0, 0.1])
+    def test_duplicate_rows_score_as_each_row_alone(self, tmp_path, synth_lines, alpha):
+        """predict_batch scores each distinct encoding once; every record
+        still gets the bits it gets scored alone, rounded scores included."""
+        path = tmp_path / "dup.txt"
+        path.write_text("\n".join(synth_lines + synth_lines[::3] + synth_lines[:9]) + "\n")
+        model, data, _ = train_small_model(path, dim=1000, alpha=alpha, iterations=3)
+        assert len(data.first) < len(data)
+        preds, sims = predict_batch(model, data, jobs=2)
+        for i in range(len(data)):
+            p, s = predict_batch(model, EncodedDataset(data.packed[i:i + 1], data.dim))
+            assert p[0] == preds[i] and s.tobytes() == sims[i].tobytes()
+
     def test_batch_worker_count_invariant(self):
         data = toy_clusters(n_per=200)
         model = toy_model(data)
