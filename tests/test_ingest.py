@@ -123,7 +123,8 @@ class TestFields:
         # lines with a field past the key width are read by parse_line
         calls = []
         read = dataset.parse_line
-        monkeypatch.setattr(dataset, "parse_line", lambda *a, **k: calls.append(a) or read(*a, **k))
+        monkeypatch.setattr(dataset, "parse_line",
+                            lambda *a, **k: calls.append(a) or read(*a, **k))
         feats = list(FEATURES)
         feats[2] = "s" * width
         text = "\n".join([line(features=feats), line(), line(features=feats)])
