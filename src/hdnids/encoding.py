@@ -16,8 +16,8 @@ that packed domain, 64 coordinates per word:
   is zero and they stay clear; the one case that sets coordinates without
   counting (t < 0) takes them from a mask of the dim real bits.
 - Distinct rows. Records with the same table row indices have the same
-  encoding, so encode_dataset encodes each distinct index row once and
-  copies the result to its duplicates.
+  encoding, so encode_dataset encodes each distinct index row once, and
+  its EncodedDataset holds those rows and each record's index into them.
 
 The uint64 words are only ever gathered whole and combined by AND, XOR
 and OR, never shifted or added, so bit j of a word stays bit j of the
@@ -70,7 +70,7 @@ def run_chunks(fn: Callable[[int, int], None], n: int, chunk: int,
         list(pool.map(lambda b: fn(*b), bounds))  # re-raises a worker's exception
 
 
-def value_index(column: Sequence, spec: FeatureSpec, bins: int) -> np.ndarray:
+def value_index(column: Sequence, spec: FeatureSpec, bins: int, lines=None) -> np.ndarray:
     """Index of each raw value among its feature's value rows, as int32.
 
     Continuous values are read by numeric_column (parsed, checked finite,
@@ -81,12 +81,12 @@ def value_index(column: Sequence, spec: FeatureSpec, bins: int) -> np.ndarray:
     len(vocabulary), the OOV row.
 
     Raises ParseError naming the column on a non-numeric or non-finite
-    continuous value.
+    continuous value, and its line when lines (one per value) is given.
     """
     if spec.kind != KIND_CONTINUOUS:
         lut = {v: i for i, v in enumerate(sorted(spec.vocabulary))}
         return np.array([lut.get(str(v), len(lut)) for v in column], dtype=np.int32)
-    vals = numeric_column(column, spec.name, spec.transform)
+    vals = numeric_column(column, spec.name, spec.transform, lines)
     lo, hi = spec.min, spec.max
     if lo == hi:
         return np.zeros(vals.shape, dtype=np.int32)
@@ -116,47 +116,53 @@ def lookup_level(
 class EncodedDataset:
     """Packed binary encodings of many records, plus optional labels.
 
-    Rows are packed uint8 (8 bits/byte, little bit order) so a full
-    KDDTrain+ encoding at D=10,000 fits in ~160 MB. The bits past dim in a
-    row's last byte are always zero, so a popcount over a row's bytes
-    counts only its dim real bits: given rows with padding bits set are
-    copied and cleared, and others are kept as they are.
-
-    Row inverse[i] of packed[first] equals row i, so work that depends on a
-    row's bytes alone runs on packed[first] and is gathered by inverse.
-    encode_dataset sets them to its distinct rows; given packed rows alone,
-    both are the identity.
+    Record i's encoding is rows[inverse[i]], so records with equal
+    encodings can share one row; inverse None means one row per record, in
+    order. Rows are packed uint8 (8 bits/byte, little bit order), so even
+    one row per record of KDDTrain+ at D=10,000 fits in ~160 MB. The bits
+    past dim in a row's last byte are always zero, so a popcount over a
+    row's bytes counts only its dim real bits: given rows with padding bits
+    set are copied and cleared, and others are kept as they are.
     """
 
-    def __init__(self, packed: np.ndarray, dim: int, labels: np.ndarray | None = None,
-                 first: np.ndarray | None = None, inverse: np.ndarray | None = None):
-        if packed.ndim != 2 or packed.dtype != np.uint8:
-            raise ValueError("packed must be a 2-D uint8 array")
-        if packed.shape[1] != (dim + 7) // 8:
+    def __init__(self, rows: np.ndarray, dim: int, labels: np.ndarray | None = None,
+                 inverse: np.ndarray | None = None):
+        if rows.ndim != 2 or rows.dtype != np.uint8:
+            raise ValueError("rows must be a 2-D uint8 array")
+        if rows.shape[1] != (dim + 7) // 8:
             raise ValueError(
-                f"packed rows have {packed.shape[1]} bytes, dim {dim} needs {(dim + 7) // 8}"
+                f"rows have {rows.shape[1]} bytes, dim {dim} needs {(dim + 7) // 8}"
             )
-        if labels is not None and len(labels) != packed.shape[0]:
+        if inverse is None:
+            inverse = np.arange(len(rows))
+        inverse = np.asarray(inverse)
+        if (inverse.ndim != 1 or inverse.dtype.kind not in "iu" or inverse.size
+                and not 0 <= inverse.min() <= inverse.max() < len(rows)):
+            raise ValueError(f"inverse must be 1-D integers in [0, {len(rows)})")
+        if labels is not None and len(labels) != len(inverse):
             raise ValueError("labels length must match record count")
         padding = np.uint8(0xFF << (dim % 8 or 8) & 0xFF)
-        if (packed[:, -1] & padding).any():
-            packed = packed.copy()
-            packed[:, -1] &= ~padding
-        if first is None:
-            first = inverse = np.arange(packed.shape[0])
-        elif len(inverse) != packed.shape[0]:
-            raise ValueError("inverse length must match record count")
-        self.packed = packed
+        if (rows[:, -1] & padding).any():
+            rows = rows.copy()
+            rows[:, -1] &= ~padding
+        self.rows = rows
         self.dim = dim
-        self.first, self.inverse = first, inverse
+        self.inverse = inverse
         self.labels = None if labels is None else np.asarray(labels, dtype=np.int64)
 
     def __len__(self) -> int:
-        return self.packed.shape[0]
+        return len(self.inverse)
 
-    def unpack(self, rows) -> np.ndarray:
+    @property
+    def packed(self) -> np.ndarray:
+        """Every record's encoding, (records, ceil(dim/8)) uint8. Allocates a
+        new array of that size on each access; the library reads rows."""
+        return self.rows[self.inverse]
+
+    def unpack(self, sel) -> np.ndarray:
         """The records a slice or an index array selects, as (n, dim) uint8 0/1 rows."""
-        return np.unpackbits(self.packed[rows], axis=1, count=self.dim, bitorder="little")
+        return np.unpackbits(self.rows[self.inverse[sel]], axis=1, count=self.dim,
+                             bitorder="little")
 
 
 class EncoderTables:
@@ -198,7 +204,7 @@ class EncoderTables:
             except ParseError:
                 # record by record: names the first bad value, or reads a table
                 # whose dictionary holds a bad string no record uses
-                idx[:, j] = value_index(column.strings(), spec, self.bins)
+                idx[:, j] = value_index(column.strings(), spec, self.bins, table.line_no)
         return idx
 
     def encode_rows(self, idx: np.ndarray, threshold: float) -> np.ndarray:
@@ -282,7 +288,6 @@ def encode_dataset(
     threshold: float,
     labels: Sequence[int] | None = None,
     jobs: int | None = None,
-    batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> EncodedDataset:
     """Encode many records, each distinct one once, in fixed batches.
 
@@ -290,12 +295,10 @@ def encode_dataset(
     of value rows (see dataset.as_table); each must have one value per
     schema feature. Records with equal table row indices have equal
     encodings, so only the distinct index rows are encoded, in
-    [k*batch_size, (k+1)*batch_size) slices of their sorted order, each
-    written straight into its first record's row of the one output array;
-    the duplicates are then copied from those rows, in slices of the same
-    size. The result keeps which rows are distinct (EncodedDataset.first,
-    .inverse). A record's bytes depend on its own values alone, so neither
-    the batch size nor the worker count changes the output.
+    DEFAULT_BATCH_SIZE slices of their sorted order, into the rows of the
+    result; its inverse maps each record to its row. A row's bytes depend
+    on its own values alone, so neither the batch size nor the worker count
+    changes the output.
     """
     table = as_table(records, schema.num_features)
     if not len(table):
@@ -303,22 +306,13 @@ def encode_dataset(
     tables = EncoderTables(codebook, schema)
     idx = tables.row_indices(table)
     keys = idx.view(np.dtype((np.void, idx.shape[1] * idx.itemsize))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    packed = np.empty((len(table), (codebook.dim + 7) // 8), dtype=np.uint8)
+    keys, inverse = np.unique(keys, return_inverse=True)
+    distinct = keys.view(idx.dtype).reshape(len(keys), idx.shape[1])
+    rows = np.empty((len(distinct), (codebook.dim + 7) // 8), dtype=np.uint8)
 
     def encode(start: int, stop: int) -> None:
-        at = first[start:stop]
-        words = tables.encode_rows(idx[at], threshold)
-        packed[at] = words.view(np.uint8)[:, : packed.shape[1]]
+        words = tables.encode_rows(distinct[start:stop], threshold)
+        rows[start:stop] = words.view(np.uint8)[:, : rows.shape[1]]
 
-    run_chunks(encode, len(first), batch_size, jobs)
-    source = first[inverse]
-    duplicates = np.flatnonzero(source != np.arange(len(table)))
-
-    def copy(start: int, stop: int) -> None:
-        at = duplicates[start:stop]
-        packed[at] = packed[source[at]]
-
-    run_chunks(copy, len(duplicates), batch_size, jobs)
-    lab = None if labels is None else np.asarray(labels, dtype=np.int64)
-    return EncodedDataset(packed, codebook.dim, lab, first=first, inverse=inverse)
+    run_chunks(encode, len(rows), DEFAULT_BATCH_SIZE, jobs)
+    return EncodedDataset(rows, codebook.dim, labels, inverse)

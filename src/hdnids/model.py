@@ -12,11 +12,11 @@ one-sample-at-a-time procedure: within a chunk, samples before the first
 miss were scored under the unchanged model, and a miss update touches at
 most two representative rows, so only the chunk tail's scores against
 those two rows change. Each chunk's rows are gathered from the packed
-encodings by index, unpacked once and scored with one GEMM. After a miss
-on row h, a later row h' has dot(h', h) = popcount(h' AND h) (EncodedDataset
-keeps padding bits clear), so its dots against the two moved rows shift by
-exactly alpha times that count and are updated in place, in the packed
-domain.
+rows through the dataset's inverse, unpacked once and scored with one
+GEMM. After a miss on row h, a later row h' has dot(h', h) =
+popcount(h' AND h) (EncodedDataset keeps padding bits clear), so its dots
+against the two moved rows shift by exactly alpha times that count and
+are updated in place, in the packed domain.
 All dots are sums of representative entries, which stay integers, or
 multiples of alpha, small enough for float64 to hold exactly; for a dyadic
 alpha (1, 0.5, 0.25, 2, ...) the in-place update therefore equals a fresh
@@ -241,20 +241,20 @@ def predict_batch(model: ClassModel, data: EncodedDataset, jobs: int | None = No
     similarity is dot(h, r) / (sqrt(|h|) * ||r||), |h| the set bits of h,
     and 0 when either side is all-zero; argmax wins, lowest index on ties.
     Read-only on the model, chunked, and safe to parallelize; chunk
-    boundaries are fixed so worker count cannot change the output. Only
-    the distinct rows (data.first) are scored, and their results gathered
-    to every record: a row's scores do not depend on its position (see the
-    module docstring), so this gives the bits scoring every row would.
+    boundaries are fixed so worker count cannot change the output. Each of
+    data.rows is scored once and its results gathered to every record it
+    encodes: a row's scores do not depend on its position (see the module
+    docstring), so this gives the bits scoring every record would.
     """
     reps = model.rep_matrix()
     norms = np.linalg.norm(reps, axis=1)
     safe_norms = np.where(norms > 0, norms, 1.0)
-    rows = data.first
+    rows = data.rows
     preds = np.empty(len(rows), dtype=np.int64)
     sims = np.empty((len(rows), model.num_classes), dtype=np.float64)
 
     def score(start: int, stop: int) -> None:
-        packed = data.packed[rows[start:stop]]
+        packed = rows[start:stop]
         ones = np.bitwise_count(packed).sum(axis=1, dtype=np.int64)
         h_norm = np.sqrt(ones.astype(np.float64))
         safe_h = np.where(h_norm > 0, h_norm, 1.0)
@@ -291,8 +291,9 @@ def retrain(model: ClassModel, encoded: EncodedDataset, alpha: float, iterations
     reps = model.rep_matrix().copy()
     norms = np.linalg.norm(reps, axis=1)
     order = stream(model.hyperparams.seed, _RETRAIN_STREAM_TAG).permutation(m)
+    at = encoded.inverse[order]  # each visited sample's row; EncodedDataset range-checks it
     dim = encoded.dim
-    width = encoded.packed.shape[1]
+    width = encoded.rows.shape[1]
     # each chunk's rows, zero-padded to whole uint64 words so the tail
     # popcounts after a miss run a word at a time
     padded = np.zeros((_RETRAIN_CHUNK, -(-width // 8) * 8), dtype=np.uint8)
@@ -306,7 +307,7 @@ def retrain(model: ClassModel, encoded: EncodedDataset, alpha: float, iterations
             idx = order[start:start + _RETRAIN_CHUNK]
             b = len(idx)
             rows = padded[:b, :width]
-            np.take(encoded.packed, idx, axis=0, out=rows, mode="clip")
+            np.take(encoded.rows, at[start:start + b], axis=0, out=rows, mode="clip")
             y = encoded.labels[idx]
             bits = np.unpackbits(rows, axis=1, count=dim, bitorder="little")
             dots = _dots(bits, reps)

@@ -321,17 +321,23 @@ class TestEvaluate:
         broken.write_bytes(edit_header(model.read_bytes(), drop_schema))
         assert run(["evaluate", "--model", broken, "--test", corpus]) == 5
 
-    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    @pytest.mark.parametrize("command", ["evaluate", "predict", "train"])
     @pytest.mark.parametrize("value", ["abc", "inf"])
     def test_non_numeric_value_is_data_error(self, tmp_path, corpus, capsys,
                                              command, value):
+        """Every command names the line of a bad numeric value, whether the
+        schema is read from a model or inferred from the file (train)."""
         model = quick_train(tmp_path, corpus)
+        good = ",".join(["5"] * 41) + ",normal,10\n"
         odd = tmp_path / "odd.txt"
-        odd.write_text(",".join(["5"] * 4 + [value] + ["5"] * 36) + ",normal,10\n")
-        flag = "--test" if command == "evaluate" else "--input"
+        odd.write_text(good * 2 + ",".join(["5"] * 4 + [value] + ["5"] * 36) + ",normal,10\n")
+        args = {"train": ["--train", odd, "--model", tmp_path / "new.hdm"],
+                "evaluate": ["--model", model, "--test", odd],
+                "predict": ["--model", model, "--input", odd]}[command]
         capsys.readouterr()
-        assert run([command, "--model", model, flag, odd]) == 4
-        assert "src_bytes" in capsys.readouterr().err
+        assert run([command] + args) == 4
+        want = f"line 3: column 'src_bytes' has non-numeric value '{value}'"
+        assert want in capsys.readouterr().err
 
     def test_missing_model_is_io_error(self, tmp_path, corpus):
         assert run(["evaluate", "--model", tmp_path / "none.hdm",

@@ -1,6 +1,7 @@
 """The batch encoder against the unpacked reference, and encoding edge cases."""
 
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,10 +11,11 @@ from hypothesis import strategies as st
 import hdnids.encoding as encoding
 from hdnids import infer_schema, load_label_map
 from hdnids.codebook import FeatureSchema, FeatureSpec, build_codebook
-from hdnids.dataset import parse_line
+from hdnids.dataset import as_table, parse_line
 from hdnids.encoding import (
     DEFAULT_BATCH_SIZE,
     EncodedDataset,
+    EncoderTables,
     default_threshold,
     encode_dataset,
     lookup_level,
@@ -137,8 +139,27 @@ class TestEncodedDataset:
         data = EncodedDataset(rows, 11)
         assert data.packed.tolist() == [[0xFF, 0x07], [0x01, 0x07]]
         assert rows[0, 1] == 0xFF  # the caller's array is left alone
-        clean = data.packed
-        assert EncodedDataset(clean, 11).packed is clean  # nothing to clear, no copy
+        clean = data.rows
+        assert EncodedDataset(clean, 11).rows is clean  # nothing to clear, no copy
+
+    def test_records_share_rows_through_inverse(self):
+        rows = np.array([[0b101], [0b011]], dtype=np.uint8)
+        data = EncodedDataset(rows, 3, labels=[0, 1, 1], inverse=np.array([1, 1, 0]))
+        assert len(data) == 3
+        assert data.packed.tolist() == [[0b011], [0b011], [0b101]]
+        assert data.unpack(slice(1, 3)).tolist() == [[1, 1, 0], [1, 0, 1]]
+        with pytest.raises(ValueError, match="labels"):
+            EncodedDataset(rows, 3, labels=[0, 1], inverse=np.array([1, 1, 0]))
+
+    @pytest.mark.parametrize("inverse", [
+        [0, 3, 1],  # past the last row
+        [0, -1, 1],  # negative
+        [[0], [1], [2]],  # 2-D
+        [0.0, 1.0, 2.0],  # float
+    ])
+    def test_bad_inverse_rejected(self, inverse):
+        with pytest.raises(ValueError, match="inverse"):
+            EncodedDataset(np.zeros((3, 2), dtype=np.uint8), 16, inverse=np.array(inverse))
 
     def test_unpack_slice_or_indices(self):
         rows = np.array([[0b101], [0b011], [0b110]], dtype=np.uint8)
@@ -159,24 +180,36 @@ class TestBatchPath:
         for i, row in enumerate(rows):
             assert bits(data, i) == oracle(row, cb, schema, t)
 
-    def test_batch_boundaries_do_not_matter(self):
+    def test_batch_boundaries_do_not_matter(self, monkeypatch):
         schema = mixed_schema()
         cb = build_codebook(schema, dim=128, bins=8, seed=3)
         t = default_threshold(schema)
         rows = random_rows(schema, 57, seed=4)
-        reference = encode_dataset(rows, cb, schema, t, batch_size=2048)
+        monkeypatch.setattr(encoding, "DEFAULT_BATCH_SIZE", 2048)
+        reference = encode_dataset(rows, cb, schema, t)
         for bs in (1, 7, 56, 57, 58):
-            other = encode_dataset(rows, cb, schema, t, batch_size=bs)
+            monkeypatch.setattr(encoding, "DEFAULT_BATCH_SIZE", bs)
+            other = encode_dataset(rows, cb, schema, t)
             assert np.array_equal(other.packed, reference.packed)
 
-    def test_worker_count_does_not_matter(self):
+    def test_worker_count_does_not_matter(self, monkeypatch):
         schema = mixed_schema()
         cb = build_codebook(schema, dim=128, bins=8, seed=3)
         t = default_threshold(schema)
         rows = random_rows(schema, 64, seed=5)
-        a = encode_dataset(rows, cb, schema, t, jobs=1, batch_size=8)
-        b = encode_dataset(rows, cb, schema, t, jobs=4, batch_size=8)
+        monkeypatch.setattr(encoding, "DEFAULT_BATCH_SIZE", 8)
+        a = encode_dataset(rows, cb, schema, t, jobs=1)
+        b = encode_dataset(rows, cb, schema, t, jobs=4)
         assert np.array_equal(a.packed, b.packed)
+
+    def test_one_row_per_distinct_index_row(self):
+        schema = mixed_schema()
+        cb = build_codebook(schema, dim=128, bins=8, seed=3)
+        rows = random_rows(schema, 40, seed=8)
+        rows += rows[::2] + [rows[0]] * 5
+        data = encode_dataset(rows, cb, schema, default_threshold(schema))
+        idx = EncoderTables(cb, schema).row_indices(as_table(rows, schema.num_features))
+        assert len(data.rows) == len(np.unique(idx, axis=0)) < len(data) == len(rows)
 
     def test_wide_schema_uses_exact_sums(self):
         # >=250 features forces the uint16 accumulator; coordinate sums
@@ -255,8 +288,8 @@ class TestPackedKernel:
         pad = [0] * (-dim % 8)
         for batch_size in (1, 7, DEFAULT_BATCH_SIZE):
             for jobs in (1, 2):
-                got = encode_dataset(rows, cb, schema, threshold, jobs=jobs,
-                                     batch_size=batch_size)
+                with mock.patch.object(encoding, "DEFAULT_BATCH_SIZE", batch_size):
+                    got = encode_dataset(rows, cb, schema, threshold, jobs=jobs)
                 for i, row in enumerate(rows):
                     assert ref_unpack(got.packed[i], dim + len(pad)) == want[row] + pad
 

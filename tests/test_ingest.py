@@ -390,6 +390,23 @@ class TestHarnessCouplings:
         b = encode_dataset(result, cb, schema, 20.5, jobs=2)
         assert a.packed.tobytes() == b.packed.tobytes()
 
+    def test_encoded_dataset_names(self, synth_file):
+        """The oracle check reads .packed[i] and .dim off an encode_dataset
+        result, and the span callbacks len() of it."""
+        result = parse_file(synth_file)
+        schema = infer_schema(result)
+        cb = build_codebook(schema, dim=251, bins=10, seed=3)
+        rows = [r.values for r in result.records]
+        rows += rows[:7]  # duplicates share a row
+        data = encode_dataset(rows, cb, schema, 20.5, jobs=2)
+        assert data.dim == 251
+        assert len(data) == len(rows)
+        for i in (0, 1, len(rows) // 2, len(rows) - 1):
+            row = data.packed[i]
+            assert row.dtype == np.uint8 and row.shape == (32,)
+            alone = encode_dataset([rows[i]], cb, schema, 20.5)
+            assert row.tobytes() == alone.packed[0].tobytes()
+
     def test_wrapped_names_exist(self):
         import hdnids.cli
         import hdnids.encoding

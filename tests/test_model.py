@@ -8,9 +8,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hdnids.codebook import FeatureSchema, FeatureSpec
+from hdnids.codebook import FeatureSchema, FeatureSpec, build_codebook
 from hdnids.dataset import LabelMap
-from hdnids.encoding import EncodedDataset
+from hdnids.encoding import EncodedDataset, encode_dataset
 import hdnids.model
 from hdnids.model import (
     _RETRAIN_STREAM_TAG,
@@ -252,7 +252,7 @@ class TestPredict:
         path = tmp_path / "dup.txt"
         path.write_text("\n".join(synth_lines + synth_lines[::3] + synth_lines[:9]) + "\n")
         model, data, _ = train_small_model(path, dim=1000, alpha=alpha, iterations=3)
-        assert len(data.first) < len(data)
+        assert len(data.rows) < len(data)
         preds, sims = predict_batch(model, data, jobs=2)
         for i in range(len(data)):
             p, s = predict_batch(model, EncodedDataset(data.packed[i:i + 1], data.dim))
@@ -440,6 +440,49 @@ class TestDotBlocks:
     def test_model_bytes_match_recorded_digest(self, tmp_path, block_rows, alpha, digest):
         block_rows(2000)
         assert overlap_model_digest(tmp_path, alpha) == digest
+
+
+class TestSharedRows:
+    """encode_dataset's result, each distinct encoding stored once, against
+    the same records one row each."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(distinct=st.integers(1, 12), n=st.integers(130, 300),
+           alpha=st.sampled_from([1.0, 0.1]), seed=st.integers(0, 2**16))
+    def test_prop_same_as_one_row_per_record(self, distinct, n, alpha, seed):
+        # n records drawn from a few value rows, so most are duplicates;
+        # more than one retrain chunk (64) and one scoring chunk (128)
+        rng = np.random.default_rng(seed)
+        names = ["a", "b", "c"]
+        schema = FeatureSchema(
+            features=[FeatureSpec(name=f"c{j}", kind="continuous", min=0.0, max=8.0)
+                      for j in range(5)]
+            + [FeatureSpec(name="k", kind="categorical", vocabulary=["x", "y"])],
+            class_names=names)
+        pool = [tuple(str(v) for v in rng.uniform(-1.0, 9.0, size=5))
+                + (["x", "y", "z"][rng.integers(3)],) for _ in range(distinct)]
+        values = [pool[i] for i in rng.integers(0, distinct, size=n)]
+        labels = rng.integers(0, len(names), size=n)
+        cb = build_codebook(schema, dim=67, bins=8, seed=seed)
+        shared = encode_dataset(values, cb, schema, 3.0, labels=labels, jobs=2)
+        flat = EncodedDataset(shared.packed, shared.dim, labels)
+        assert len(shared.rows) <= distinct < len(flat.rows) == n
+
+        def model(data):
+            return ClassModel(
+                representatives=train_initial(data, len(names)), codebook=cb,
+                schema=schema, label_map=tiny_label_map(names),
+                hyperparams=Hyperparams(dim=67, bins=8, alpha=alpha, seed=seed))
+
+        want, got = model(flat), model(shared)
+        assert got.rep_matrix().tobytes() == want.rep_matrix().tobytes()
+        want, want_trace = retrain(want, flat, alpha, 3)
+        got, got_trace = retrain(got, shared, alpha, 3)
+        assert got_trace == want_trace
+        assert got.rep_matrix().tobytes() == want.rep_matrix().tobytes()
+        want_preds, want_sims = predict_batch(want, flat)
+        preds, sims = predict_batch(got, shared, jobs=2)
+        assert np.array_equal(preds, want_preds) and sims.tobytes() == want_sims.tobytes()
 
 
 class TestPersistence:
