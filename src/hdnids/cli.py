@@ -182,8 +182,7 @@ def _train_pipeline(records, label_map, hyper: Hyperparams, jobs: int):
 
     timings = {}
     t0 = time.perf_counter()
-    schema = infer_schema(records, class_names=label_map.class_names,
-                          log_scale=hyper.log_scale)
+    schema = infer_schema(records, log_scale=hyper.log_scale)
     codebook = build_codebook(schema, dim=hyper.dim, bins=hyper.bins, seed=hyper.seed)
     timings["codebook"] = time.perf_counter() - t0
 

@@ -225,25 +225,19 @@ class RecordTable(Sequence):
         return [",".join(f for f in row if f is not None) for row in zip(*fields)]
 
     @classmethod
-    def from_rows(cls, records, width: int | None = None) -> "RecordTable":
-        """Table of RawRecords or of plain value rows (unlabelled, line 0).
+    def from_rows(cls, rows, width: int) -> "RecordTable":
+        """Table of plain value rows: no labels, no difficulty, all on line 0.
 
-        Every record must have width values (by default the first one's
-        count); a ValueError names the first that does not.
+        Every row must have width values; a ValueError names the first that
+        does not. Each field is dictionary-encoded one Python value at a time.
         """
-        records = [r if isinstance(r, RawRecord) else RawRecord(tuple(r)) for r in records]
-        if width is None:
-            width = len(records[0].values) if records else NUM_FEATURES
-        for i, r in enumerate(records):
-            if len(r.values) != width:
-                raise ValueError(f"record {i} has {len(r.values)} values, expected {width}")
-        return cls(
-            [_dictionary([r.values[j] for r in records]) for j in range(width)],
-            _dictionary([r.label for r in records]),
-            _dictionary([None if r.difficulty is None else str(r.difficulty)
-                         for r in records]),
-            np.array([r.line_no for r in records], dtype=np.int64),
-        )
+        rows = [tuple(r) for r in rows]
+        for i, r in enumerate(rows):
+            if len(r) != width:
+                raise ValueError(f"record {i} has {len(r)} values, expected {width}")
+        none = Column([], np.full(len(rows), -1, dtype=np.int32))
+        return cls([_dictionary([r[j] for r in rows]) for j in range(width)], none, none,
+                   np.zeros(len(rows), dtype=np.int64))
 
 
 def _record(values, label, difficulty, line_no) -> RawRecord:
@@ -257,25 +251,10 @@ def _record(values, label, difficulty, line_no) -> RawRecord:
 class ParseResult:
     records: RecordTable
     malformed: list  # (line_no, reason) pairs
-    path: str = ""
 
     @property
     def malformed_count(self) -> int:
         return len(self.malformed)
-
-
-def as_table(records, width: int | None = None) -> RecordTable:
-    """records as a RecordTable: a ParseResult's table, a table, or a sequence
-    of RawRecords or of value rows, dictionary-encoded here (one Python
-    string per field, so the slow way in). With width given, every record
-    must have that many values."""
-    if isinstance(records, ParseResult):
-        records = records.records
-    if not isinstance(records, RecordTable):
-        return RecordTable.from_rows(records, width)
-    if width is not None and len(records.features) != width:
-        raise ValueError(f"records have {len(records.features)} values, expected {width}")
-    return records
 
 
 def parse_line(line: str, line_no: int = 0, allow_unlabeled: bool = False) -> RawRecord:
@@ -555,20 +534,19 @@ def parse_file(path, allow_unlabeled: bool = False) -> ParseResult:
         columns.append(Column(values, codes))
     table = RecordTable(columns[:NUM_FEATURES], columns[NUM_FEATURES],
                         columns[NUM_FEATURES + 1], np.concatenate(line_no))
-    return ParseResult(records=table, malformed=malformed, path=str(path))
+    return ParseResult(records=table, malformed=malformed)
 
 
-def infer_schema(records, class_names=None, log_scale: bool = False) -> FeatureSchema:
-    """Infer the per-feature schema from training records only.
+def infer_schema(table: RecordTable, log_scale: bool = False) -> FeatureSchema:
+    """Infer the per-feature schema from a RecordTable of training records
+    only; the schema's class names are CLASS_NAMES.
 
-    records is a ParseResult, a RecordTable, or a sequence of RawRecords.
     Symbolic columns (protocol_type, service, flag) become categorical with
     lexicographically sorted vocabularies. Numeric columns whose raw strings
     are all "0"/"1" become two-category indicators; the rest are continuous
     with [min, max] taken over the (optionally log1p-transformed) training
     values.
     """
-    table = as_table(records)
     if not len(table):
         raise ValueError("cannot infer a schema from zero records")
     transform = TRANSFORM_LOG1P if log_scale else TRANSFORM_NONE
@@ -592,8 +570,7 @@ def infer_schema(records, class_names=None, log_scale: bool = False) -> FeatureS
         specs.append(FeatureSpec(name=name, kind=KIND_CONTINUOUS,
                                  min=float(vals.min()), max=float(vals.max()),
                                  transform=transform))
-    return FeatureSchema(features=specs,
-                         class_names=list(class_names or CLASS_NAMES))
+    return FeatureSchema(features=specs, class_names=list(CLASS_NAMES))
 
 
 @dataclass
@@ -631,8 +608,12 @@ class LabelMap:
         )
 
 
-def load_label_map(path=None, strict: bool = False, fallback_class: int = 0) -> LabelMap:
-    """Load 'raw_label,category' pairs; default is the file shipped in-package."""
+def load_label_map(path=None) -> LabelMap:
+    """Load 'raw_label,category' pairs; default is the file shipped in-package.
+
+    The map's policy is the default one: unknown labels warn and map to
+    class 0. Set its strict and fallback_class fields to change that.
+    """
     if path is None:
         text = (resources.files("hdnids") / "data" / "attack_categories.txt").read_text()
         source = "<packaged attack_categories.txt>"
@@ -658,7 +639,7 @@ def load_label_map(path=None, strict: bool = False, fallback_class: int = 0) -> 
         mapping[raw] = CLASS_NAMES.index(category)
     if not mapping:
         raise ParseError(f"{source}: empty label map")
-    return LabelMap(raw_to_class=mapping, strict=strict, fallback_class=fallback_class)
+    return LabelMap(raw_to_class=mapping)
 
 
 def map_label(raw: str, label_map: LabelMap) -> int:
@@ -712,15 +693,15 @@ class SplitSpec:
             )
 
 
-def split(records, spec: SplitSpec, label_map: LabelMap):
-    """Produce (train, test) RecordTables, each in file order.
+def split(table: RecordTable, spec: SplitSpec, label_map: LabelMap):
+    """Cut a RecordTable into (train, test) RecordTables, each in file order
+    and sharing the table's dictionaries.
 
     Shuffles with the seed's split stream (codebook.stream, so any integer
     seed works, taken mod 2**64) and cuts per class so every class with at
     least two members lands on both sides; singleton classes go wholly to
     train with a warning (never an abort; u2r is tiny).
     """
-    table = as_table(records)
     if len(table) < 2:
         raise ValueError("random split needs at least 2 records")
 
@@ -745,6 +726,6 @@ def split(records, spec: SplitSpec, label_map: LabelMap):
             table.take(np.sort(np.concatenate(test_idx))))
 
 
-def class_indices(records, label_map: LabelMap) -> np.ndarray:
-    """Mapped class index per record, as an int64 array."""
-    return _classes(as_table(records).labels, label_map)
+def class_indices(table: RecordTable, label_map: LabelMap) -> np.ndarray:
+    """Mapped class index of each record of a RecordTable, as an int64 array."""
+    return _classes(table.labels, label_map)

@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .codebook import KIND_CONTINUOUS, Codebook, FeatureSchema, FeatureSpec
-from .dataset import ParseError, RecordTable, as_table, numeric_column
+from .dataset import ParseError, RecordTable, numeric_column
 
 # Distinct records per encoder batch. Measured on the bench corpus (seed
 # 3001, D=10000, 2 vCPUs, jobs 2, best of 3, whole encode_dataset, test /
@@ -291,16 +291,19 @@ def encode_dataset(
 ) -> EncodedDataset:
     """Encode many records, each distinct one once, in fixed batches.
 
-    records is a ParseResult, a RecordTable, or a sequence of RawRecords or
-    of value rows (see dataset.as_table); each must have one value per
-    schema feature. Records with equal table row indices have equal
+    records is a RecordTable or a sequence of plain value rows (read
+    through RecordTable.from_rows); either way each record must have one
+    value per schema feature. Records with equal table row indices have equal
     encodings, so only the distinct index rows are encoded, in
     DEFAULT_BATCH_SIZE slices of their sorted order, into the rows of the
     result; its inverse maps each record to its row. A row's bytes depend
     on its own values alone, so neither the batch size nor the worker count
     changes the output.
     """
-    table = as_table(records, schema.num_features)
+    width = schema.num_features
+    table = records if isinstance(records, RecordTable) else RecordTable.from_rows(records, width)
+    if len(table.features) != width:
+        raise ValueError(f"records have {len(table.features)} values, expected {width}")
     if not len(table):
         raise ValueError("no records to encode")
     tables = EncoderTables(codebook, schema)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import as_table, class_indices
+from .dataset import RecordTable, class_indices
 from .encoding import encode_dataset
 from .model import ClassModel, predict_batch
 
@@ -115,10 +115,9 @@ def report_from_matrix(
     )
 
 
-def evaluate(model: ClassModel, records, jobs: int | None = None) -> EvaluationReport:
-    """Encode labelled records (a ParseResult, a RecordTable or a sequence of
-    RawRecords) with the model's codebook and score them."""
-    table = as_table(records)
+def evaluate(model: ClassModel, table: RecordTable, jobs: int | None = None) -> EvaluationReport:
+    """Encode a RecordTable of labelled records with the model's codebook
+    and score them."""
     if not len(table):
         raise ValueError("empty test set")
     t0 = time.perf_counter()

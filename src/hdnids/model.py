@@ -276,8 +276,9 @@ def retrain(model: ClassModel, encoded: EncodedDataset, alpha: float, iterations
     shuffle that is fixed across epochs, drawn from the seed's retrain
     stream (codebook.stream, so any integer seed works, taken mod 2**64).
     Stops early on a zero-update epoch. Returns (updated model, per-epoch
-    accuracy trace); the trace records the fraction of samples correct at
-    the moment they were visited.
+    accuracy trace); the model's hyperparams carry the alpha (as a float)
+    and iterations asked for, and the trace records the fraction of
+    samples correct at the moment they were visited.
     """
     dataclasses.replace(model.hyperparams, alpha=alpha, iterations=iterations).validate()
     if iterations < 1:
@@ -340,8 +341,9 @@ def retrain(model: ClassModel, encoded: EncodedDataset, alpha: float, iterations
         if updates == 0:
             break
 
+    hyper = dataclasses.replace(model.hyperparams, alpha=alpha, iterations=iterations)
     return dataclasses.replace(
-        model, representatives=[AccumulatorVector(r) for r in reps]), trace
+        model, representatives=[AccumulatorVector(r) for r in reps], hyperparams=hyper), trace
 
 
 def atomic_write(path, data: bytes) -> None:

@@ -86,8 +86,7 @@ def train_small_model(path, dim=2000, bins=10, alpha=1.0, iterations=10,
     """Library-level train on a file; returns (model, encoded data, records)."""
     records = parse_file(path).records
     label_map = load_label_map()
-    schema = infer_schema(records, class_names=label_map.class_names,
-                          log_scale=log_scale)
+    schema = infer_schema(records, log_scale=log_scale)
     codebook = build_codebook(schema, dim=dim, bins=bins, seed=seed)
     threshold = schema.num_features / 2.0
     labels = class_indices(records, label_map)

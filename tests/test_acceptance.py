@@ -51,7 +51,7 @@ def train_records(records, dim, bins=10, alpha=1.0, iterations=50, seed=SEED,
                   jobs=None):
     """Full library pipeline on already-parsed records."""
     lm = load_label_map()
-    schema = infer_schema(records, class_names=lm.class_names)
+    schema = infer_schema(records)
     cb = build_codebook(schema, dim=dim, bins=bins, seed=seed)
     threshold = schema.num_features / 2.0
     labels = class_indices(records, lm)
@@ -82,7 +82,7 @@ def stratified_subset(records, label_map, size, seed):
     largest = max(buckets, key=lambda c: len(buckets[c]))
     take[largest] -= sum(take.values()) - size
     chosen = sorted(i for c, idx in buckets.items() for i in idx[: take[c]])
-    return [records[i] for i in chosen]
+    return records.take(np.array(chosen, dtype=np.int64))
 
 
 def popcount(row):

@@ -149,12 +149,14 @@ class TestLabelMap:
         assert map_label("zero-day-thing", lm) == 0
 
     def test_unknown_label_strict_raises(self):
-        lm = load_label_map(strict=True)
+        lm = load_label_map()
+        lm.strict = True
         with pytest.raises(UnknownLabelError):
             map_label("zero-day-thing", lm)
 
     def test_custom_fallback_class(self):
-        lm = load_label_map(fallback_class=1)
+        lm = load_label_map()
+        lm.fallback_class = 1
         assert map_label("mystery", lm) == 1
 
     def test_custom_file_with_comments(self, tmp_path):
@@ -182,7 +184,8 @@ class TestLabelMap:
             load_label_map(p)
 
     def test_dict_roundtrip(self):
-        lm = load_label_map(strict=True, fallback_class=2)
+        lm = load_label_map()
+        lm.strict, lm.fallback_class = True, 2
         back = type(lm).from_dict(lm.to_dict())
         assert back.raw_to_class == lm.raw_to_class
         assert back.strict and back.fallback_class == 2
@@ -220,7 +223,7 @@ class TestSplit:
         recs = self.records(tmp_path, lines)
         lm = load_label_map()
         # drop all other u2r records so the class has exactly one member
-        recs = [r for r in recs if r.label != "rootkit"]
+        recs = recs.take(np.flatnonzero([r.label != "rootkit" for r in recs]))
         train, test = split(recs, SplitSpec(seed=1), lm)
         assert any(r.label == "perl" for r in train)
         assert not any(r.label == "perl" for r in test)

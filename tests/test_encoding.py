@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hdnids.encoding as encoding
-from hdnids import infer_schema, load_label_map
+from hdnids import infer_schema
 from hdnids.codebook import FeatureSchema, FeatureSpec, build_codebook
-from hdnids.dataset import as_table, parse_line
+from hdnids.dataset import NUM_FEATURES, RecordTable, parse_line
 from hdnids.encoding import (
     DEFAULT_BATCH_SIZE,
     EncodedDataset,
@@ -208,7 +208,7 @@ class TestBatchPath:
         rows = random_rows(schema, 40, seed=8)
         rows += rows[::2] + [rows[0]] * 5
         data = encode_dataset(rows, cb, schema, default_threshold(schema))
-        idx = EncoderTables(cb, schema).row_indices(as_table(rows, schema.num_features))
+        idx = EncoderTables(cb, schema).row_indices(RecordTable.from_rows(rows, schema.num_features))
         assert len(data.rows) == len(np.unique(idx, axis=0)) < len(data) == len(rows)
 
     def test_wide_schema_uses_exact_sums(self):
@@ -230,6 +230,14 @@ class TestBatchPath:
         rows[3] = rows[3][:-1]
         with pytest.raises(ValueError, match="record 3"):
             encode_dataset(rows, cb, schema, default_threshold(schema))
+
+    def test_table_width_checked(self):
+        schema = mixed_schema()
+        cb = build_codebook(schema, dim=128, bins=8, seed=3)
+        narrow = [r[:-1] for r in random_rows(schema, 5, seed=6)]
+        table = RecordTable.from_rows(narrow, schema.num_features - 1)
+        with pytest.raises(ValueError, match=f"values, expected {schema.num_features}"):
+            encode_dataset(table, cb, schema, default_threshold(schema))
 
     def test_non_numeric_value_names_column(self):
         schema = mixed_schema()
@@ -302,11 +310,9 @@ class TestPackedKernel:
                                                 threshold, digest):
         """Encodings of the conftest corpus, a third of its records twice, are
         pinned to the bytes the unpacked gather-and-add encoder wrote."""
-        records = [parse_line(line, i + 1) for i, line in enumerate(synth_lines)]
-        rows = [r.values for r in records]
+        rows = [parse_line(line).values for line in synth_lines]
+        schema = infer_schema(RecordTable.from_rows(rows, NUM_FEATURES), log_scale=log_scale)
         rows += rows[::3]
-        schema = infer_schema(records, class_names=load_label_map().class_names,
-                              log_scale=log_scale)
         cb = build_codebook(schema, dim=dim, bins=10, seed=42)
         t = default_threshold(schema) if threshold is None else threshold
         packed = encode_dataset(rows, cb, schema, t).packed

@@ -16,7 +16,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import hdnids.dataset as dataset
-from hdnids import build_codebook, encode_dataset, load_label_map
+from hdnids import build_codebook, encode_dataset, evaluate, load_label_map, render_report
 from hdnids.dataset import (
     NUM_FEATURES,
     ParseError,
@@ -30,6 +30,7 @@ from hdnids.dataset import (
     split,
 )
 from hdnids.encoding import EncoderTables
+from conftest import train_small_model
 from reference import (
     ref_class_indices,
     ref_infer_schema,
@@ -55,6 +56,13 @@ def write(tmp_path, data: bytes) -> Path:
 
 def as_tuples(records):
     return [(r.values, r.label, r.difficulty, r.line_no) for r in records]
+
+
+def label_map(strict=False):
+    """The packaged label map with its unknown-label policy set as the CLI sets it."""
+    lm = load_label_map()
+    lm.strict = strict
+    return lm
 
 
 class TestLines:
@@ -164,8 +172,8 @@ class TestOrder:
         path = write(tmp_path, self.lines(["zzz", "normal", "aaa", "zzz", "aaa"], "01234"))
         table, (records, lines, _) = parse_file(path).records, ref_parse_file(path)
         for strict in (False, True):
-            got = outcome(class_indices, table, load_label_map(strict=strict))
-            same(got, outcome(ref_class_indices, records, load_label_map(strict=strict)))
+            got = outcome(class_indices, table, label_map(strict))
+            same(got, outcome(ref_class_indices, records, label_map(strict)))
             assert "'zzz'" in (got[1][0] if got[1] else got[0][1])
         spec = SplitSpec(seed=3)
         got = outcome(split, table, spec, load_label_map())
@@ -176,7 +184,7 @@ class TestOrder:
         # numpy's min over equal values keeps the last, so the order matters
         for column0 in (["-0", "0", "5"], ["0", "-0", "5"], ["5", "-0", "0"]):
             path = write(tmp_path, self.lines(["normal"] * 3, column0))
-            got = infer_schema(parse_file(path)).features[0]
+            got = infer_schema(parse_file(path).records).features[0]
             want = ref_infer_schema(ref_parse_file(path)[0]).features[0]
             assert (repr(got.min), repr(got.max)) == (repr(want.min), repr(want.max))
 
@@ -203,7 +211,25 @@ class TestRecordTable:
 
     def test_from_rows_checks_width(self):
         with pytest.raises(ValueError, match="record 1 has 2 values, expected 3"):
-            RecordTable.from_rows([("a", "b", "c"), ("a", "b")])
+            RecordTable.from_rows([("a", "b", "c"), ("a", "b")], 3)
+
+    def test_split_side_reads_as_its_lines_parsed_again(self, tmp_path, synth_file):
+        """split's tables share the file's dictionaries, so they hold strings
+        none of their records use; sweep trains on and scores such tables."""
+        model, _, table = train_small_model(synth_file, dim=512, iterations=2)
+        _, test = split(table, SplitSpec(seed=5), model.label_map)
+        assert any(len(c.present()) < len(c.values) for c in test.features)
+        again = parse_file(write(tmp_path, "".join(s + "\n" for s in test.lines()).encode()))
+
+        def packed(t):
+            return encode_dataset(t, model.codebook, model.schema, model.threshold).packed
+
+        assert repr(infer_schema(test)) == repr(infer_schema(again.records))
+        assert np.array_equal(class_indices(test, model.label_map),
+                              class_indices(again.records, model.label_map))
+        assert packed(test).tobytes() == packed(again.records).tobytes()
+        assert (render_report(evaluate(model, test), "json")
+                == render_report(evaluate(model, again.records), "json"))
 
 
 # --- the oracle property -------------------------------------------------------
@@ -324,7 +350,7 @@ class TestAgainstOracle:
         assert result.malformed == malformed
         assert table.lines() == lines
 
-        schema = outcome(infer_schema, result, log_scale=log_scale)
+        schema = outcome(infer_schema, table, log_scale=log_scale)
         same(schema, outcome(ref_infer_schema, records, log_scale=log_scale))
         event(f"schema: {schema[0][0]}")
         if schema[0][0] == "ok":
@@ -333,12 +359,12 @@ class TestAgainstOracle:
             same(outcome(tables.row_indices, table),
                  outcome(ref_row_indices, [r.values for r in records], schema[0][1], 7))
 
-        same(outcome(class_indices, table, load_label_map(strict=strict)),
-             outcome(ref_class_indices, records, load_label_map(strict=strict)))
+        same(outcome(class_indices, table, label_map(strict)),
+             outcome(ref_class_indices, records, label_map(strict)))
         if len(records) >= 2:
             spec = SplitSpec(train_fraction=0.6, seed=seed)
-            got = outcome(split, table, spec, load_label_map(strict=strict))
-            want = outcome(ref_split, records, lines, spec, load_label_map(strict=strict))
+            got = outcome(split, table, spec, label_map(strict))
+            want = outcome(ref_split, records, lines, spec, label_map(strict))
             event(f"split: {got[0][0]}, {len(got[1])} warnings")
             if got[0][0] == "ok":
                 got = (("ok", tuple(t.lines() for t in got[0][1])), got[1])
@@ -382,21 +408,21 @@ class TestHarnessCouplings:
             assert values == want[i].values
 
     def test_value_rows_encode_as_the_parse_result(self, synth_file):
-        result = parse_file(synth_file)
-        schema = infer_schema(result)
+        table = parse_file(synth_file).records
+        schema = infer_schema(table)
         cb = build_codebook(schema, dim=256, bins=10, seed=3)
-        rows = [r.values for r in result.records]
+        rows = [r.values for r in table]
         a = encode_dataset(rows, cb, schema, 20.5, jobs=2)
-        b = encode_dataset(result, cb, schema, 20.5, jobs=2)
+        b = encode_dataset(table, cb, schema, 20.5, jobs=2)
         assert a.packed.tobytes() == b.packed.tobytes()
 
     def test_encoded_dataset_names(self, synth_file):
         """The oracle check reads .packed[i] and .dim off an encode_dataset
         result, and the span callbacks len() of it."""
-        result = parse_file(synth_file)
-        schema = infer_schema(result)
+        table = parse_file(synth_file).records
+        schema = infer_schema(table)
         cb = build_codebook(schema, dim=251, bins=10, seed=3)
-        rows = [r.values for r in result.records]
+        rows = [r.values for r in table]
         rows += rows[:7]  # duplicates share a row
         data = encode_dataset(rows, cb, schema, 20.5, jobs=2)
         assert data.dim == 251

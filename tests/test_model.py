@@ -1,5 +1,6 @@
 """Centroid training, retraining invariants, prediction, persistence."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from hdnids.codebook import FeatureSchema, FeatureSpec, build_codebook
 from hdnids.dataset import LabelMap
 from hdnids.encoding import EncodedDataset, encode_dataset
+from hdnids.evaluation import evaluate
 import hdnids.model
 from hdnids.model import (
     _RETRAIN_STREAM_TAG,
@@ -313,6 +315,17 @@ class TestRetrain:
         b, trace_b = retrain(model, data, alpha=2.0, iterations=3)
         assert trace_a == trace_b
         assert np.array_equal(a.rep_matrix(), b.rep_matrix())
+        assert a.hyperparams == b.hyperparams
+
+    def test_model_records_its_alpha_and_iterations(self, synth_file):
+        """A retrained model's hyperparams, and so its saved header and every
+        report made from it, say how it was retrained."""
+        model, data, records = train_small_model(synth_file, dim=512, iterations=0)
+        out, _ = retrain(model, data, alpha=0.5, iterations=3)
+        assert out.hyperparams == dataclasses.replace(model.hyperparams, alpha=0.5,
+                                                      iterations=3)
+        config = evaluate(out, records).config
+        assert (config["alpha"], config["iterations"]) == (0.5, 3)
 
     def test_representative_mass_conserved(self):
         data = toy_clusters()
