@@ -208,7 +208,8 @@ class TestBatchPath:
         rows = random_rows(schema, 40, seed=8)
         rows += rows[::2] + [rows[0]] * 5
         data = encode_dataset(rows, cb, schema, default_threshold(schema))
-        idx = EncoderTables(cb, schema).row_indices(RecordTable.from_rows(rows, schema.num_features))
+        table = RecordTable.from_rows(rows, schema.num_features)
+        idx = EncoderTables(cb, schema).row_indices(table)
         assert len(data.rows) == len(np.unique(idx, axis=0)) < len(data) == len(rows)
 
     def test_wide_schema_uses_exact_sums(self):

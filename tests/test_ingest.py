@@ -219,17 +219,18 @@ class TestRecordTable:
         model, _, table = train_small_model(synth_file, dim=512, iterations=2)
         _, test = split(table, SplitSpec(seed=5), model.label_map)
         assert any(len(c.present()) < len(c.values) for c in test.features)
-        again = parse_file(write(tmp_path, "".join(s + "\n" for s in test.lines()).encode()))
+        text = "".join(s + "\n" for s in test.lines())
+        again = parse_file(write(tmp_path, text.encode())).records
 
         def packed(t):
             return encode_dataset(t, model.codebook, model.schema, model.threshold).packed
 
-        assert repr(infer_schema(test)) == repr(infer_schema(again.records))
+        assert repr(infer_schema(test)) == repr(infer_schema(again))
         assert np.array_equal(class_indices(test, model.label_map),
-                              class_indices(again.records, model.label_map))
-        assert packed(test).tobytes() == packed(again.records).tobytes()
+                              class_indices(again, model.label_map))
+        assert packed(test).tobytes() == packed(again).tobytes()
         assert (render_report(evaluate(model, test), "json")
-                == render_report(evaluate(model, again.records), "json"))
+                == render_report(evaluate(model, again), "json"))
 
 
 # --- the oracle property -------------------------------------------------------
