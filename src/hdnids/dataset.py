@@ -109,7 +109,7 @@ def numeric_column(values, name: str, transform: str, lines=None) -> np.ndarray:
     alike, so a schema's [min, max] and the bins always see the same
     numbers. Raises ParseError naming the column and the first value that
     is not a finite number, with its line number when lines (one per value)
-    is given.
+    is given and the line is not 0, which stands for no line.
     """
     try:
         vals = np.asarray(values, dtype=np.float64)
@@ -123,7 +123,7 @@ def numeric_column(values, name: str, transform: str, lines=None) -> np.ndarray:
                     continue
             except ValueError:
                 pass
-            where = "" if lines is None else f"line {lines[i]}: "
+            where = f"line {lines[i]}: " if lines is not None and lines[i] else ""
             raise ParseError(f"{where}column {name!r} has non-numeric value {v!r}")
         raise ParseError(f"column {name!r} has a non-numeric value")
     if transform == TRANSFORM_LOG1P:
@@ -226,7 +226,8 @@ class RecordTable(Sequence):
 
     @classmethod
     def from_rows(cls, rows, width: int) -> "RecordTable":
-        """Table of plain value rows: no labels, no difficulty, all on line 0.
+        """Table of plain value rows: no labels, no difficulty, and every
+        line number 0, as the rows have no lines.
 
         Every row must have width values; a ValueError names the first that
         does not. Each field is dictionary-encoded one Python value at a time.

@@ -96,8 +96,16 @@ class CorruptModelError(ValueError):
     has a header inconsistent with its arrays."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Hyperparams:
+    """The classifier's settings, valid once built.
+
+    Construction, dataclasses.replace included, raises ValueError naming the
+    first field that is out of range: dim, bins, iterations and seed are
+    integers with dim >= 1, 1 <= bins <= dim and iterations >= 0; alpha is
+    finite and > 0; threshold is None or finite.
+    """
+
     dim: int = 10000
     bins: int = 10
     threshold: float | None = None  # None means features/2, resolved at train time
@@ -114,13 +122,7 @@ class Hyperparams:
         """The fields d holds; other keys are ignored."""
         return cls(**{f.name: d[f.name] for f in dataclasses.fields(cls) if f.name in d})
 
-    def validate(self) -> None:
-        """Raise ValueError naming the first field that is out of range.
-
-        dim, bins, iterations and seed are integers with dim >= 1,
-        1 <= bins <= dim and iterations >= 0; alpha is finite and > 0;
-        threshold is None or finite.
-        """
+    def __post_init__(self) -> None:
         for name in ("dim", "bins", "iterations", "seed"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):
@@ -267,8 +269,9 @@ def predict_batch(model: ClassModel, data: EncodedDataset, jobs: int | None = No
     return preds[data.inverse], sims[data.inverse]
 
 
-def retrain(model: ClassModel, encoded: EncodedDataset, alpha: float, iterations: int):
-    """Iterative miss/match refinement of the representatives.
+def retrain(model: ClassModel, encoded: EncodedDataset):
+    """Iterative miss/match refinement of the representatives, with the
+    alpha, iterations and seed of model.hyperparams.
 
     For each misclassified sample, alpha times its vector is subtracted
     from the wrongly predicted representative and added to the true one;
@@ -276,17 +279,14 @@ def retrain(model: ClassModel, encoded: EncodedDataset, alpha: float, iterations
     shuffle that is fixed across epochs, drawn from the seed's retrain
     stream (codebook.stream, so any integer seed works, taken mod 2**64).
     Stops early on a zero-update epoch. Returns (updated model, per-epoch
-    accuracy trace); the model's hyperparams carry the alpha (as a float)
-    and iterations asked for, and the trace records the fraction of
-    samples correct at the moment they were visited.
+    accuracy trace); the trace records the fraction of samples correct at
+    the moment they were visited. At 0 iterations the representatives are
+    unchanged and the trace is empty.
     """
-    dataclasses.replace(model.hyperparams, alpha=alpha, iterations=iterations).validate()
-    if iterations < 1:
-        raise ValueError(f"iterations must be >= 1, got {iterations}")
     if encoded.labels is None:
         raise ValueError("retraining data must carry labels")
     _check_labels(encoded.labels, model.num_classes)
-    alpha = float(alpha)  # an int alpha would keep alpha * bits in uint8
+    alpha = float(model.hyperparams.alpha)  # an int alpha would keep alpha * bits in uint8
     m = len(encoded)
 
     reps = model.rep_matrix().copy()
@@ -301,7 +301,7 @@ def retrain(model: ClassModel, encoded: EncodedDataset, alpha: float, iterations
     words = padded.view(np.uint64)
 
     trace: list[float] = []
-    for _ in range(iterations):
+    for _ in range(model.hyperparams.iterations):
         correct = 0
         updates = 0
         for start in range(0, m, _RETRAIN_CHUNK):
@@ -341,9 +341,7 @@ def retrain(model: ClassModel, encoded: EncodedDataset, alpha: float, iterations
         if updates == 0:
             break
 
-    hyper = dataclasses.replace(model.hyperparams, alpha=alpha, iterations=iterations)
-    return dataclasses.replace(
-        model, representatives=[AccumulatorVector(r) for r in reps], hyperparams=hyper), trace
+    return dataclasses.replace(model, representatives=[AccumulatorVector(r) for r in reps]), trace
 
 
 def atomic_write(path, data: bytes) -> None:
@@ -424,18 +422,19 @@ def _model_from(header: dict, payload: bytes) -> ClassModel:
     """The model a decoded header and its array bytes describe.
 
     Raises ValueError, KeyError or TypeError when a header field is missing,
-    mistyped or out of range, when the arrays do not have the shapes the
+    mistyped or out of range, when the codebook manifest's dim, bins or seed
+    differ from the hyperparams', when the arrays do not have the shapes the
     schema, codebook manifest and label map imply, or when a representative
     entry is NaN or infinite.
     """
     schema = FeatureSchema.from_dict(header["schema"])
     label_map = LabelMap.from_dict(header["label_map"])
     hyper = Hyperparams.from_dict(header["hyperparams"])
-    hyper.validate()
     manifest = header["codebook"]
-    dim, bins, seed = manifest["dim"], manifest["bins"], manifest["seed"]
-    # the codebook's own dim, bins and seed obey the hyperparameter ranges
-    Hyperparams(dim=dim, bins=bins, seed=seed).validate()
+    dim, bins, seed = hyper.dim, hyper.bins, hyper.seed
+    if [manifest["dim"], manifest["bins"], manifest["seed"]] != [dim, bins, seed]:
+        raise ValueError(f"codebook {manifest} was not built with the hyperparams' "
+                         f"dim {dim}, bins {bins} and seed {seed}")
     classes = len(label_map.class_names)
     indices = [*label_map.raw_to_class.values(), label_map.fallback_class]
     if not all(isinstance(c, int) and 0 <= c < classes for c in indices):

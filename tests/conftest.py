@@ -8,6 +8,7 @@ label mapping applies, and a mix of 42- and 43-field forms so both parse
 paths stay exercised.
 """
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -99,9 +100,14 @@ def train_small_model(path, dim=2000, bins=10, alpha=1.0, iterations=10,
                                 alpha=alpha, iterations=iterations, seed=seed,
                                 log_scale=log_scale),
     )
-    if iterations > 0:
-        model, _ = retrain(model, data, alpha=alpha, iterations=iterations)
+    model, _ = retrain(model, data)
     return model, data, records
+
+
+def with_hyperparams(model, **changes):
+    """model with the given Hyperparams fields changed."""
+    return dataclasses.replace(
+        model, hyperparams=dataclasses.replace(model.hyperparams, **changes))
 
 
 def reframe(blob, header_bytes):

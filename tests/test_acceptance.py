@@ -63,11 +63,7 @@ def train_records(records, dim, bins=10, alpha=1.0, iterations=50, seed=SEED,
         hyperparams=Hyperparams(dim=dim, bins=bins, threshold=threshold,
                                 alpha=alpha, iterations=iterations, seed=seed),
     )
-    if iterations > 0:
-        model, trace = retrain(model, data, alpha=alpha, iterations=iterations)
-    else:
-        trace = []
-    return model, trace
+    return retrain(model, data)
 
 
 def stratified_subset(records, label_map, size, seed):
@@ -268,14 +264,14 @@ def test_criterion_7_retraining_invariants():
     model = toy_model(data)
 
     before = model.rep_matrix().sum(axis=0)
-    out, trace = retrain(model, data, alpha=1.0, iterations=50)
+    out, trace = retrain(model, data)
     assert np.array_equal(before, out.rep_matrix().sum(axis=0))
 
     assert trace[-1] == 1.0 and len(trace) < 50
     preds, _ = predict_batch(out, data)
     assert (preds == data.labels).mean() == 1.0
 
-    again, trace2 = retrain(out, data, alpha=1.0, iterations=50)
+    again, trace2 = retrain(out, data)
     assert trace2 == [1.0]  # a clean pass makes no updates and stops
     assert np.array_equal(again.rep_matrix(), out.rep_matrix())
     print(f"\nCRITERION 7 PASS: mass conserved, fixed point holds, separable toy "

@@ -436,6 +436,18 @@ class TestSweep:
         acc = float(rows[2].split(",")[7])
         assert 0.0 <= acc <= 1.0
 
+    @pytest.mark.parametrize("flags", [["--iterations", "-1"], ["--config", "{cfg}"]])
+    def test_bad_setting_off_the_grid_is_config_error(self, tmp_path, corpus, capsys, flags):
+        """A bad value no grid axis spans fails the run once, not every combo."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"threshold": Infinity}')
+        out = tmp_path / "sweep.csv"
+        capsys.readouterr()
+        assert run(["sweep", "--train", corpus, "--dims", "128,256", "--output", out]
+                   + [str(f).format(cfg=cfg) for f in flags]) == 2
+        assert capsys.readouterr().err.count("error:") == 1
+        assert not out.exists()
+
     def test_fixed_test_file(self, tmp_path, corpus, capsys):
         capsys.readouterr()
         assert run(["sweep", "--train", corpus, "--test", corpus,

@@ -14,7 +14,7 @@ from hdnids.evaluation import (
     report_from_matrix,
 )
 from hdnids.model import predict_batch, retrain
-from conftest import train_small_model
+from conftest import train_small_model, with_hyperparams
 
 
 def file_of(tmp_path, lines, name="data.txt"):
@@ -93,7 +93,7 @@ class TestEvaluate:
 
     def test_converged_model_matches_final_trace(self, tmp_path, synth_lines):
         model, data, records = self.trained(tmp_path, synth_lines)
-        out, trace = retrain(model, data, alpha=1.0, iterations=50)
+        out, trace = retrain(with_hyperparams(model, iterations=50), data)
         assert trace[-1] == 1.0  # converged (zero-update fixed point)
         report = evaluate(out, records)
         assert report.accuracy == trace[-1]

@@ -48,8 +48,9 @@ def hamming(a, b):
     return popcount(np.bitwise_xor(a, b))
 
 
-def model_of(reps, dim):
-    """A model holding the given representatives, enough for predict_batch."""
+def model_of(reps, dim, **hyperparams):
+    """A model holding the given representatives, enough for predict_batch
+    and retrain."""
     names = [f"c{i}" for i in range(len(reps))]
     return ClassModel(
         representatives=[AccumulatorVector(r) for r in reps],
@@ -57,7 +58,7 @@ def model_of(reps, dim):
         schema=None,
         label_map=LabelMap(raw_to_class={n: i for i, n in enumerate(names)},
                            class_names=names),
-        hyperparams=Hyperparams(dim=dim, bins=1),
+        hyperparams=Hyperparams(dim=dim, bins=1, **hyperparams),
     )
 
 
@@ -89,7 +90,7 @@ class TestHypervector:
         with pytest.raises(ValueError):
             build_codebook(schema, dim=0, bins=1, seed=1)
         with pytest.raises(ValueError):
-            Hyperparams(dim=0, bins=1).validate()
+            Hyperparams(dim=0, bins=1)
 
     def test_wrong_buffer_shape(self):
         with pytest.raises(ValueError):
@@ -144,11 +145,11 @@ class TestOps:
 
     def test_dim_mismatch_raises(self):
         data = EncodedDataset(np.zeros((2, 2), dtype=np.uint8), 16, np.array([0, 1]))
-        model = model_of(np.ones((2, 9)), 9)
+        model = model_of(np.ones((2, 9)), 9, iterations=1)
         with pytest.raises(ValueError):
             predict_batch(model, data)
         with pytest.raises(ValueError):
-            retrain(model, data, alpha=1.0, iterations=1)
+            retrain(model, data)
 
     def test_flip_count_bounds(self):
         hv = draw_hv(64, 1)
@@ -191,7 +192,7 @@ class TestOps:
                         bitorder="little")
         data = EncodedDataset(h[None, :], 8, np.array([1]))
         reps = [np.array([1.0, 0, 1, 0, 1, 0, 1, 0]), np.array([0, 1.0, 0, 1, 0, 1, 0, 1])]
-        out, trace = retrain(model_of(reps, 8), data, alpha=2.5, iterations=1)
+        out, trace = retrain(model_of(reps, 8, alpha=2.5, iterations=1), data)
         assert trace == [0.0]
         assert out.rep_matrix().tolist() == [[-1.5, 0, -1.5, 0, -1.5, 0, -1.5, 0],
                                             [2.5, 1, 2.5, 1, 2.5, 1, 2.5, 1]]

@@ -5,6 +5,7 @@ harness reads from the library."""
 import ast
 import logging
 import os
+import re
 import tempfile
 import threading
 from pathlib import Path
@@ -29,7 +30,7 @@ from hdnids.dataset import (
     parse_file,
     split,
 )
-from hdnids.encoding import EncoderTables
+from hdnids.encoding import EncodedDataset, EncoderTables
 from conftest import train_small_model
 from reference import (
     ref_class_indices,
@@ -433,6 +434,29 @@ class TestHarnessCouplings:
             assert row.dtype == np.uint8 and row.shape == (32,)
             alone = encode_dataset([rows[i]], cb, schema, 20.5)
             assert row.tobytes() == alone.packed[0].tobytes()
+
+    def test_retrain_args_and_result(self, tmp_path, synth_file, monkeypatch, capsys):
+        """The retrain span reads the encoded data as args[1] and the
+        per-epoch trace as result[1] of the call cli makes."""
+        import hdnids.cli
+
+        calls, real = [], hdnids.cli.retrain
+
+        def recorded(*args, **kwargs):
+            result = real(*args, **kwargs)
+            calls.append((args, kwargs, result))
+            return result
+
+        monkeypatch.setattr(hdnids.cli, "retrain", recorded)
+        assert hdnids.cli.main(["train", "--train", str(synth_file), "--model",
+                                str(tmp_path / "m.hdm"), "--dim", "256",
+                                "--iterations", "2"]) == 0
+        (args, kwargs, result), = calls
+        assert kwargs == {}
+        assert isinstance(args[1], EncodedDataset)
+        assert len(args[1]) == len(parse_file(synth_file).records)
+        epochs = re.findall(r"epoch +[1-9]\d*: train accuracy ([0-9.]+)", capsys.readouterr().out)
+        assert [f"{acc:.4f}" for acc in result[1]] == epochs
 
     def test_wrapped_names_exist(self):
         import hdnids.cli

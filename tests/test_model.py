@@ -28,6 +28,7 @@ from hdnids.model import (
 )
 from conftest import (
     DEFAULT_COUNTS, edit_header, make_synth_lines, reframe, train_small_model,
+    with_hyperparams,
 )
 from reference import ref_cosine, ref_retrain_epoch, ref_unpack
 
@@ -64,14 +65,14 @@ def toy_clusters(seed=6, n_per=30, dim=64, flip=24, classes=3):
     return EncodedDataset(np.vstack(rows), dim, np.array(labels))
 
 
-def toy_model(data, classes=3, seed=6, alpha=1.0):
+def toy_model(data, classes=3, seed=6, alpha=1.0, iterations=50):
     names = ["a", "b", "c", "d", "e"][:classes]
     return ClassModel(
         representatives=train_initial(data, classes),
         codebook=None,
         schema=tiny_schema(names),
         label_map=tiny_label_map(names),
-        hyperparams=Hyperparams(dim=data.dim, alpha=alpha, seed=seed),
+        hyperparams=Hyperparams(dim=data.dim, alpha=alpha, iterations=iterations, seed=seed),
     )
 
 
@@ -98,13 +99,13 @@ def check_retrain_against_oracle(n, dim, classes, alpha, seed):
         (1 << dim % 8) - 1)
     data = EncodedDataset(rows, dim, labels)
     names = ["a", "b", "c", "d"][:classes]
+    epochs = 2
     model = ClassModel(
         representatives=train_initial(data, classes), codebook=None,
         schema=tiny_schema(names), label_map=tiny_label_map(names),
-        hyperparams=Hyperparams(dim=dim, bins=1, alpha=alpha, seed=seed),
+        hyperparams=Hyperparams(dim=dim, bins=1, alpha=alpha, iterations=epochs, seed=seed),
     )
-    epochs = 2
-    got, trace = retrain(model, data, alpha=alpha, iterations=epochs)
+    got, trace = retrain(model, data)
 
     order = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence([seed, _RETRAIN_STREAM_TAG]))).permutation(n)
@@ -186,7 +187,7 @@ class TestPredict:
             representatives=[AccumulatorVector(rep), AccumulatorVector(rep.copy())],
             codebook=None, schema=tiny_schema(["a", "b"]),
             label_map=tiny_label_map(["a", "b"]),
-            hyperparams=Hyperparams(dim=4),
+            hyperparams=Hyperparams(dim=4, bins=1),
         )
         preds, sims = predict_batch(model, EncodedDataset(packed([1, 1, 0, 0])[None, :], 4))
         assert sims[0, 0] == sims[0, 1]
@@ -223,7 +224,7 @@ class TestPredict:
         model = ClassModel(
             representatives=[AccumulatorVector(r) for r in reps],
             codebook=None, schema=tiny_schema(["a", "b"]),
-            label_map=tiny_label_map(["a", "b"]), hyperparams=Hyperparams(dim=9),
+            label_map=tiny_label_map(["a", "b"]), hyperparams=Hyperparams(dim=9, bins=1),
         )
         _, sims = predict_batch(model, EncodedDataset(rows, 9))
         want = [ref_cosine(ref_unpack(rows[0], 9), r.tolist()) for r in reps]
@@ -271,8 +272,8 @@ class TestPredict:
 
 class TestHyperparams:
     def test_defaults_are_valid(self):
-        Hyperparams().validate()
-        Hyperparams(dim=1, bins=1, threshold=0.5, alpha=1e-9, iterations=0).validate()
+        Hyperparams()
+        Hyperparams(dim=1, bins=1, threshold=0.5, alpha=1e-9, iterations=0)
 
     @pytest.mark.parametrize("field, value", [
         ("dim", 0), ("dim", 2.5), ("dim", "300"), ("bins", 0), ("bins", 10001),
@@ -282,37 +283,48 @@ class TestHyperparams:
     ])
     def test_rejects(self, field, value):
         with pytest.raises(ValueError, match=field):
-            Hyperparams(**{field: value}).validate()
+            Hyperparams(**{field: value})
+        # a copy is checked as it is built
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(Hyperparams(), **{field: value})
+
+    def test_fields_cannot_be_assigned(self):
+        hyper = Hyperparams()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            hyper.iterations = -1
+        assert hyper == Hyperparams()
 
     def test_retrain_rejects_non_finite_alpha(self):
+        # retrain reads alpha off the model, whose Hyperparams cannot hold a NaN
         data = toy_clusters()
         with pytest.raises(ValueError, match="alpha"):
-            retrain(toy_model(data), data, alpha=float("nan"), iterations=5)
+            retrain(toy_model(data, alpha=float("nan"), iterations=5), data)
 
 
 class TestRetrain:
     def test_parameter_validation(self):
+        """0 iterations is a valid setting: the representatives come back as
+        they went in, with an empty trace."""
         data = toy_clusters()
-        model = toy_model(data)
-        with pytest.raises(ValueError):
-            retrain(model, data, alpha=0.0, iterations=5)
-        with pytest.raises(ValueError):
-            retrain(model, data, alpha=1.0, iterations=0)
+        model = toy_model(data, iterations=0)
+        out, trace = retrain(model, data)
+        assert trace == []
+        assert out.rep_matrix().tobytes() == model.rep_matrix().tobytes()
+        assert out.hyperparams == model.hyperparams
 
     @pytest.mark.parametrize("bad", [-1, 3, 7])
     def test_label_out_of_range(self, bad):
         # -1 would index the last class and 3 would raise IndexError mid-epoch
         data = toy_clusters()
-        model = toy_model(data)
+        model = toy_model(data, iterations=2)
         data.labels[17] = bad
         with pytest.raises(ValueError, match=rf"class index {bad} outside \[0, 3\)"):
-            retrain(model, data, alpha=1.0, iterations=2)
+            retrain(model, data)
 
     def test_integer_alpha_matches_float(self):
         data = toy_clusters()
-        model = toy_model(data)
-        a, trace_a = retrain(model, data, alpha=2, iterations=3)
-        b, trace_b = retrain(model, data, alpha=2.0, iterations=3)
+        a, trace_a = retrain(toy_model(data, alpha=2, iterations=3), data)
+        b, trace_b = retrain(toy_model(data, alpha=2.0, iterations=3), data)
         assert trace_a == trace_b
         assert np.array_equal(a.rep_matrix(), b.rep_matrix())
         assert a.hyperparams == b.hyperparams
@@ -321,32 +333,32 @@ class TestRetrain:
         """A retrained model's hyperparams, and so its saved header and every
         report made from it, say how it was retrained."""
         model, data, records = train_small_model(synth_file, dim=512, iterations=0)
-        out, _ = retrain(model, data, alpha=0.5, iterations=3)
-        assert out.hyperparams == dataclasses.replace(model.hyperparams, alpha=0.5,
-                                                      iterations=3)
+        model = with_hyperparams(model, alpha=0.5, iterations=3)
+        out, _ = retrain(model, data)
+        assert out.hyperparams == model.hyperparams
         config = evaluate(out, records).config
         assert (config["alpha"], config["iterations"]) == (0.5, 3)
 
     def test_representative_mass_conserved(self):
         data = toy_clusters()
-        model = toy_model(data)
+        model = toy_model(data, iterations=10)
         before = model.rep_matrix().sum(axis=0)
-        out, trace = retrain(model, data, alpha=1.0, iterations=10)
+        out, trace = retrain(model, data)
         after = out.rep_matrix().sum(axis=0)
         assert np.array_equal(before, after)
         assert any(t < 1.0 for t in trace)  # updates actually happened
 
     def test_does_not_mutate_input_model(self):
         data = toy_clusters()
-        model = toy_model(data)
+        model = toy_model(data, iterations=5)
         snapshot = model.rep_matrix().copy()
-        retrain(model, data, alpha=1.0, iterations=5)
+        retrain(model, data)
         assert np.array_equal(model.rep_matrix(), snapshot)
 
     def test_zero_update_epoch_is_fixed_point(self):
         data = toy_clusters(flip=8)  # centroids already perfect
         model = toy_model(data)
-        out, trace = retrain(model, data, alpha=1.0, iterations=50)
+        out, trace = retrain(model, data)
         assert trace == [1.0]  # early stop after one clean pass
         assert np.array_equal(out.rep_matrix(), model.rep_matrix())
 
@@ -355,7 +367,7 @@ class TestRetrain:
         model = toy_model(data)
         preds, _ = predict_batch(model, data)
         assert (preds == data.labels).mean() < 1.0
-        out, trace = retrain(model, data, alpha=1.0, iterations=50)
+        out, trace = retrain(model, data)
         assert len(trace) < 50
         assert trace[-1] == 1.0
         preds, _ = predict_batch(out, data)
@@ -363,17 +375,17 @@ class TestRetrain:
 
     def test_trace_is_visit_time_accuracy(self):
         data = toy_clusters()
-        model = toy_model(data)
-        _, trace = retrain(model, data, alpha=1.0, iterations=3)
+        model = toy_model(data, iterations=3)
+        _, trace = retrain(model, data)
         assert len(trace) == 3
         assert all(0.0 <= t <= 1.0 for t in trace)
 
     @pytest.mark.parametrize("alpha", [1.0, 0.5])
     def test_chunked_loop_equals_naive_sequential(self, alpha):
         data = toy_clusters()
-        model = toy_model(data, alpha=alpha)
         epochs = 3
-        got, _ = retrain(model, data, alpha=alpha, iterations=epochs)
+        model = toy_model(data, alpha=alpha, iterations=epochs)
+        got, _ = retrain(model, data)
 
         # replay the identical visit order through the pure-Python loop
         rng = np.random.Generator(
@@ -408,9 +420,9 @@ class TestRetrain:
 
     def test_retrain_deterministic(self):
         data = toy_clusters()
-        model = toy_model(data)
-        a, trace_a = retrain(model, data, alpha=1.0, iterations=5)
-        b, trace_b = retrain(model, data, alpha=1.0, iterations=5)
+        model = toy_model(data, iterations=5)
+        a, trace_a = retrain(model, data)
+        b, trace_b = retrain(model, data)
         assert trace_a == trace_b
         assert np.array_equal(a.rep_matrix(), b.rep_matrix())
 
@@ -429,7 +441,7 @@ class TestDotBlocks:
 
     def test_predict_matches_oracle(self, block_rows):
         data = toy_clusters(n_per=43, dim=67)  # 129 rows: chunks of 128 and 1
-        model, _ = retrain(toy_model(data), data, alpha=1.0, iterations=2)
+        model, _ = retrain(toy_model(data, iterations=2), data)
         want_preds, want_sims = predict_batch(model, data)
         block_rows(data.dim)
         preds, sims = predict_batch(model, data, jobs=2)
@@ -485,12 +497,12 @@ class TestSharedRows:
             return ClassModel(
                 representatives=train_initial(data, len(names)), codebook=cb,
                 schema=schema, label_map=tiny_label_map(names),
-                hyperparams=Hyperparams(dim=67, bins=8, alpha=alpha, seed=seed))
+                hyperparams=Hyperparams(dim=67, bins=8, alpha=alpha, iterations=3, seed=seed))
 
         want, got = model(flat), model(shared)
         assert got.rep_matrix().tobytes() == want.rep_matrix().tobytes()
-        want, want_trace = retrain(want, flat, alpha, 3)
-        got, got_trace = retrain(got, shared, alpha, 3)
+        want, want_trace = retrain(want, flat)
+        got, got_trace = retrain(got, shared)
         assert got_trace == want_trace
         assert got.rep_matrix().tobytes() == want.rep_matrix().tobytes()
         want_preds, want_sims = predict_batch(want, flat)
@@ -607,6 +619,22 @@ def _bool_fallback(h):
     return h
 
 
+# the codebook was built with dim 64, bins 10 and seed 42
+def _hyperparams_dim(h):
+    h["hyperparams"]["dim"] = 10000
+    return h
+
+
+def _hyperparams_bins(h):
+    h["hyperparams"]["bins"] = 5
+    return h
+
+
+def _hyperparams_seed(h):
+    h["hyperparams"]["seed"] = 43
+    return h
+
+
 class TestDamagedHeader:
     """Checksum-valid files whose header is inconsistent or mistyped."""
 
@@ -622,6 +650,7 @@ class TestDamagedHeader:
     @pytest.mark.parametrize("edit", [
         _drop_schema, _bad_dtype, _class_out_of_range, _infinite_threshold,
         _string_strict, _fractional_fallback, _bool_fallback,
+        _hyperparams_dim, _hyperparams_bins, _hyperparams_seed,
     ])
     def test_rejected(self, tmp_path, blob, edit):
         path = tmp_path / "bad.hdm"
