@@ -213,10 +213,10 @@ def _train_pipeline(records, label_map, hyper: Hyperparams, jobs: int):
 
 def cmd_train(args) -> int:
     s = _settings(args)
+    hyper = Hyperparams.from_dict(s)  # a bad setting exits 2 before any file is read
     label_map = _label_map(s)
     result = parse_file(args.train)
-    model, acc0, trace, timings = _train_pipeline(
-        result.records, label_map, Hyperparams.from_dict(s), s["jobs"])
+    model, acc0, trace, timings = _train_pipeline(result.records, label_map, hyper, s["jobs"])
 
     # save before printing, so a closed stdout cannot cost the trained model
     save_model(model, args.model)

@@ -9,7 +9,9 @@ Schema inference is train-side only: vocabularies and min/max ranges come
 from the records given to infer_schema, never from test data.
 
 Parsed records are dictionary-encoded columns (RecordTable): per field, a
-list of decoded strings and an int32 code per record. NSL-KDD repeats
+list of decoded strings and a code per record, in the narrowest signed
+integer dtype that holds the codes (int8 for a dictionary of at most 128
+strings, which most NSL-KDD feature columns have). NSL-KDD repeats
 itself heavily (on a 125,973-line train file 3% of the feature fields are
 distinct strings), so schema inference, label mapping and binning each
 run once per distinct string and gather their results by code, and no
@@ -19,10 +21,11 @@ parse_file reads the file as bytes, _READ_BYTES of whole lines at a time,
 and works through them in blocks of _BLOCK_LINES lines. In a block it
 finds the commas and keys every field of a well-formed line by its bytes
 and its length, so embedded NUL bytes cannot merge two strings, and
-groups equal keys by sorting. Only one field's bytes per group outlive
-the block, so the transients stay a few MB whatever the file's size. At
-the end each field's groups are merged the same way and each distinct
-byte string is decoded once.
+groups equal keys by sorting. Only one field's bytes per group and each
+record's group number in the block (int8 or int16, as a block holds at
+most _BLOCK_LINES groups) outlive the block, so the transients stay a
+few MB whatever the file's size. At the end each field's groups are
+merged the same way and each distinct byte string is decoded once.
 
 Decoding fields one at a time equals decoding the file, since ',', '\\r'
 and '\\n' are ASCII, but distinct bytes can decode to the same string
@@ -151,11 +154,12 @@ class Column:
 
     Record i holds values[codes[i]], or no such field when codes[i] is -1.
     values may repeat a string (distinct bytes can decode alike) and, in a
-    table cut by RecordTable.take, hold strings no record uses.
+    table cut by RecordTable.take, hold strings no record uses. codes is in
+    the dtype _code_dtype(len(values)) gives, int8 up to 128 strings.
     """
 
     values: list
-    codes: np.ndarray  # int32
+    codes: np.ndarray
 
     def strings(self) -> list:
         """Each record's string, None where it has none."""
@@ -168,12 +172,17 @@ class Column:
         return [v for v, n in zip(self.values, counts.tolist()) if n]
 
 
+def _code_dtype(size: int) -> np.dtype:
+    """The smallest signed integer dtype that holds -1 and size - 1."""
+    return np.min_scalar_type(-max(size, 1))
+
+
 def _dictionary(strings) -> Column:
     """Column of a sequence of strings (None for none), in first-occurrence order."""
     lut: dict = {}
     # keyed with the type too, so 1, 1.0 and True stay apart as they do as strings
     codes = [-1 if s is None else lut.setdefault((type(s), s), len(lut)) for s in strings]
-    return Column([s for _, s in lut], np.array(codes, dtype=np.int32))
+    return Column([s for _, s in lut], np.array(codes, dtype=_code_dtype(len(lut))))
 
 
 class RecordTable(Sequence):
@@ -236,7 +245,7 @@ class RecordTable(Sequence):
         for i, r in enumerate(rows):
             if len(r) != width:
                 raise ValueError(f"record {i} has {len(r)} values, expected {width}")
-        none = Column([], np.full(len(rows), -1, dtype=np.int32))
+        none = Column([], np.full(len(rows), -1, dtype=_code_dtype(0)))
         return cls([_dictionary([r[j] for r in rows]) for j in range(width)], none, none,
                    np.zeros(len(rows), dtype=np.int64))
 
@@ -431,14 +440,14 @@ def _merge(rep_bytes: list):
     """(values, lut) of one field: the groups' bytes, end to end with a comma
     after each, grouped again over the blocks; values holds each distinct
     byte string decoded once, lut[g] the index in values of group g, and
-    lut[-1] is -1."""
+    lut[-1] is -1, in the dtype _code_dtype(len(values)) gives."""
     blob = np.frombuffer(b"".join(rep_bytes) + bytes(_PAD), dtype=np.uint8)
     field_end = np.flatnonzero(blob == 44)
     field_at = np.concatenate(([0], field_end + 1))[:-1]
     field_len = field_end - field_at
     inverse, rep = _group(blob, field_at, field_len)
     return (_decode(blob, field_at[rep], field_len[rep]),
-            np.append(inverse, -1).astype(np.int32))
+            np.append(inverse, -1).astype(_code_dtype(len(rep))))
 
 
 def _is_int(text: str) -> bool:
@@ -465,8 +474,9 @@ def parse_file(path, allow_unlabeled: bool = False) -> ParseResult:
     # followed by a comma (fields hold none)
     rep_bytes = [[] for _ in range(_FIELDS)]
     reps = [0] * _FIELDS
-    # per field, per block: each record's group counted over the blocks so
-    # far, -1 where it lacks the field; per block: each record's line number
+    # per field, per block: the groups counted over the blocks before it,
+    # and each record's group in the block, -1 where it lacks the field;
+    # per block: each record's line number
     slots = [[] for _ in range(_FIELDS)]
     line_no: list[np.ndarray] = []
     malformed: list[tuple[int, str]] = []
@@ -510,9 +520,9 @@ def parse_file(path, allow_unlabeled: bool = False) -> ParseResult:
                     has = slice(None) if j < NUM_FEATURES else lens[j] >= 0
                     field_at, field_len = seps[j, has] + 1, lens[j, has]
                     inverse, rep = _group(buf, field_at, field_len)
-                    slot = np.full(len(rows), -1, dtype=np.int32)
-                    slot[has] = reps[j] + inverse
-                    slots[j].append(slot)
+                    slot = np.full(len(rows), -1, dtype=_code_dtype(len(rep)))
+                    slot[has] = inverse
+                    slots[j].append((reps[j], slot))
                     rep_bytes[j].append(_joined(buf, field_at[rep], field_len[rep]).tobytes())
                     reps[j] += len(rep)
             lines_before += len(starts)
@@ -530,7 +540,8 @@ def parse_file(path, allow_unlabeled: bool = False) -> ParseResult:
     columns = []
     for j in range(_FIELDS):  # each field's blocks freed as its codes are built
         values, lut = _merge(rep_bytes[j])
-        codes = np.concatenate([lut[slot] for slot in slots[j]])
+        # lut[before:][-1] is lut[-1], -1, for a record that lacks the field
+        codes = np.concatenate([lut[before:][slot] for before, slot in slots[j]])
         rep_bytes[j] = slots[j] = None
         columns.append(Column(values, codes))
     table = RecordTable(columns[:NUM_FEATURES], columns[NUM_FEATURES],
@@ -616,7 +627,8 @@ def load_label_map(path=None) -> LabelMap:
     class 0. Set its strict and fallback_class fields to change that.
     """
     if path is None:
-        text = (resources.files("hdnids") / "data" / "attack_categories.txt").read_text()
+        text = (resources.files("hdnids") / "data" / "attack_categories.txt").read_text(
+            encoding="utf-8")
         source = "<packaged attack_categories.txt>"
     else:
         text = Path(path).read_text(encoding="utf-8")

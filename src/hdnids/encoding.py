@@ -18,6 +18,9 @@ that packed domain, 64 coordinates per word:
 - Distinct rows. Records with the same table row indices have the same
   encoding, so encode_dataset encodes each distinct index row once, and
   its EncodedDataset holds those rows and each record's index into them.
+  The index rows are held in the narrowest unsigned dtype that indexes
+  every table (uint8 for NSL-KDD), and the per-record matrix is freed
+  once deduplicated, so only the distinct ones are alive while encoding.
 
 The uint64 words are only ever gathered whole and combined by AND, XOR
 and OR, never shifted or added, so bit j of a word stays bit j of the
@@ -190,17 +193,20 @@ class EncoderTables:
             bound = np.zeros((len(rows), self.words * 8), dtype=np.uint8)
             bound[:, : matrix.shape[1]] = np.bitwise_xor(rows, matrix[offsets[j]])
             self.tables.append(bound.view(np.uint64))
+        # the narrowest dtype that indexes every table's rows
+        self.index_dtype = np.min_scalar_type(max((len(t) for t in self.tables), default=1) - 1)
         # the dim real coordinates of a row; the bits past them stay zero
         self.real_bits = np.packbits(np.arange(self.words * 64) < self.dim,
                                      bitorder="little").view(np.uint64)
 
     def row_indices(self, table: RecordTable) -> np.ndarray:
         """(records, features) table row index of every value of a RecordTable,
-        as int32, each feature's distinct strings indexed once."""
-        idx = np.empty((len(table), self.schema.num_features), dtype=np.int32)
+        as index_dtype, each feature's distinct strings indexed once."""
+        idx = np.empty((len(table), self.schema.num_features), dtype=self.index_dtype)
         for j, (spec, column) in enumerate(zip(self.schema.features, table.features)):
             try:
-                idx[:, j] = value_index(column.values, spec, self.bins)[column.codes]
+                lut = value_index(column.values, spec, self.bins).astype(self.index_dtype)
+                idx[:, j] = lut[column.codes]
             except ParseError:
                 # record by record: names the first bad value, or reads a table
                 # whose dictionary holds a bad string no record uses
@@ -308,9 +314,10 @@ def encode_dataset(
         raise ValueError("no records to encode")
     tables = EncoderTables(codebook, schema)
     idx = tables.row_indices(table)
-    keys = idx.view(np.dtype((np.void, idx.shape[1] * idx.itemsize))).ravel()
+    keys = idx.view(np.dtype((np.void, width * idx.itemsize))).ravel()
+    del idx  # keys, a view of it, goes too once deduplicated
     keys, inverse = np.unique(keys, return_inverse=True)
-    distinct = keys.view(idx.dtype).reshape(len(keys), idx.shape[1])
+    distinct = keys.view(tables.index_dtype).reshape(len(keys), width)
     rows = np.empty((len(distinct), (codebook.dim + 7) // 8), dtype=np.uint8)
 
     def encode(start: int, stop: int) -> None:

@@ -189,10 +189,15 @@ def ref_infer_schema(records, log_scale=False):
 
 
 def ref_row_indices(rows, schema, bins):
-    """(records, features) value index of every value of plain value rows."""
+    """(records, features) value index of every value of plain value rows, in
+    the narrowest unsigned dtype that holds the largest index any feature
+    has: bins - 1 for a continuous one, the OOV index len(vocabulary) for a
+    categorical one."""
     from hdnids.encoding import value_index
 
-    idx = np.empty((len(rows), schema.num_features), dtype=np.int32)
+    largest = max(bins - 1 if spec.kind == "continuous" else len(spec.vocabulary)
+                  for spec in schema.features)
+    idx = np.empty((len(rows), schema.num_features), dtype=np.min_scalar_type(largest))
     for j, spec in enumerate(schema.features):
         idx[:, j] = value_index([row[j] for row in rows], spec, bins)
     return idx

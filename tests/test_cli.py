@@ -84,6 +84,19 @@ class TestTrain:
         assert run(["train", "--train", corpus, "--model", tmp_path / "m.hdm",
                     "--dim", 0]) == 2
 
+    @pytest.mark.parametrize("flag, value", [("--iterations", -1), ("--dim", 0),
+                                             ("--alpha", "nan")])
+    def test_bad_setting_checked_before_parsing(self, tmp_path, corpus, monkeypatch,
+                                                flag, value):
+        """A bad setting exits 2 before any file is read, even a missing one."""
+        calls = []
+        monkeypatch.setattr(hdnids.cli, "parse_file", lambda *a, **k: calls.append(a))
+        for train in (corpus, tmp_path / "nope.txt"):
+            assert run(["train", "--train", train, "--model", tmp_path / "m.hdm",
+                        flag, value]) == 2
+        assert calls == []
+        assert not (tmp_path / "m.hdm").exists()
+
     @pytest.mark.parametrize("flag, value", [
         ("--alpha", "nan"), ("--alpha", "inf"), ("--threshold", "inf"),
         ("--threshold", "nan"), ("--bins", 300),

@@ -1,8 +1,14 @@
 """Parsing, schema inference, label mapping, and splitting."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import hdnids
 from hdnids.dataset import (
     CLASS_NAMES,
     COLUMN_NAMES,
@@ -143,6 +149,17 @@ class TestLabelMap:
         assert map_label("guess_passwd", lm) == 3
         assert map_label("rootkit", lm) == 4
         assert len(lm.raw_to_class) == 40
+
+    def test_packaged_map_read_as_utf8(self):
+        """Not in the locale's encoding: no EncodingWarning on the way."""
+        src = str(Path(hdnids.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-c", "import hdnids; hdnids.load_label_map()"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
     def test_unknown_label_fallback_default(self):
         lm = load_label_map()

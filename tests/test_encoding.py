@@ -1,6 +1,7 @@
 """The batch encoder against the unpacked reference, and encoding edge cases."""
 
 import hashlib
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 import hdnids.encoding as encoding
 from hdnids import infer_schema
 from hdnids.codebook import FeatureSchema, FeatureSpec, build_codebook
-from hdnids.dataset import NUM_FEATURES, RecordTable, parse_line
+from hdnids.dataset import NUM_FEATURES, RecordTable, parse_file, parse_line
 from hdnids.encoding import (
     DEFAULT_BATCH_SIZE,
     EncodedDataset,
@@ -319,6 +320,50 @@ class TestPackedKernel:
         t = default_threshold(schema) if threshold is None else threshold
         packed = encode_dataset(rows, cb, schema, t).packed
         assert hashlib.sha256(packed.tobytes()).hexdigest() == digest
+
+
+class TestMemory:
+    """encode_dataset holds little beyond the distinct rows it returns."""
+
+    @pytest.mark.parametrize("vocabulary, dtype", [(255, np.uint8), (256, np.uint16)])
+    def test_index_dtype_holds_every_table_row(self, vocabulary, dtype):
+        # a categorical feature's last row, OOV, has index len(vocabulary)
+        vocab = [f"v{i:03d}" for i in range(vocabulary)]
+        schema = FeatureSchema(features=[cat("k", vocab), cont("c", 0.0, 9.0)],
+                               class_names=["x"])
+        cb = build_codebook(schema, dim=96, bins=10, seed=2)
+        tables = EncoderTables(cb, schema)
+        assert tables.index_dtype == dtype
+        rows = [(vocab[-1], "9"), ("unseen", "0"), (vocab[0], "4.5")] * 2
+        idx = tables.row_indices(RecordTable.from_rows(rows, 2))
+        assert idx.dtype == dtype and idx[:3].tolist() == [[vocabulary - 1, 9],
+                                                           [vocabulary, 0], [0, 5]]
+        data = encode_dataset(rows, cb, schema, 0.5)
+        for i, row in enumerate(rows):
+            assert bits(data, i) == oracle(row, cb, schema, 0.5)
+
+    def test_traced_peak_per_record(self, tmp_path):
+        """Above its rows, a narrow index matrix, freed once deduplicated,
+        np.unique's copies of it and 8-byte inverse entries: about 120 bytes
+        per record here. An int32 matrix kept alive beside the rows comes to
+        about 540."""
+        rng = np.random.default_rng(5)
+        patterns = rng.integers(0, 40, size=(4000, NUM_FEATURES))
+        values = patterns[rng.integers(0, len(patterns), size=8000)]
+        path = tmp_path / "in.txt"
+        path.write_text("\n".join(",".join(map(str, row)) + ",normal"
+                                  for row in values.tolist()))
+        table = parse_file(path).records
+        schema = infer_schema(table)
+        cb = build_codebook(schema, dim=1000, bins=10, seed=1)
+        tracemalloc.start()
+        try:
+            data = encode_dataset(table, cb, schema, default_threshold(schema), jobs=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(data.rows) < len(data) == 8000
+        assert (peak - data.rows.nbytes) / len(data) < 200
 
 
 class TestRunChunks:

@@ -214,6 +214,12 @@ class TestRecordTable:
         with pytest.raises(ValueError, match="record 1 has 2 values, expected 3"):
             RecordTable.from_rows([("a", "b", "c"), ("a", "b")], 3)
 
+    def test_from_rows_codes_are_narrow(self):
+        table = RecordTable.from_rows([("a", str(i)) for i in range(129)], 2)
+        assert [c.codes.dtype for c in table.features] == [np.int8, np.int16]
+        assert table.labels.codes.dtype == table.difficulty.codes.dtype == np.int8
+        assert table[128] == RawRecord(("a", "128"), None, None, 0)
+
     def test_split_side_reads_as_its_lines_parsed_again(self, tmp_path, synth_file):
         """split's tables share the file's dictionaries, so they hold strings
         none of their records use; sweep trains on and scores such tables."""
@@ -292,6 +298,59 @@ def corpus(draw, pad=True):
     if draw(st.booleans()):  # no line end after the last line
         data = data[:-len(ends[-1])]
     return data
+
+
+class TestNarrowCodes:
+    """A column's codes take the smallest signed dtype holding -1 and its
+    last index: int8 up to 128 strings, int16 up to 32,768, int32 above."""
+
+    N = 32_769  # lines, nine parse blocks
+    DISTINCT = {0: 32_769, 4: 32_768, 5: 129, 6: 128, 7: 127}  # column: strings
+
+    @pytest.fixture(scope="class")
+    def table(self, tmp_path_factory):
+        feats = np.zeros((self.N, NUM_FEATURES), dtype=np.int64)
+        for j, k in self.DISTINCT.items():
+            feats[:, j] = np.arange(self.N) % k
+        text = "\n".join(",".join(map(str, row)) + ",normal" for row in feats.tolist())
+        return parse_file(write(tmp_path_factory.mktemp("narrow"), text.encode())).records
+
+    def want(self, j, rows):
+        return [str(i % self.DISTINCT.get(j, 1)) for i in rows]
+
+    def test_dtypes(self, table):
+        assert [table.features[j].codes.dtype for j in (0, 4, 5, 6, 7, 1)] == [
+            np.int32, np.int16, np.int16, np.int8, np.int8, np.int8]
+        assert [len(table.features[j].values) for j in (0, 4, 5, 6, 7, 1)] == [
+            32_769, 32_768, 129, 128, 127, 1]
+        assert table.labels.codes.dtype == np.int8
+
+    def test_all_missing_difficulty_holds_minus_one(self, table):
+        difficulty = table.difficulty
+        assert difficulty.values == [] and difficulty.codes.dtype == np.int8
+        assert (difficulty.codes == -1).all()
+        assert difficulty.present() == [] and table[5].difficulty is None
+
+    def test_strings_present_and_records(self, table):
+        rows = range(self.N)
+        for j in (0, 4, 5, 6, 7):
+            assert table.features[j].strings() == self.want(j, rows)
+            assert sorted(table.features[j].present(), key=int) == self.want(j, range(
+                self.DISTINCT[j]))
+        assert table[-1] == RawRecord(tuple(self.want(j, [self.N - 1])[0]
+                                            for j in range(NUM_FEATURES)),
+                                      "normal", None, self.N)
+        assert table[200].values[6] == "72"
+
+    def test_take_keeps_dtypes_and_strings(self, table):
+        rows = np.array([self.N - 1, 0, 4095, 4096, 200])
+        cut = table.take(rows)
+        for j in (0, 4, 5, 6, 7):
+            assert cut.features[j].codes.dtype == table.features[j].codes.dtype
+            assert cut.features[j].strings() == self.want(j, rows)
+        assert sorted(cut.features[6].present(), key=int) == ["0", "72", "127"]
+        assert cut.difficulty.strings() == [None] * len(rows)
+        assert [r.line_no for r in cut] == (rows + 1).tolist()
 
 
 class _Warnings(logging.Handler):
