@@ -16,6 +16,7 @@ failing run never leaves a partial model, report, or split behind.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import itertools
 import json
@@ -61,8 +62,8 @@ EXIT_CORRUPT_MODEL = 5
 
 _HYPER, _SPLIT = Hyperparams(), SplitSpec()
 
-# predict formats its CSV this many rows at a time, so the Python floats of
-# only one slice of the similarity matrix exist at once
+# predict and split format and write their output this many rows at a time,
+# so the Python objects of only one slice exist at once
 _CSV_ROWS = 4096
 
 # key -> (type, default, flag help): config values are checked against the
@@ -172,23 +173,38 @@ def _label_map(settings: dict, table=None):
     return table
 
 
-def _train_pipeline(records, label_map, hyper: Hyperparams, jobs: int):
-    """Schema, codebook, encode, centroid init and retraining, on a
-    RecordTable.
+@contextlib.contextmanager
+def _text_out(path):
+    """write(text) into path through atomic_write, or onto stdout when path is None."""
+    if path is None:
+        yield sys.stdout.write
+        return
+    with atomic_write(path) as fh:
+        yield lambda text: fh.write(text.encode("utf-8"))
+
+
+def _train_pipeline(tables: list, label_map, hyper: Hyperparams, jobs: int):
+    """Schema, codebook, encode, centroid init and retraining, on the one
+    RecordTable in tables.
+
+    The table is popped from tables as it is handed to encode_dataset, so
+    the pipeline keeps no reference to it: unless the caller keeps one, the
+    table is freed before the encodings are filled (on CPython 3.11 and
+    later; on 3.10 it lives until encode_dataset returns).
 
     Returns (model, initial_accuracy, trace, timings dict).
     """
     timings = {}
     t0 = time.perf_counter()
-    schema = infer_schema(records, log_scale=hyper.log_scale)
+    schema = infer_schema(tables[0], log_scale=hyper.log_scale)
     codebook = build_codebook(schema, dim=hyper.dim, bins=hyper.bins, seed=hyper.seed)
     timings["codebook"] = time.perf_counter() - t0
 
     if hyper.threshold is None:
         hyper = dataclasses.replace(hyper, threshold=default_threshold(schema))
-    labels = class_indices(records, label_map)
+    labels = class_indices(tables[0], label_map)
     t0 = time.perf_counter()
-    data = encode_dataset(records, codebook, schema, hyper.threshold,
+    data = encode_dataset(tables.pop(), codebook, schema, hyper.threshold,
                           labels=labels, jobs=jobs)
     timings["encode"] = time.perf_counter() - t0
 
@@ -200,7 +216,7 @@ def _train_pipeline(records, label_map, hyper: Hyperparams, jobs: int):
         label_map=label_map, hyperparams=hyper,
     )
     t0 = time.perf_counter()
-    preds, _ = predict_batch(model, data, jobs=jobs)
+    preds = predict_batch(model, data, jobs=jobs)[0]  # the similarities are freed here
     initial_accuracy = float((preds == data.labels).mean())
     timings["initial_score"] = time.perf_counter() - t0
 
@@ -216,7 +232,10 @@ def cmd_train(args) -> int:
     hyper = Hyperparams.from_dict(s)  # a bad setting exits 2 before any file is read
     label_map = _label_map(s)
     result = parse_file(args.train)
-    model, acc0, trace, timings = _train_pipeline(result.records, label_map, hyper, s["jobs"])
+    records, malformed = len(result.records), result.malformed_count
+    tables = [result.records]
+    del result  # the pipeline frees the table once encoding has read it
+    model, acc0, trace, timings = _train_pipeline(tables, label_map, hyper, s["jobs"])
 
     # save before printing, so a closed stdout cannot cost the trained model
     save_model(model, args.model)
@@ -224,7 +243,7 @@ def cmd_train(args) -> int:
     echo["jobs"] = s["jobs"]
     echo["train"] = str(args.train)
     print("effective-config: " + json.dumps(echo, sort_keys=True))
-    print(f"records: {len(result.records)}  (malformed skipped: {result.malformed_count})")
+    print(f"records: {records}  (malformed skipped: {malformed})")
     print(f"epoch  0: train accuracy {acc0:.4f} (centroids only)")
     for i, acc in enumerate(trace, start=1):
         print(f"epoch {i:2d}: train accuracy {acc:.4f}")
@@ -246,36 +265,38 @@ def cmd_evaluate(args) -> int:
     result = parse_file(args.test)
     report = evaluate(model, result.records, jobs=s["jobs"])
     rendered = render_report(report, s["format"])
+    with _text_out(args.report) as write:
+        write(rendered)
     if args.report:
-        atomic_write(args.report, rendered.encode("utf-8"))
         print(f"report written to {args.report}", file=sys.stderr)
-    else:
-        sys.stdout.write(rendered)
     print(f"evaluated {report.num_records} records in {report.wall_time:.2f}s",
           file=sys.stderr)
     return EXIT_OK
 
 
+def _csv_pieces(names: list, preds, sims):
+    """predict's CSV as text pieces: the header, then _CSV_ROWS records a piece."""
+    yield "index,predicted," + ",".join(f"sim_{n}" for n in names) + "\n"
+    for start in range(0, len(preds), _CSV_ROWS):
+        rows = slice(start, start + _CSV_ROWS)
+        yield "".join(f"{i},{names[pred]}," + ",".join(map(repr, scores)) + "\n"
+                      for i, pred, scores in zip(itertools.count(start), preds[rows].tolist(),
+                                                 sims[rows].tolist()))
+
+
 def cmd_predict(args) -> int:
     jobs = _settings(args)["jobs"]
     model = load_model(args.model)
-    result = parse_file(args.input, allow_unlabeled=True)
-    data = encode_dataset(result.records, model.codebook, model.schema,
-                          model.threshold, jobs=jobs)
+    # encode_dataset gets the only reference to the table and frees it once read
+    data = encode_dataset(parse_file(args.input, allow_unlabeled=True).records,
+                          model.codebook, model.schema, model.threshold, jobs=jobs)
     preds, sims = predict_batch(model, data, jobs=jobs)
-    names = model.label_map.class_names
-    lines = ["index,predicted," + ",".join(f"sim_{n}" for n in names)]
-    for start in range(0, len(preds), _CSV_ROWS):
-        rows = slice(start, start + _CSV_ROWS)
-        for i, pred, scores in zip(itertools.count(start), preds[rows].tolist(),
-                                   sims[rows].tolist()):
-            lines.append(f"{i},{names[pred]}," + ",".join(map(repr, scores)))
-    text = "\n".join(lines) + "\n"
+    # every error is raised by now, so stdout gets all of the CSV or none of it
+    with _text_out(args.output) as write:
+        for piece in _csv_pieces(model.label_map.class_names, preds, sims):
+            write(piece)
     if args.output:
-        atomic_write(args.output, text.encode("utf-8"))
         print(f"predictions written to {args.output}", file=sys.stderr)
-    else:
-        sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -286,11 +307,11 @@ def cmd_split(args) -> int:
     spec = SplitSpec(train_fraction=s["fraction"], seed=s["seed"])
     train_recs, test_recs = split(result.records, spec, label_map)
 
-    def _lines(records):
-        return "".join(line + "\n" for line in records.lines()).encode("utf-8")
-
-    atomic_write(args.train_out, _lines(train_recs))
-    atomic_write(args.test_out, _lines(test_recs))
+    for path, records in ((args.train_out, train_recs), (args.test_out, test_recs)):
+        with _text_out(path) as write:
+            for start in range(0, len(records), _CSV_ROWS):
+                part = records.take(slice(start, start + _CSV_ROWS))
+                write("".join(line + "\n" for line in part.lines()))
     print(f"{len(train_recs)} train -> {args.train_out}")
     print(f"{len(test_recs)} test  -> {args.test_out}")
     return EXIT_OK
@@ -332,19 +353,17 @@ def cmd_sweep(args) -> int:
                   f"{len(train_recs)},{len(test_recs)}")
         try:
             hyper = dataclasses.replace(base, dim=dim, bins=bins, alpha=alpha, seed=seed)
-            model, _, _, _ = _train_pipeline(train_recs, label_map, hyper, s["jobs"])
+            model, _, _, _ = _train_pipeline([train_recs], label_map, hyper, s["jobs"])
             report = evaluate(model, test_recs, jobs=s["jobs"])
             rows.append(f"{prefix},{repr(report.accuracy)},{repr(report.macro_f1)},ok")
         except Exception as exc:  # a bad combo must not kill the sweep
             log.error("sweep combo dim=%s bins=%s alpha=%s seed=%s failed: %s",
                       dim, bins, alpha, seed, exc)
             rows.append(f"{prefix},,,error:{type(exc).__name__}")
-    text = "\n".join(rows) + "\n"
+    with _text_out(args.output) as write:
+        write("\n".join(rows) + "\n")
     if args.output:
-        atomic_write(args.output, text.encode("utf-8"))
         print(f"sweep results written to {args.output}", file=sys.stderr)
-    else:
-        sys.stdout.write(text)
     return EXIT_OK
 
 

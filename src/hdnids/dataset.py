@@ -17,15 +17,20 @@ distinct strings), so schema inference, label mapping and binning each
 run once per distinct string and gather their results by code, and no
 Python object is made per field.
 
-parse_file reads the file as bytes, _READ_BYTES of whole lines at a time,
-and works through them in blocks of _BLOCK_LINES lines. In a block it
-finds the commas and keys every field of a well-formed line by its bytes
-and its length, so embedded NUL bytes cannot merge two strings, and
-groups equal keys by sorting. Only one field's bytes per group and each
-record's group number in the block (int8 or int16, as a block holds at
-most _BLOCK_LINES groups) outlive the block, so the transients stay a
-few MB whatever the file's size. At the end each field's groups are
-merged the same way and each distinct byte string is decoded once.
+parse_file reads the file as bytes, _READ_BYTES of whole lines at a time
+into one reused buffer, and works through them in blocks of _BLOCK_LINES
+lines. In a block it finds the commas and keys every field of a
+well-formed line by its bytes and its length, so embedded NUL bytes cannot
+merge two strings, and groups equal keys by sorting. Only one field's
+bytes per group and each record's group number in the block (int8 or
+int16, as a block holds at most _BLOCK_LINES groups) outlive the block,
+so the transients stay a few MB whatever the file's size. At the end each
+field's groups are merged the same way and each distinct byte string is
+decoded once; then, with the merges' transients freed, the line numbers
+and every field's codes are built in one allocation. On a large file that
+one block is mapped apart from the heap, so the table neither pins heap
+the parse freed nor leaves holes in it, and its memory goes back to the
+system whole when the table dies.
 
 Decoding fields one at a time equals decoding the file, since ',', '\\r'
 and '\\n' are ASCII, but distinct bytes can decode to the same string
@@ -221,7 +226,8 @@ class RecordTable(Sequence):
         return None if code < 0 else column.values[code]
 
     def take(self, rows) -> "RecordTable":
-        """The records at index array rows, in that order; the dictionaries are shared."""
+        """The records at index array or slice rows, in that order; the
+        dictionaries are shared."""
         def cut(c: Column) -> Column:
             return Column(c.values, c.codes[rows])
 
@@ -304,26 +310,32 @@ def parse_line(line: str, line_no: int = 0, allow_unlabeled: bool = False) -> Ra
 def _runs(fh):
     """The lines of a binary file about _READ_BYTES at a time, as (buf,
     size): buf[:size] holds whole lines with their line ends, and _PAD zero
-    bytes follow.
+    bytes follow, the last of buf.
 
-    A run never ends between the '\\r' and '\\n' of one line end; only the
-    last may end without a line end.
+    Every run is read into one buffer, reused while no line outgrows it, so
+    a run is valid until the next is asked for. A run never ends between
+    the '\\r' and '\\n' of one line end; only the last may end without a
+    line end.
     """
-    carry = b""
+    raw = bytearray(_READ_BYTES + _PAD)
+    kept = 0  # bytes of a line begun in the run before
     while True:
-        data = fh.read(_READ_BYTES)
-        text = carry + data
+        if kept + _PAD == len(raw):  # the line fills the buffer: double it
+            raw = raw[:kept] + bytearray(kept + _PAD)
+        read = fh.readinto(memoryview(raw)[kept:len(raw) - _PAD])
+        size = kept + read
         # cut after the last line end; a '\r' that ends the text may be
         # half of a '\r\n', so it waits for the next read
-        cut = (max(text.rfind(b"\n"), text.rfind(b"\r", 0, len(text) - 1)) + 1
-               if data else len(text))
+        cut = (max(raw.rfind(b"\n", 0, size), raw.rfind(b"\r", 0, size - 1)) + 1
+               if read else size)
+        carry = bytes(raw[cut:size])
         if cut:
-            buf = np.zeros(cut + _PAD, dtype=np.uint8)
-            buf[:cut] = np.frombuffer(text, dtype=np.uint8, count=cut)
-            yield buf, cut
-        if not data:
+            raw[cut:cut + _PAD] = bytes(_PAD)
+            yield np.frombuffer(raw, dtype=np.uint8, count=cut + _PAD), cut
+        if not read:
             return
-        carry = text[cut:]
+        raw[:len(carry)] = carry
+        kept = len(carry)
 
 
 def _line_bounds(buf: np.ndarray, size: int):
@@ -362,15 +374,19 @@ def _keys(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
 
 
 def _distinct(x: np.ndarray):
-    """(inverse, rep) of a 1-D array: each entry's distinct number, and the
-    index of one entry holding each distinct value."""
+    """(inverse, rep) of a 1-D array, of numbers or of void byte strings:
+    each entry's distinct number, in the sorted order of the distinct
+    values, and the index of one entry holding each distinct value."""
     order = np.argsort(x)
     s = x[order]
     new = np.empty(len(x), dtype=bool)
     new[:1] = True
-    np.not_equal(s[1:], s[:-1], out=new[1:])
+    new[1:] = s[1:] != s[:-1]  # void arrays compare by operator, not by ufunc
+    del s
+    number = np.cumsum(new)
+    number -= 1
     inverse = np.empty(len(x), dtype=np.int64)
-    inverse[order] = np.cumsum(new) - 1
+    inverse[order] = number
     return inverse, order[new]
 
 
@@ -441,13 +457,30 @@ def _merge(rep_bytes: list):
     after each, grouped again over the blocks; values holds each distinct
     byte string decoded once, lut[g] the index in values of group g, and
     lut[-1] is -1, in the dtype _code_dtype(len(values)) gives."""
-    blob = np.frombuffer(b"".join(rep_bytes) + bytes(_PAD), dtype=np.uint8)
-    field_end = np.flatnonzero(blob == 44)
-    field_at = np.concatenate(([0], field_end + 1))[:-1]
-    field_len = field_end - field_at
+    blob = np.frombuffer(b"".join([*rep_bytes, bytes(_PAD)]), dtype=np.uint8)
+    field_len = np.flatnonzero(blob == 44)  # each field's end, until made its length
+    field_at = np.empty_like(field_len)
+    field_at[:1] = 0
+    np.add(field_len[:-1], 1, out=field_at[1:])
+    field_len -= field_at
     inverse, rep = _group(blob, field_at, field_len)
-    return (_decode(blob, field_at[rep], field_len[rep]),
-            np.append(inverse, -1).astype(_code_dtype(len(rep))))
+    lut = np.empty(len(inverse) + 1, dtype=_code_dtype(len(rep)))
+    lut[:-1] = inverse
+    lut[-1] = -1
+    del inverse
+    # the distinct fields decoded in the blob's order, picked by a byte
+    # mask, then put in rep's order
+    first = np.zeros(len(field_len), dtype=bool)
+    first[rep] = True
+    keep = np.repeat(first, field_len + 1)
+    del first, field_at, field_len
+    text = blob[:len(keep)][keep].tobytes()
+    del blob, keep
+    decoded = text.decode("utf-8", "replace").split(",")[:-1]
+    del text
+    rank = np.empty(len(rep), dtype=np.int64)
+    rank[np.argsort(rep)] = np.arange(len(rep))
+    return [decoded[r] for r in rank.tolist()], lut
 
 
 def _is_int(text: str) -> bool:
@@ -456,6 +489,70 @@ def _is_int(text: str) -> bool:
     except ValueError:
         return False
     return True
+
+
+def _scan(fh, allow_unlabeled: bool):
+    """Group every field of the lines of fh, block by block.
+
+    Returns (rep_bytes, slots, line_no, malformed, total): per field, per
+    block, the bytes of one field of each group, each followed by a comma
+    (fields hold none), and (the groups counted over the blocks before it,
+    each record's group in the block or -1 where it lacks the field); per
+    block, each record's line number; the (line_no, reason) pairs of the
+    malformed lines; and the count of lines that are not blank.
+    """
+    arity = [NUM_FEATURES, NUM_FEATURES + 1] + ([NUM_FEATURES - 1] if allow_unlabeled else [])
+    rep_bytes = [[] for _ in range(_FIELDS)]
+    reps = [0] * _FIELDS
+    slots = [[] for _ in range(_FIELDS)]
+    line_no: list[np.ndarray] = []
+    malformed: list[tuple[int, str]] = []
+    total = 0
+    lines_before = 0
+    for buf, size in _runs(fh):
+        text = memoryview(buf)
+        starts, stops = _line_bounds(buf, size)
+        for b in range(0, len(starts), _BLOCK_LINES):
+            first, end = starts[b:b + _BLOCK_LINES], stops[b:b + _BLOCK_LINES]
+            base = lines_before + b + 1  # the block's first line number
+            count, seps, lens = _fields(buf, first, end)
+            fast = np.isin(count, arity) & (lens.max(axis=0) <= _KEY_BYTES)
+            scored = np.flatnonzero(fast & (count == NUM_FEATURES + 1))
+            if scored.size:  # a difficulty int() rejects makes parse_line's error
+                field_at = seps[_FIELDS - 1, scored] + 1
+                field_len = lens[_FIELDS - 1, scored]
+                inverse, rep = _group(buf, field_at, field_len)
+                ok = [_is_int(v) for v in _decode(buf, field_at[rep], field_len[rep])]
+                fast[scored[~np.array(ok)[inverse]]] = False
+
+            keep = fast.copy()
+            for i in np.flatnonzero(~fast).tolist():
+                line = str(text[first[i]:end[i]], "utf-8", "replace")
+                if not line.strip():
+                    continue
+                total += 1
+                try:
+                    parse_line(line, base + i, allow_unlabeled=allow_unlabeled)
+                    keep[i] = True
+                except ParseError as exc:
+                    malformed.append((base + i, str(exc)))
+            total += int(fast.sum())
+
+            rows = np.flatnonzero(keep)
+            line_no.append(base + rows)
+            if len(rows) < len(keep):
+                seps, lens = seps[:, rows], lens[:, rows]
+            for j in range(_FIELDS):
+                has = slice(None) if j < NUM_FEATURES else lens[j] >= 0
+                field_at, field_len = seps[j, has] + 1, lens[j, has]
+                inverse, rep = _group(buf, field_at, field_len)
+                slot = np.full(len(rows), -1, dtype=_code_dtype(len(rep)))
+                slot[has] = inverse
+                slots[j].append((reps[j], slot))
+                rep_bytes[j].append(_joined(buf, field_at[rep], field_len[rep]).tobytes())
+                reps[j] += len(rep)
+        lines_before += len(starts)
+    return rep_bytes, slots, line_no, malformed, total
 
 
 def parse_file(path, allow_unlabeled: bool = False) -> ParseResult:
@@ -469,63 +566,9 @@ def parse_file(path, allow_unlabeled: bool = False) -> ParseResult:
     only). Blank lines count toward line numbers but not toward the 1%.
     """
     path = Path(path)
-    arity = [NUM_FEATURES, NUM_FEATURES + 1] + ([NUM_FEATURES - 1] if allow_unlabeled else [])
-    # per field, per block: the bytes of one field of each group, each
-    # followed by a comma (fields hold none)
-    rep_bytes = [[] for _ in range(_FIELDS)]
-    reps = [0] * _FIELDS
-    # per field, per block: the groups counted over the blocks before it,
-    # and each record's group in the block, -1 where it lacks the field;
-    # per block: each record's line number
-    slots = [[] for _ in range(_FIELDS)]
-    line_no: list[np.ndarray] = []
-    malformed: list[tuple[int, str]] = []
-    total = 0
-    lines_before = 0
+    # the block transients die with _scan, before the fields are merged
     with open(path, "rb") as fh:
-        for buf, size in _runs(fh):
-            text = memoryview(buf)
-            starts, stops = _line_bounds(buf, size)
-            for b in range(0, len(starts), _BLOCK_LINES):
-                first, end = starts[b:b + _BLOCK_LINES], stops[b:b + _BLOCK_LINES]
-                base = lines_before + b + 1  # the block's first line number
-                count, seps, lens = _fields(buf, first, end)
-                fast = np.isin(count, arity) & (lens.max(axis=0) <= _KEY_BYTES)
-                scored = np.flatnonzero(fast & (count == NUM_FEATURES + 1))
-                if scored.size:  # a difficulty int() rejects makes parse_line's error
-                    field_at = seps[_FIELDS - 1, scored] + 1
-                    field_len = lens[_FIELDS - 1, scored]
-                    inverse, rep = _group(buf, field_at, field_len)
-                    ok = [_is_int(v) for v in _decode(buf, field_at[rep], field_len[rep])]
-                    fast[scored[~np.array(ok)[inverse]]] = False
-
-                keep = fast.copy()
-                for i in np.flatnonzero(~fast).tolist():
-                    line = str(text[first[i]:end[i]], "utf-8", "replace")
-                    if not line.strip():
-                        continue
-                    total += 1
-                    try:
-                        parse_line(line, base + i, allow_unlabeled=allow_unlabeled)
-                        keep[i] = True
-                    except ParseError as exc:
-                        malformed.append((base + i, str(exc)))
-                total += int(fast.sum())
-
-                rows = np.flatnonzero(keep)
-                line_no.append(base + rows)
-                if len(rows) < len(keep):
-                    seps, lens = seps[:, rows], lens[:, rows]
-                for j in range(_FIELDS):
-                    has = slice(None) if j < NUM_FEATURES else lens[j] >= 0
-                    field_at, field_len = seps[j, has] + 1, lens[j, has]
-                    inverse, rep = _group(buf, field_at, field_len)
-                    slot = np.full(len(rows), -1, dtype=_code_dtype(len(rep)))
-                    slot[has] = inverse
-                    slots[j].append((reps[j], slot))
-                    rep_bytes[j].append(_joined(buf, field_at[rep], field_len[rep]).tobytes())
-                    reps[j] += len(rep)
-            lines_before += len(starts)
+        rep_bytes, slots, line_no, malformed, total = _scan(fh, allow_unlabeled)
 
     if not total:
         raise ParseError(f"{path}: no records")
@@ -537,16 +580,40 @@ def parse_file(path, allow_unlabeled: bool = False) -> ParseResult:
     if malformed:
         log.warning("%s: %d malformed line(s) skipped", path, len(malformed))
 
+    merged = []
+    for j in range(_FIELDS):
+        merged.append(_merge(rep_bytes[j]))
+        rep_bytes[j] = None
+    # the line numbers and every field's codes share one allocation, made
+    # once the merges' transients are freed: the table is one block of
+    # memory, taken and given back whole
+    records = sum(map(len, line_no))
+    numbers, *codes = _carve(records, [np.dtype(np.int64)] + [lut.dtype for _, lut in merged])
+    np.concatenate(line_no, out=numbers)
     columns = []
-    for j in range(_FIELDS):  # each field's blocks freed as its codes are built
-        values, lut = _merge(rep_bytes[j])
-        # lut[before:][-1] is lut[-1], -1, for a record that lacks the field
-        codes = np.concatenate([lut[before:][slot] for before, slot in slots[j]])
-        rep_bytes[j] = slots[j] = None
-        columns.append(Column(values, codes))
+    for j, (values, lut) in enumerate(merged):  # each field's blocks freed as its codes are built
+        at = 0
+        for before, slot in slots[j]:
+            # lut[before:][-1] is lut[-1], -1, for a record that lacks the field
+            codes[j][at:at + len(slot)] = lut[before:][slot]
+            at += len(slot)
+        slots[j] = merged[j] = None
+        columns.append(Column(values, codes[j]))
     table = RecordTable(columns[:NUM_FEATURES], columns[NUM_FEATURES],
-                        columns[NUM_FEATURES + 1], np.concatenate(line_no))
+                        columns[NUM_FEATURES + 1], numbers)
     return ParseResult(records=table, malformed=malformed)
+
+
+def _carve(n: int, dtypes: list) -> list:
+    """An uninitialized (n,) array of each dtype, all views of one buffer,
+    the widest first so that each is aligned."""
+    buf = np.empty(n * sum(d.itemsize for d in dtypes), dtype=np.uint8)
+    out = [None] * len(dtypes)
+    at = 0
+    for k in sorted(range(len(dtypes)), key=lambda k: -dtypes[k].itemsize):
+        out[k] = buf[at:at + n * dtypes[k].itemsize].view(dtypes[k])
+        at += n * dtypes[k].itemsize
+    return out
 
 
 def infer_schema(table: RecordTable, log_scale: bool = False) -> FeatureSchema:

@@ -34,12 +34,13 @@ from __future__ import annotations
 import concurrent.futures
 import math
 import os
+import queue
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .codebook import KIND_CONTINUOUS, Codebook, FeatureSchema, FeatureSpec
-from .dataset import ParseError, RecordTable, numeric_column
+from .dataset import ParseError, RecordTable, _distinct, numeric_column
 
 # Distinct records per encoder batch. Measured on the bench corpus (seed
 # 3001, D=10000, 2 vCPUs, jobs 2, best of 3, whole encode_dataset, test /
@@ -64,13 +65,33 @@ def run_chunks(fn: Callable[[int, int], None], n: int, chunk: int,
     on chunk alone, so the worker count cannot change what fn computes.
     """
     bounds = [(s, min(s + chunk, n)) for s in range(0, n, chunk)]
-    workers = min(jobs or 1, len(bounds), 4 * (os.cpu_count() or 1))
+    workers = _workers(jobs, len(bounds))
     if workers <= 1:
         for s, e in bounds:
             fn(s, e)
         return
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(lambda b: fn(*b), bounds))  # re-raises a worker's exception
+
+
+def _workers(jobs: int | None, slices: int) -> int:
+    """Threads run_chunks runs `slices` slices on at jobs."""
+    return min(jobs or 1, slices, 4 * (os.cpu_count() or 1))
+
+
+def worker_buffers(make: Callable[[], object], n: int, chunk: int,
+                   jobs: int | None) -> queue.SimpleQueue:
+    """A queue of one make() per thread that run_chunks(fn, n, chunk, jobs)
+    runs fn on, for fn to take for a slice and put back after it.
+
+    They are made by the calling thread, so a worker's scratch comes from
+    that thread's heap, which holds memory earlier steps freed, and not from
+    a heap the C allocator would add for the worker.
+    """
+    buffers: queue.SimpleQueue = queue.SimpleQueue()
+    for _ in range(_workers(jobs, -(-n // chunk))):
+        buffers.put(make())
+    return buffers
 
 
 def value_index(column: Sequence, spec: FeatureSpec, bins: int, lines=None) -> np.ndarray:
@@ -195,6 +216,11 @@ class EncoderTables:
             self.tables.append(bound.view(np.uint64))
         # the narrowest dtype that indexes every table's rows
         self.index_dtype = np.min_scalar_type(max((len(t) for t in self.tables), default=1) - 1)
+        # the most count buffers one encode_rows call holds at once; the
+        # carry-save tree's shape depends on the feature count alone
+        spare: list = []
+        planes = self._count_planes(np.zeros((1, len(self.tables)), dtype=np.intp), spare)
+        self.buffers = len(planes) + len(spare)
         # the dim real coordinates of a row; the bits past them stay zero
         self.real_bits = np.packbits(np.arange(self.words * 64) < self.dim,
                                      bitorder="little").view(np.uint64)
@@ -213,8 +239,12 @@ class EncoderTables:
                 idx[:, j] = value_index(column.strings(), spec, self.bins, table.line_no)
         return idx
 
-    def encode_rows(self, idx: np.ndarray, threshold: float) -> np.ndarray:
+    def encode_rows(self, idx: np.ndarray, threshold: float, spare=None) -> np.ndarray:
         """(records, words) uint64 encodings of the records with row indices idx.
+
+        spare is an optional list of (len(idx), words) uint64 buffers, which
+        the count uses before it allocates any; self.buffers of them are
+        enough, and the result may be one of them.
 
         Coordinate i of a record is set when more than threshold of its
         feature rows have bit i set, the strict rule, for any float
@@ -229,7 +259,7 @@ class EncoderTables:
         if not threshold < features:  # no count exceeds it (NaN included)
             return np.zeros((len(idx), self.words), dtype=np.uint64)
         k = math.floor(threshold) + 1
-        planes = self._count_planes(idx)
+        planes = self._count_planes(idx, [] if spare is None else spare)
         low = (k & -k).bit_length() - 1
         at_least = planes[low]
         for i in range(low + 1, len(planes)):
@@ -237,7 +267,7 @@ class EncoderTables:
             op(at_least, planes[i], out=at_least)
         return at_least
 
-    def _count_planes(self, idx: np.ndarray) -> list[np.ndarray]:
+    def _count_planes(self, idx: np.ndarray, spare: list) -> list[np.ndarray]:
         """Bit planes of every coordinate's count of set feature rows.
 
         planes[w] holds bit w of the count, for w below self.planes.
@@ -246,10 +276,10 @@ class EncoderTables:
         adder, whose sum stays at the weight and whose carry moves one
         weight up. Half adders then leave one row per weight (for every
         feature count below 5000 no weight ends empty and no carry passes
-        the top one).
+        the top one). Buffers are taken from spare before any is allocated,
+        and those no plane holds at the end are left in it.
         """
         shape = (len(idx), self.words)
-        spare: list[np.ndarray] = []
 
         def buffer() -> np.ndarray:
             return spare.pop() if spare else np.empty(shape, dtype=np.uint64)
@@ -305,6 +335,12 @@ def encode_dataset(
     result; its inverse maps each record to its row. A row's bytes depend
     on its own values alone, so neither the batch size nor the worker count
     changes the output.
+
+    records is read only, and released once its row indices are built: a
+    caller that hands over its last reference has the table freed before
+    the encodings are allocated. That needs CPython 3.11 or later, which
+    moves call arguments into the callee; on 3.10 the caller's stack keeps
+    the table until this returns.
     """
     width = schema.num_features
     table = records if isinstance(records, RecordTable) else RecordTable.from_rows(records, width)
@@ -314,15 +350,24 @@ def encode_dataset(
         raise ValueError("no records to encode")
     tables = EncoderTables(codebook, schema)
     idx = tables.row_indices(table)
-    keys = idx.view(np.dtype((np.void, width * idx.itemsize))).ravel()
-    del idx  # keys, a view of it, goes too once deduplicated
-    keys, inverse = np.unique(keys, return_inverse=True)
-    distinct = keys.view(tables.index_dtype).reshape(len(keys), width)
+    del records, table  # the table is freed here unless the caller keeps it
+    # np.unique(rows, return_inverse=True) without its flatten copy: the
+    # rows sorted once as byte strings, so distinct holds them in that order
+    inverse, rep = _distinct(idx.view(np.dtype((np.void, width * idx.itemsize))).ravel())
+    distinct = idx[rep]
+    del idx, rep
     rows = np.empty((len(distinct), (codebook.dim + 7) // 8), dtype=np.uint8)
 
+    pools = worker_buffers(lambda: [np.empty((DEFAULT_BATCH_SIZE, tables.words), dtype=np.uint64)
+                                    for _ in range(tables.buffers)],
+                           len(rows), DEFAULT_BATCH_SIZE, jobs)
+
     def encode(start: int, stop: int) -> None:
-        words = tables.encode_rows(distinct[start:stop], threshold)
+        pool = pools.get()
+        words = tables.encode_rows(distinct[start:stop], threshold,
+                                   [b[: stop - start] for b in pool])
         rows[start:stop] = words.view(np.uint8)[:, : rows.shape[1]]
+        pools.put(pool)
 
     run_chunks(encode, len(rows), DEFAULT_BATCH_SIZE, jobs)
     return EncodedDataset(rows, codebook.dim, labels, inverse)

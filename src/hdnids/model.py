@@ -56,6 +56,7 @@ exact byte layout.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -71,7 +72,7 @@ import numpy as np
 
 from .codebook import Codebook, FeatureSchema, row_offsets, stream
 from .dataset import LabelMap
-from .encoding import EncodedDataset, default_threshold, run_chunks
+from .encoding import EncodedDataset, default_threshold, run_chunks, worker_buffers
 
 log = logging.getLogger(__name__)
 
@@ -189,18 +190,24 @@ def _check_labels(labels: np.ndarray, num_classes: int) -> None:
         raise ValueError(f"class index {int(bad[0])} outside [0, {num_classes})")
 
 
-def _dots(bits: np.ndarray, reps: np.ndarray) -> np.ndarray:
+def _dot_rows(dim: int) -> int:
+    """Rows per _dots block: a multiple of 8 whose float64 fits _DOT_BLOCK_BYTES."""
+    return 8 * max(1, _DOT_BLOCK_BYTES // (64 * dim))
+
+
+def _dots(bits: np.ndarray, reps: np.ndarray, block: np.ndarray | None = None) -> np.ndarray:
     """float64 (n, classes) dot products of unpacked 0/1 rows (uint8, (n, dim))
     with each representative row, one cache-sized float64 block at a time.
 
     Every GEMM runs on a whole (step, dim) block, step a multiple of 8, the
     last one zero-filled past its real rows, so a row's dots do not depend
     on where it sits in bits even when BLAS rounds them (see the module
-    docstring)."""
+    docstring). block, when given, is the (step, dim) float64 buffer to use."""
     n, dim = bits.shape
-    step = 8 * max(1, _DOT_BLOCK_BYTES // (64 * dim))
+    step = _dot_rows(dim)
     out = np.empty((-(-n // step) * step, reps.shape[0]), dtype=np.float64)
-    block = np.empty((step, dim), dtype=np.float64)
+    if block is None:
+        block = np.empty((step, dim), dtype=np.float64)
     for start in range(0, n, step):
         rows = bits[start:start + step]
         block[:len(rows)] = rows
@@ -255,13 +262,18 @@ def predict_batch(model: ClassModel, data: EncodedDataset, jobs: int | None = No
     preds = np.empty(len(rows), dtype=np.int64)
     sims = np.empty((len(rows), model.num_classes), dtype=np.float64)
 
+    blocks = worker_buffers(lambda: np.empty((_dot_rows(data.dim), data.dim), dtype=np.float64),
+                            len(rows), _CHUNK, jobs)
+
     def score(start: int, stop: int) -> None:
         packed = rows[start:stop]
         ones = np.bitwise_count(packed).sum(axis=1, dtype=np.int64)
         h_norm = np.sqrt(ones.astype(np.float64))
         safe_h = np.where(h_norm > 0, h_norm, 1.0)
         bits = np.unpackbits(packed, axis=1, count=data.dim, bitorder="little")
-        s = (_dots(bits, reps) / safe_norms) / safe_h[:, None]
+        block = blocks.get()
+        s = (_dots(bits, reps, block) / safe_norms) / safe_h[:, None]
+        blocks.put(block)
         sims[start:stop] = s
         preds[start:stop] = np.argmax(s, axis=1)
 
@@ -344,19 +356,27 @@ def retrain(model: ClassModel, encoded: EncodedDataset):
     return dataclasses.replace(model, representatives=[AccumulatorVector(r) for r in reps]), trace
 
 
-def atomic_write(path, data: bytes) -> None:
-    """Write data to path via a temp file and a rename, so a failing run
-    never leaves a partial file behind."""
+@contextlib.contextmanager
+def atomic_write(path):
+    """Binary handle on a temp file beside path, renamed to path when the
+    block ends and removed when it raises, so a failing run never leaves a
+    partial file behind."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or ".", prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_bytes(path, data: bytes) -> None:
+    """Write data to path through atomic_write."""
+    with atomic_write(path) as fh:
+        fh.write(data)
 
 
 def _array_manifest(rows: int, width: int, classes: int, dim: int) -> list:
@@ -389,8 +409,8 @@ def save_model(model: ClassModel, path) -> None:
     body += header_bytes
     body += matrix.tobytes()
     body += reps.tobytes()
-    body += hashlib.sha256(bytes(body)).digest()
-    atomic_write(path, bytes(body))
+    body += hashlib.sha256(body).digest()
+    atomic_write_bytes(path, body)
 
 
 def load_model(path) -> ClassModel:

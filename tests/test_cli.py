@@ -1,19 +1,25 @@
 """Command line behavior: happy paths, config precedence, exit codes."""
 
+import contextlib
 import io
 import json
 import os
 import re
 import sys
 import time
+import weakref
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hdnids.cli
+import hdnids.encoding
 from hdnids.cli import main
-from hdnids.model import load_model
+from hdnids.dataset import parse_file
+from hdnids.encoding import encode_dataset
+from hdnids.model import load_model, predict_batch
 from conftest import edit_header, make_synth_lines
 
 
@@ -74,6 +80,27 @@ class TestTrain:
         assert cfg["dim"] == 300
         assert cfg["threshold"] == 20.5  # 41 features / 2
         assert cfg["seed"] == 42
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason=(
+        "CPython before 3.11 keeps call arguments on the caller's stack, so the "
+        "table lives until encode_dataset returns"))
+    def test_table_freed_before_the_fill(self, tmp_path, corpus, monkeypatch):
+        tables, alive = [], []
+        real_parse, real_run = hdnids.cli.parse_file, hdnids.encoding.run_chunks
+
+        def parse(*args, **kwargs):
+            result = real_parse(*args, **kwargs)
+            tables.append(weakref.ref(result.records))
+            return result
+
+        def run_chunks(*args):
+            alive.append(tables[0]() is not None)
+            return real_run(*args)
+
+        monkeypatch.setattr(hdnids.cli, "parse_file", parse)
+        monkeypatch.setattr(hdnids.encoding, "run_chunks", run_chunks)
+        quick_train(tmp_path, corpus)
+        assert alive == [False]
 
     def test_missing_train_file(self, tmp_path):
         assert run(["train", "--train", tmp_path / "nope.txt",
@@ -394,6 +421,58 @@ class TestPredict:
                     "--output", out]) == 0
         assert out.read_text().startswith("index,predicted,")
 
+    def test_csv_written_a_slice_at_a_time(self, tmp_path, corpus, capsys, monkeypatch):
+        """Three records a write, to stdout and to --output alike, and the
+        bytes of the whole CSV formatted at once."""
+        model_path = quick_train(tmp_path, corpus)
+        model = load_model(model_path)
+        preds, sims = predict_batch(model, encode_dataset(
+            parse_file(corpus, allow_unlabeled=True).records, model.codebook,
+            model.schema, model.threshold))
+        names = model.label_map.class_names
+        want = "\n".join(["index,predicted," + ",".join(f"sim_{n}" for n in names)]
+                         + [f"{i},{names[p]}," + ",".join(map(repr, s))
+                            for i, (p, s) in enumerate(zip(preds.tolist(), sims.tolist()))]
+                         ) + "\n"
+        monkeypatch.setattr(hdnids.cli, "_CSV_ROWS", 3)
+        writes = []
+        real = hdnids.cli._text_out
+
+        @contextlib.contextmanager
+        def spy(path):
+            with real(path) as write:
+                yield lambda text: (writes.append(text), write(text))
+
+        monkeypatch.setattr(hdnids.cli, "_text_out", spy)
+        capsys.readouterr()
+        assert run(["predict", "--model", model_path, "--input", corpus]) == 0
+        assert capsys.readouterr().out == want
+        records = len(corpus.read_text().splitlines())
+        assert len(writes) == 1 + -(-records // 3)
+        assert all(piece.count("\n") <= 3 for piece in writes)
+        out = tmp_path / "preds.csv"
+        assert run(["predict", "--model", model_path, "--input", corpus,
+                    "--output", out]) == 0
+        assert out.read_bytes() == want.encode("utf-8")
+        assert len(writes) == 2 * (1 + -(-records // 3))
+
+    def test_failure_mid_stream_leaves_no_file(self, tmp_path, corpus, monkeypatch):
+        model = quick_train(tmp_path, corpus)
+        real = hdnids.cli._csv_pieces
+
+        def failing(*args):
+            pieces = real(*args)
+            yield next(pieces)
+            yield next(pieces)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(hdnids.cli, "_CSV_ROWS", 3)
+        monkeypatch.setattr(hdnids.cli, "_csv_pieces", failing)
+        out = tmp_path / "out" / "preds.csv"
+        out.parent.mkdir()
+        assert run(["predict", "--model", model, "--input", corpus, "--output", out]) == 3
+        assert list(out.parent.iterdir()) == []
+
 
 class TestSplit:
     def test_preserves_line_bytes(self, tmp_path, corpus):
@@ -415,6 +494,17 @@ class TestSplit:
                         "--test-out", te, "--seed", 7]) == 0
             outs.append((tr.read_bytes(), te.read_bytes()))
         assert outs[0] == outs[1]
+
+    def test_written_a_slice_at_a_time(self, tmp_path, corpus, monkeypatch):
+        outs = []
+        for rows in (hdnids.cli._CSV_ROWS, 3):
+            monkeypatch.setattr(hdnids.cli, "_CSV_ROWS", rows)
+            tr, te = tmp_path / f"tr{rows}.txt", tmp_path / f"te{rows}.txt"
+            assert run(["split", "--input", corpus, "--train-out", tr,
+                        "--test-out", te, "--seed", 7]) == 0
+            outs.append((tr.read_bytes(), te.read_bytes()))
+        assert outs[0] == outs[1]
+        assert outs[0][0] + outs[0][1] != b""
 
     def test_bad_fraction(self, tmp_path, corpus):
         assert run(["split", "--input", corpus, "--train-out", tmp_path / "a",
@@ -460,6 +550,28 @@ class TestSweep:
                    + [str(f).format(cfg=cfg) for f in flags]) == 2
         assert capsys.readouterr().err.count("error:") == 1
         assert not out.exists()
+
+    def test_kept_table_trains_every_combo(self, tmp_path, corpus, capsys, monkeypatch):
+        """sweep keeps its tables: each combo pops its list, and encoding
+        leaves the table as it was, so equal combos give equal rows."""
+        real, seen = hdnids.cli._train_pipeline, []
+
+        def spy(tables, *args):
+            table = tables[0]
+            codes = [c.codes.copy() for c in table.features]
+            out = real(tables, *args)
+            seen.append(not tables and all(np.array_equal(a, c.codes)
+                                           for a, c in zip(codes, table.features)))
+            return out
+
+        monkeypatch.setattr(hdnids.cli, "_train_pipeline", spy)
+        capsys.readouterr()
+        assert run(["sweep", "--train", corpus, "--dims", "128,128,256",
+                    "--iterations", "1"]) == 0
+        rows = capsys.readouterr().out.strip().splitlines()
+        assert seen == [True] * 3
+        assert len(rows) == 4 and rows[1] == rows[2] != rows[3]
+        assert rows[1].endswith("ok") and rows[3].endswith("ok")
 
     def test_fixed_test_file(self, tmp_path, corpus, capsys):
         capsys.readouterr()

@@ -342,11 +342,52 @@ class TestMemory:
         for i, row in enumerate(rows):
             assert bits(data, i) == oracle(row, cb, schema, 0.5)
 
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 300), vocabulary=st.sampled_from([3, 300]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_dedup_matches_np_unique(self, n, vocabulary, seed):
+        """The distinct rows and the inverse are np.unique's of the index
+        rows, byte for byte, in uint8 and in uint16 indices."""
+        vocab = [f"v{i:03d}" for i in range(vocabulary)]
+        schema = FeatureSchema(features=[cat("k", vocab), cont("c", 0.0, 9.0), cat("j", "ab")],
+                               class_names=["x"])
+        cb = build_codebook(schema, dim=64, bins=10, seed=2)
+        rng = np.random.default_rng(seed)
+        rows = [(vocab[a], str(b), "ab"[c]) for a, b, c in
+                rng.integers(0, [min(vocabulary, 4), 10, 2], size=(n, 3)).tolist()]
+        tables = EncoderTables(cb, schema)
+        idx = tables.row_indices(RecordTable.from_rows(rows, 3))
+        keys = idx.view(np.dtype((np.void, idx.shape[1] * idx.itemsize))).ravel()
+        want, want_inverse = np.unique(keys, return_inverse=True)
+        data = encode_dataset(rows, cb, schema, 1.5)
+        assert data.inverse.dtype == want_inverse.dtype
+        assert data.inverse.tobytes() == want_inverse.tobytes()
+        np.testing.assert_array_equal(data.rows, tables.encode_rows(
+            want.view(idx.dtype).reshape(len(want), -1), 1.5).view(np.uint8)[:, :8])
+
+    @pytest.mark.parametrize("features", [1, 2, 7, 41, 100])
+    def test_count_buffers_cover_one_call(self, features):
+        """EncoderTables.buffers is what one count holds at once, so a worker
+        handed that many allocates none, and the encodings do not change."""
+        schema = FeatureSchema(features=[cont(f"c{j}", 0.0, 9.0) for j in range(features)],
+                               class_names=["x"])
+        cb = build_codebook(schema, dim=200, bins=10, seed=3)
+        tables = EncoderTables(cb, schema)
+        idx = np.random.default_rng(features).integers(0, 10, size=(37, features))
+        pool = [np.empty((len(idx), tables.words), dtype=np.uint64)
+                for _ in range(tables.buffers)]
+        spare = list(pool)
+        planes = tables._count_planes(idx, spare)
+        assert sorted(map(id, planes + spare)) == sorted(map(id, pool))
+        threshold = features / 2
+        assert np.array_equal(tables.encode_rows(idx, threshold, list(pool)),
+                              tables.encode_rows(idx, threshold))
+
     def test_traced_peak_per_record(self, tmp_path):
-        """Above its rows, a narrow index matrix, freed once deduplicated,
-        np.unique's copies of it and 8-byte inverse entries: about 120 bytes
-        per record here. An int32 matrix kept alive beside the rows comes to
-        about 540."""
+        """Above its rows, a narrow index matrix, its sorted copy and 8-byte
+        order and inverse entries: about 78 bytes per record here. np.unique,
+        which first copies the matrix flat, came to about 122, and an int32
+        matrix kept alive beside the rows to about 540."""
         rng = np.random.default_rng(5)
         patterns = rng.integers(0, 40, size=(4000, NUM_FEATURES))
         values = patterns[rng.integers(0, len(patterns), size=8000)]
@@ -363,7 +404,7 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert len(data.rows) < len(data) == 8000
-        assert (peak - data.rows.nbytes) / len(data) < 200
+        assert (peak - data.rows.nbytes) / len(data) < 80
 
 
 class TestRunChunks:

@@ -20,6 +20,7 @@ from hdnids.model import (
     ClassModel,
     CorruptModelError,
     Hyperparams,
+    atomic_write,
     load_model,
     predict_batch,
     retrain,
@@ -508,6 +509,27 @@ class TestSharedRows:
         want_preds, want_sims = predict_batch(want, flat)
         preds, sims = predict_batch(got, shared, jobs=2)
         assert np.array_equal(preds, want_preds) and sims.tobytes() == want_sims.tobytes()
+
+
+class TestAtomicWrite:
+    def test_renamed_into_place_when_the_block_ends(self, tmp_path):
+        path = tmp_path / "out.bin"
+        with atomic_write(path) as fh:
+            fh.write(b"ab")
+            fh.write(b"c")
+            assert not path.exists()
+        assert path.read_bytes() == b"abc"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+    def test_raise_mid_stream_leaves_nothing(self, tmp_path):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"old")
+        with pytest.raises(RuntimeError):
+            with atomic_write(path) as fh:
+                fh.write(b"partial")
+                raise RuntimeError("stop")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+        assert path.read_bytes() == b"old"
 
 
 class TestPersistence:
