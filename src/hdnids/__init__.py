@@ -48,6 +48,7 @@ from .model import (
     Hyperparams,
     load_model,
     predict_batch,
+    predict_table,
     retrain,
     save_model,
     train_initial,
@@ -70,7 +71,7 @@ __all__ = [
     "EncodedDataset", "default_threshold", "encode_dataset", "lookup_level",
     "value_index",
     "AccumulatorVector", "ClassModel", "CorruptModelError", "Hyperparams",
-    "load_model", "predict_batch", "retrain", "save_model", "train_initial",
+    "load_model", "predict_batch", "predict_table", "retrain", "save_model", "train_initial",
     "ConfusionMatrix", "EvaluationReport", "evaluate", "render_report",
     "__version__",
 ]

@@ -47,6 +47,7 @@ from .model import (
     atomic_write,
     load_model,
     predict_batch,
+    predict_table,
     retrain,
     save_model,
     train_initial,
@@ -274,26 +275,26 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def _csv_pieces(names: list, preds, sims):
-    """predict's CSV as text pieces: the header, then _CSV_ROWS records a piece."""
+def _csv_pieces(names: list, preds, sims, inverse):
+    """predict's CSV as text pieces: the header, then _CSV_ROWS records a
+    piece, record i scored preds[inverse[i]] and sims[inverse[i]]."""
     yield "index,predicted," + ",".join(f"sim_{n}" for n in names) + "\n"
-    for start in range(0, len(preds), _CSV_ROWS):
-        rows = slice(start, start + _CSV_ROWS)
+    for start in range(0, len(inverse), _CSV_ROWS):
+        at = inverse[start:start + _CSV_ROWS]
         yield "".join(f"{i},{names[pred]}," + ",".join(map(repr, scores)) + "\n"
-                      for i, pred, scores in zip(itertools.count(start), preds[rows].tolist(),
-                                                 sims[rows].tolist()))
+                      for i, pred, scores in zip(itertools.count(start), preds[at].tolist(),
+                                                 sims[at].tolist()))
 
 
 def cmd_predict(args) -> int:
     jobs = _settings(args)["jobs"]
     model = load_model(args.model)
-    # encode_dataset gets the only reference to the table and frees it once read
-    data = encode_dataset(parse_file(args.input, allow_unlabeled=True).records,
-                          model.codebook, model.schema, model.threshold, jobs=jobs)
-    preds, sims = predict_batch(model, data, jobs=jobs)
+    # predict_table gets the only reference to the table and frees it once read
+    preds, sims, inverse = predict_table(
+        model, parse_file(args.input, allow_unlabeled=True).records, jobs=jobs)
     # every error is raised by now, so stdout gets all of the CSV or none of it
     with _text_out(args.output) as write:
-        for piece in _csv_pieces(model.label_map.class_names, preds, sims):
+        for piece in _csv_pieces(model.label_map.class_names, preds, sims, inverse):
             write(piece)
     if args.output:
         print(f"predictions written to {args.output}", file=sys.stderr)

@@ -94,6 +94,11 @@ def worker_buffers(make: Callable[[], object], n: int, chunk: int,
     return buffers
 
 
+def padding_bits(dim: int) -> np.uint8:
+    """The bits of a packed row's last byte that lie past dim."""
+    return np.uint8(0xFF << (dim % 8 or 8) & 0xFF)
+
+
 def value_index(column: Sequence, spec: FeatureSpec, bins: int, lines=None) -> np.ndarray:
     """Index of each raw value among its feature's value rows, as int32.
 
@@ -165,7 +170,7 @@ class EncodedDataset:
             raise ValueError(f"inverse must be 1-D integers in [0, {len(rows)})")
         if labels is not None and len(labels) != len(inverse):
             raise ValueError("labels length must match record count")
-        padding = np.uint8(0xFF << (dim % 8 or 8) & 0xFF)
+        padding = padding_bits(dim)
         if (rows[:, -1] & padding).any():
             rows = rows.copy()
             rows[:, -1] &= ~padding
@@ -238,6 +243,35 @@ class EncoderTables:
                 # whose dictionary holds a bad string no record uses
                 idx[:, j] = value_index(column.strings(), spec, self.bins, table.line_no)
         return idx
+
+    def distinct_rows(self, table: RecordTable) -> tuple[np.ndarray, np.ndarray]:
+        """(distinct, inverse): the distinct row index rows of a RecordTable,
+        sorted as byte strings, and each record's position among them.
+
+        np.unique(rows, axis=0, return_inverse=True) without its flatten
+        copy: one sort of the rows viewed as byte strings. table is released
+        once its row indices are built, so a caller that passes its last
+        reference has it freed before the sort (CPython 3.11 and later move
+        call arguments into the callee); the per-record index matrix is
+        freed before this returns. Raises ValueError on a table without
+        records or with other than one value per schema feature.
+        """
+        width = self.schema.num_features
+        if len(table.features) != width:
+            raise ValueError(f"records have {len(table.features)} values, expected {width}")
+        if not len(table):
+            raise ValueError("no records to encode")
+        idx = self.row_indices(table)
+        del table
+        inverse, rep = _distinct(idx.view(np.dtype((np.void, width * idx.itemsize))).ravel())
+        return idx[rep], inverse
+
+    def buffer_pool(self) -> list[np.ndarray]:
+        """The spare buffers encode_rows needs for DEFAULT_BATCH_SIZE records:
+        self.buffers (DEFAULT_BATCH_SIZE, words) uint64 arrays, which a caller
+        slices to a batch's records."""
+        return [np.empty((DEFAULT_BATCH_SIZE, self.words), dtype=np.uint64)
+                for _ in range(self.buffers)]
 
     def encode_rows(self, idx: np.ndarray, threshold: float, spare=None) -> np.ndarray:
         """(records, words) uint64 encodings of the records with row indices idx.
@@ -338,29 +372,19 @@ def encode_dataset(
 
     records is read only, and released once its row indices are built: a
     caller that hands over its last reference has the table freed before
-    the encodings are allocated. That needs CPython 3.11 or later, which
-    moves call arguments into the callee; on 3.10 the caller's stack keeps
-    the table until this returns.
+    they are deduplicated and the encodings allocated. That needs CPython
+    3.11 or later, which moves call arguments into the callee; on 3.10 the
+    caller's stack keeps the table until this returns.
     """
-    width = schema.num_features
-    table = records if isinstance(records, RecordTable) else RecordTable.from_rows(records, width)
-    if len(table.features) != width:
-        raise ValueError(f"records have {len(table.features)} values, expected {width}")
-    if not len(table):
-        raise ValueError("no records to encode")
+    held = [records if isinstance(records, RecordTable)
+            else RecordTable.from_rows(records, schema.num_features)]
+    del records
     tables = EncoderTables(codebook, schema)
-    idx = tables.row_indices(table)
-    del records, table  # the table is freed here unless the caller keeps it
-    # np.unique(rows, return_inverse=True) without its flatten copy: the
-    # rows sorted once as byte strings, so distinct holds them in that order
-    inverse, rep = _distinct(idx.view(np.dtype((np.void, width * idx.itemsize))).ravel())
-    distinct = idx[rep]
-    del idx, rep
+    # popped as it is passed, so distinct_rows holds the last reference and
+    # frees the table before its sort, unless the caller keeps one
+    distinct, inverse = tables.distinct_rows(held.pop())
     rows = np.empty((len(distinct), (codebook.dim + 7) // 8), dtype=np.uint8)
-
-    pools = worker_buffers(lambda: [np.empty((DEFAULT_BATCH_SIZE, tables.words), dtype=np.uint64)
-                                    for _ in range(tables.buffers)],
-                           len(rows), DEFAULT_BATCH_SIZE, jobs)
+    pools = worker_buffers(tables.buffer_pool, len(rows), DEFAULT_BATCH_SIZE, jobs)
 
     def encode(start: int, stop: int) -> None:
         pool = pools.get()

@@ -22,8 +22,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import RecordTable, class_indices
-from .encoding import encode_dataset
-from .model import ClassModel, predict_batch
+from .model import ClassModel, _check_labels, predict_table
+
+# evaluate calls neither encode_dataset nor predict_batch, but hdbench's
+# tracer wraps both where this module binds them, and a traced run fails
+# with AttributeError when they are missing
+from .encoding import encode_dataset  # noqa: F401
+from .model import predict_batch  # noqa: F401
 
 REPORT_FORMATS = ("text", "json", "csv")
 
@@ -37,10 +42,19 @@ class ConfusionMatrix:
 
     @classmethod
     def from_pairs(cls, truth, preds, class_names) -> "ConfusionMatrix":
+        """Count (truth[i], preds[i]) pairs of class indices in [0, n), n the
+        number of class names; ValueError on any other index or on
+        sequences of unequal length."""
         n = len(class_names)
-        counts = np.zeros((n, n), dtype=np.int64)
-        np.add.at(counts, (np.asarray(truth), np.asarray(preds)), 1)
-        return cls(counts=counts, class_names=list(class_names))
+        truth = np.asarray(truth, dtype=np.int64)
+        preds = np.asarray(preds, dtype=np.int64)
+        if truth.shape != preds.shape or truth.ndim != 1:
+            raise ValueError(f"{truth.shape} true and {preds.shape} predicted classes "
+                             "must be 1-D of one length")
+        _check_labels(truth, n)
+        _check_labels(preds, n)
+        counts = np.bincount(truth * n + preds, minlength=n * n).astype(np.int64, copy=False)
+        return cls(counts=counts.reshape(n, n), class_names=list(class_names))
 
     @property
     def total(self) -> int:
@@ -116,23 +130,17 @@ def report_from_matrix(
 
 
 def evaluate(model: ClassModel, table: RecordTable, jobs: int | None = None) -> EvaluationReport:
-    """Encode a RecordTable of labelled records with the model's codebook
-    and score them."""
+    """Score a RecordTable of labelled records with predict_table.
+
+    Labels are mapped first, so an unknown label under a strict map is
+    reported before any value is read."""
     if not len(table):
         raise ValueError("empty test set")
     t0 = time.perf_counter()
     labels = class_indices(table, model.label_map)
-    data = encode_dataset(
-        table,
-        model.codebook,
-        model.schema,
-        model.threshold,
-        labels=labels,
-        jobs=jobs,
-    )
-    preds, _ = predict_batch(model, data, jobs=jobs)
+    preds, _, inverse = predict_table(model, table, jobs=jobs)
     wall = time.perf_counter() - t0
-    matrix = ConfusionMatrix.from_pairs(labels, preds, model.label_map.class_names)
+    matrix = ConfusionMatrix.from_pairs(labels, preds[inverse], model.label_map.class_names)
     config = dict(model.hyperparams.to_dict())
     config["classes"] = list(model.label_map.class_names)
     return report_from_matrix(matrix, config=config, wall_time=wall)

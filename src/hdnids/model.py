@@ -23,15 +23,16 @@ alpha (1, 0.5, 0.25, 2, ...) the in-place update therefore equals a fresh
 dot product to the bit, and the representatives and trace come out
 byte-identical to rescoring the tail.
 
-Every float64 dot product (retraining's chunk-start scores, predict_batch's
-scores) goes through _dots. It converts unpacked 0/1 rows to float64 a few
-rows at a time into one reused block of _DOT_BLOCK_BYTES and runs the thin
-(rows, dim) @ (dim, classes) GEMM on it. At D=10000 a whole 64-row chunk is
-5 MB of float64, more than a core's 2 MB L2 on the 2-vCPU Xeon this was
-tuned on, so converting it in one go and then multiplying reads it back
-from memory; an 8-row block (640 KB) is read while still in cache. Each
-retraining miss's tail popcount runs over the chunk's rows padded to whole
-uint64 words (157 words at D=10000, not 1,250 bytes).
+Every float64 dot product (retraining's chunk-start scores, and those of
+_score, which predict_batch and predict_table use) goes through _dots. It
+converts unpacked 0/1 rows to float64 a few rows at a time into one reused
+block of _DOT_BLOCK_BYTES and runs the thin (rows, dim) @ (dim, classes)
+GEMM on it. At D=10000 a whole 64-row chunk is 5 MB of float64, more than a
+core's 2 MB L2 on the 2-vCPU Xeon this was tuned on, so converting it in
+one go and then multiplying reads it back from memory; an 8-row block (640
+KB) is read while still in cache. Each retraining miss's tail popcount runs
+over the chunk's rows padded to whole uint64 words (157 words at D=10000,
+not 1,250 bytes).
 
 Blocking cannot change a dot product that is exact: a sum of integers, or
 of multiples of a dyadic alpha, below 2**53 has one float64 value whatever
@@ -70,9 +71,17 @@ from pathlib import Path
 
 import numpy as np
 
+from . import encoding
 from .codebook import Codebook, FeatureSchema, row_offsets, stream
-from .dataset import LabelMap
-from .encoding import EncodedDataset, default_threshold, run_chunks, worker_buffers
+from .dataset import LabelMap, RecordTable
+from .encoding import (
+    DEFAULT_BATCH_SIZE,
+    EncodedDataset,
+    default_threshold,
+    padding_bits,
+    run_chunks,
+    worker_buffers,
+)
 
 log = logging.getLogger(__name__)
 
@@ -195,6 +204,11 @@ def _dot_rows(dim: int) -> int:
     return 8 * max(1, _DOT_BLOCK_BYTES // (64 * dim))
 
 
+def _dot_block(dim: int) -> np.ndarray:
+    """A float64 block for _dots at dim."""
+    return np.empty((_dot_rows(dim), dim), dtype=np.float64)
+
+
 def _dots(bits: np.ndarray, reps: np.ndarray, block: np.ndarray | None = None) -> np.ndarray:
     """float64 (n, classes) dot products of unpacked 0/1 rows (uint8, (n, dim))
     with each representative row, one cache-sized float64 block at a time.
@@ -207,7 +221,7 @@ def _dots(bits: np.ndarray, reps: np.ndarray, block: np.ndarray | None = None) -
     step = _dot_rows(dim)
     out = np.empty((-(-n // step) * step, reps.shape[0]), dtype=np.float64)
     if block is None:
-        block = np.empty((step, dim), dtype=np.float64)
+        block = _dot_block(dim)
     for start in range(0, n, step):
         rows = bits[start:start + step]
         block[:len(rows)] = rows
@@ -243,42 +257,98 @@ def train_initial(encoded: EncodedDataset, num_classes: int) -> list:
     return [AccumulatorVector(reps[c]) for c in range(num_classes)]
 
 
+def _reps_and_norms(model: ClassModel) -> tuple[np.ndarray, np.ndarray]:
+    """What _score reads of a model: its (classes, dim) representatives and
+    their norms, an all-zero row's taken as 1."""
+    reps = model.rep_matrix()
+    norms = np.linalg.norm(reps, axis=1)
+    return reps, np.where(norms > 0, norms, 1.0)
+
+
+def _score(packed: np.ndarray, dim: int, reps: np.ndarray, safe_norms: np.ndarray,
+           block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(preds, sims) of packed rows, whose bits past dim are clear, against
+    _reps_and_norms' (reps, safe_norms): int64 (n,) and float64 (n, classes).
+
+    The similarity is dot(h, r) / (sqrt(|h|) * ||r||), |h| the set bits of
+    h, and 0 when either side is all-zero; argmax wins, lowest index on
+    ties. packed may run past the row's ceil(dim/8) bytes, zero-filled."""
+    ones = np.bitwise_count(packed).sum(axis=1, dtype=np.int64)
+    h_norm = np.sqrt(ones.astype(np.float64))
+    safe_h = np.where(h_norm > 0, h_norm, 1.0)
+    bits = np.unpackbits(packed, axis=1, count=dim, bitorder="little")
+    sims = (_dots(bits, reps, block) / safe_norms) / safe_h[:, None]
+    return np.argmax(sims, axis=1), sims
+
+
 def predict_batch(model: ClassModel, data: EncodedDataset, jobs: int | None = None):
     """Predictions and cosine similarities for a whole encoded dataset.
 
-    Returns (preds, sims): int64 (n,) and float64 (n, num_classes). The
-    similarity is dot(h, r) / (sqrt(|h|) * ||r||), |h| the set bits of h,
-    and 0 when either side is all-zero; argmax wins, lowest index on ties.
-    Read-only on the model, chunked, and safe to parallelize; chunk
-    boundaries are fixed so worker count cannot change the output. Each of
-    data.rows is scored once and its results gathered to every record it
-    encodes: a row's scores do not depend on its position (see the module
-    docstring), so this gives the bits scoring every record would.
+    Returns (preds, sims): int64 (n,) and float64 (n, num_classes), scored
+    as _score says. Read-only on the model, chunked, and safe to
+    parallelize; chunk boundaries are fixed so worker count cannot change
+    the output. Each of data.rows is scored once and its results gathered
+    to every record it encodes: a row's scores do not depend on its
+    position (see the module docstring), so this gives the bits scoring
+    every record would.
     """
-    reps = model.rep_matrix()
-    norms = np.linalg.norm(reps, axis=1)
-    safe_norms = np.where(norms > 0, norms, 1.0)
+    reps, safe_norms = _reps_and_norms(model)
     rows = data.rows
     preds = np.empty(len(rows), dtype=np.int64)
     sims = np.empty((len(rows), model.num_classes), dtype=np.float64)
-
-    blocks = worker_buffers(lambda: np.empty((_dot_rows(data.dim), data.dim), dtype=np.float64),
-                            len(rows), _CHUNK, jobs)
+    blocks = worker_buffers(lambda: _dot_block(data.dim), len(rows), _CHUNK, jobs)
 
     def score(start: int, stop: int) -> None:
-        packed = rows[start:stop]
-        ones = np.bitwise_count(packed).sum(axis=1, dtype=np.int64)
-        h_norm = np.sqrt(ones.astype(np.float64))
-        safe_h = np.where(h_norm > 0, h_norm, 1.0)
-        bits = np.unpackbits(packed, axis=1, count=data.dim, bitorder="little")
         block = blocks.get()
-        s = (_dots(bits, reps, block) / safe_norms) / safe_h[:, None]
+        preds[start:stop], sims[start:stop] = _score(rows[start:stop], data.dim, reps,
+                                                     safe_norms, block)
         blocks.put(block)
-        sims[start:stop] = s
-        preds[start:stop] = np.argmax(s, axis=1)
 
     run_chunks(score, len(rows), _CHUNK, jobs)
     return preds[data.inverse], sims[data.inverse]
+
+
+def predict_table(model: ClassModel, table: RecordTable, jobs: int | None = None):
+    """Predictions and cosine similarities for a RecordTable, without
+    holding its encodings.
+
+    Returns (preds, sims, inverse): int64 (u,) and float64 (u, num_classes)
+    for the u distinct records, in encode_dataset's row order, and each
+    record's int64 index into them, so record i is predicted preds[inverse[i]]
+    with similarities sims[inverse[i]]. These are the bytes of
+    predict_batch(model, encode_dataset(table, ...)), at any jobs.
+
+    The distinct index rows are encoded in DEFAULT_BATCH_SIZE slices, each
+    by one worker into its own buffers and scored in _CHUNK-row pieces while
+    they are still in cache; only a slice's encodings exist at a time per
+    worker. table is read only, and released once its distinct index rows
+    are found: a caller that hands over its last reference (CPython 3.11
+    and later) has it freed before any encoding is made.
+    """
+    # looked up in encoding, where hdbench's tracer times its construction
+    tables = encoding.EncoderTables(model.codebook, model.schema)
+    distinct, inverse = tables.distinct_rows(table)
+    del table  # freed here unless the caller keeps it
+    reps, safe_norms = _reps_and_norms(model)
+    dim, threshold = model.codebook.dim, model.threshold
+    preds = np.empty(len(distinct), dtype=np.int64)
+    sims = np.empty((len(distinct), model.num_classes), dtype=np.float64)
+    scratch = worker_buffers(lambda: (tables.buffer_pool(), _dot_block(dim)),
+                             len(distinct), DEFAULT_BATCH_SIZE, jobs)
+
+    def encode_and_score(start: int, stop: int) -> None:
+        pool, block = scratch.get()
+        words = tables.encode_rows(distinct[start:stop], threshold,
+                                   [b[: stop - start] for b in pool])
+        packed = words.view(np.uint8)  # whole words: the bytes past the row's are zero
+        for s in range(start, stop, _CHUNK):
+            e = min(s + _CHUNK, stop)
+            preds[s:e], sims[s:e] = _score(packed[s - start:e - start], dim, reps,
+                                           safe_norms, block)
+        scratch.put((pool, block))
+
+    run_chunks(encode_and_score, len(distinct), DEFAULT_BATCH_SIZE, jobs)
+    return preds, sims, inverse
 
 
 def retrain(model: ClassModel, encoded: EncodedDataset):
@@ -469,6 +539,8 @@ def _model_from(header: dict, payload: bytes) -> ClassModel:
     if len(payload) != need:
         raise ValueError(f"arrays take {len(payload)} bytes, the header implies {need}")
     matrix = np.frombuffer(payload, np.uint8, count=rows * width).reshape(rows, width)
+    if (matrix[:, -1] & padding_bits(dim)).any():
+        raise ValueError(f"codebook rows have bits set past dim {dim}")
     reps = np.frombuffer(payload, np.float64, offset=rows * width).reshape(classes, dim)
     if not np.isfinite(reps).all():
         raise ValueError("representatives hold a non-finite value")

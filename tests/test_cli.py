@@ -1,6 +1,7 @@
 """Command line behavior: happy paths, config precedence, exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -16,6 +17,7 @@ import pytest
 
 import hdnids.cli
 import hdnids.encoding
+import hdnids.model
 from hdnids.cli import main
 from hdnids.dataset import parse_file
 from hdnids.encoding import encode_dataset
@@ -391,6 +393,19 @@ class TestEvaluate:
                     "--unknown-label", "strict"]) == 4
         assert run(["evaluate", "--model", model, "--test", odd]) == 0
 
+    def test_unknown_label_reported_before_bad_value(self, tmp_path, corpus, capsys):
+        """Labels are mapped before any value is read: a file with both an
+        unknown label under a strict map and a non-numeric value names the label."""
+        model = quick_train(tmp_path, corpus)
+        odd = tmp_path / "odd.txt"
+        odd.write_text(",".join(["5"] * 4 + ["abc"] + ["5"] * 36) + ",normal,10\n"
+                       + ",".join(["5"] * 41) + ",zero_day,10\n")
+        capsys.readouterr()
+        assert run(["evaluate", "--model", model, "--test", odd,
+                    "--unknown-label", "strict"]) == 4
+        err = capsys.readouterr().err
+        assert "unknown attack label 'zero_day'" in err and "abc" not in err
+
 
 class TestPredict:
     def test_csv_output(self, tmp_path, corpus, capsys):
@@ -413,6 +428,29 @@ class TestPredict:
         capsys.readouterr()
         assert run(["predict", "--model", model, "--input", bare]) == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 2
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason=(
+        "CPython before 3.11 keeps call arguments on the caller's stack, so the "
+        "table lives until predict_table returns"))
+    def test_table_freed_before_scoring(self, tmp_path, corpus, monkeypatch):
+        model = quick_train(tmp_path, corpus)
+        tables, alive = [], []
+        real_parse, real_run = hdnids.cli.parse_file, hdnids.model.run_chunks
+
+        def parse(*args, **kwargs):
+            result = real_parse(*args, **kwargs)
+            tables.append(weakref.ref(result.records))
+            return result
+
+        def run_chunks(*args):
+            alive.append(tables[0]() is not None)
+            return real_run(*args)
+
+        monkeypatch.setattr(hdnids.cli, "parse_file", parse)
+        monkeypatch.setattr(hdnids.model, "run_chunks", run_chunks)
+        assert run(["predict", "--model", model, "--input", corpus,
+                    "--output", tmp_path / "p.csv"]) == 0
+        assert alive == [False]
 
     def test_output_file(self, tmp_path, corpus):
         model = quick_train(tmp_path, corpus)
@@ -572,6 +610,23 @@ class TestSweep:
         assert seen == [True] * 3
         assert len(rows) == 4 and rows[1] == rows[2] != rows[3]
         assert rows[1].endswith("ok") and rows[3].endswith("ok")
+
+    @pytest.mark.parametrize("test_file, digest", [
+        (True, "0ac9062c3fc93090044dd0df7732d12793562a51592d5341a37b4ae678340118"),
+        (False, "606abd75b107236e0d41bad88e81ee5121ce4d32579cddac4ce65753ce936472"),
+    ])
+    def test_output_bytes_unchanged(self, tmp_path, test_file, digest):
+        """SHA-256 of a 16-combination sweep on overlapping classes, as the
+        releases before evaluate scored through predict_table wrote it."""
+        data = tmp_path / "overlap.txt"
+        data.write_text("\n".join(make_synth_lines(
+            {"normal": 120, "dos": 100, "probe": 60, "r2l": 40, "u2r": 20},
+            seed=7, gap=-280)) + "\n")
+        out = tmp_path / "sweep.csv"
+        assert run(["sweep", "--train", data, *(["--test", data] if test_file else []),
+                    "--dims", "128,300", "--bins", "5,10", "--alphas", "1,0.1",
+                    "--seeds", "1,2", "--iterations", "3", "--output", out, "--jobs", 2]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_fixed_test_file(self, tmp_path, corpus, capsys):
         capsys.readouterr()

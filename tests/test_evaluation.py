@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,8 +14,9 @@ from hdnids.evaluation import (
     render_report,
     report_from_matrix,
 )
+from hdnids.dataset import parse_file
 from hdnids.model import predict_batch, retrain
-from conftest import train_small_model, with_hyperparams
+from conftest import FLAGS, PROTOS, SERVICES, train_small_model, with_hyperparams
 
 
 def file_of(tmp_path, lines, name="data.txt"):
@@ -29,6 +31,20 @@ class TestConfusionMatrix:
         assert m.counts.tolist() == [[1, 1], [1, 2]]
         assert m.total == 5
         assert m.accuracy == pytest.approx(3 / 5)
+
+    @pytest.mark.parametrize("truth, preds", [
+        ([-1, 0], [0, -2]),  # wrapped to the last rows and columns before
+        ([0, 2], [0, 1]),
+        ([0, 1], [1, 2]),
+        ([0, 1, 1], [0, 1]),
+    ])
+    def test_index_out_of_range_or_length_mismatch_rejected(self, truth, preds):
+        with pytest.raises(ValueError):
+            ConfusionMatrix.from_pairs(truth, preds, ["a", "b"])
+
+    def test_empty_pairs(self):
+        m = ConfusionMatrix.from_pairs([], [], ["a", "b"])
+        assert m.counts.tolist() == [[0, 0], [0, 0]] and m.counts.dtype == np.int64
 
     def test_empty_matrix_has_no_accuracy(self):
         m = ConfusionMatrix(np.zeros((2, 2), dtype=np.int64), ["a", "b"])
@@ -97,6 +113,32 @@ class TestEvaluate:
         assert trace[-1] == 1.0  # converged (zero-update fixed point)
         report = evaluate(out, records)
         assert report.accuracy == trace[-1]
+
+
+class TestScoringMemory:
+    def test_encodings_not_held(self, tmp_path, synth_lines):
+        """At D=10000, evaluate's scoring allocates less than half of what
+        the distinct records' packed encodings would take together: it
+        holds one worker's scratch and the per-distinct-record results."""
+        model, _, _ = train_small_model(file_of(tmp_path, synth_lines, "train.txt"),
+                                        dim=10000, iterations=1)
+        rng = np.random.default_rng(11)
+        u = 16000
+        numbers = rng.integers(0, 5000, size=(u, 41)).astype(str)
+        numbers[:, 1] = rng.choice(PROTOS, u)
+        numbers[:, 2] = rng.choice(SERVICES, u)
+        numbers[:, 3] = rng.choice(FLAGS, u)
+        test = file_of(tmp_path, [",".join(r) + ",normal" for r in numbers.tolist()])
+        table = parse_file(test).records
+        encodings = u * -(-10000 // 8)  # 20 MB if every record is distinct
+        tracemalloc.start()
+        try:
+            report = evaluate(model, table, jobs=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.num_records == u
+        assert peak < encodings / 2
 
 
 class TestRender:

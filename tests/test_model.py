@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hdnids.codebook import FeatureSchema, FeatureSpec, build_codebook
-from hdnids.dataset import LabelMap
+from hdnids.dataset import LabelMap, RecordTable
 from hdnids.encoding import EncodedDataset, encode_dataset
 from hdnids.evaluation import evaluate
 import hdnids.model
@@ -23,6 +24,7 @@ from hdnids.model import (
     atomic_write,
     load_model,
     predict_batch,
+    predict_table,
     retrain,
     save_model,
     train_initial,
@@ -269,6 +271,86 @@ class TestPredict:
         p4, s4 = predict_batch(model, data, jobs=4)
         assert np.array_equal(p1, p4)
         assert np.array_equal(s1, s4)
+
+
+class TestPredictTable:
+    """predict_table encodes and scores each batch of distinct records in
+    one pass; its results, gathered through its inverse, are the bytes of
+    predict_batch on encode_dataset's rows."""
+
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory, synth_lines):
+        """model(dim, alpha), each trained once; and the 41-value rows of
+        the training lines, then the same rows with an unseen service."""
+        src = tmp_path_factory.mktemp("table") / "train.txt"
+        src.write_text("\n".join(synth_lines) + "\n")
+        models = {}
+
+        def model(dim, alpha):
+            if (dim, alpha) not in models:
+                models[dim, alpha] = train_small_model(
+                    src, dim=dim, bins=min(10, dim), alpha=alpha, iterations=2)[0]
+            return models[dim, alpha]
+
+        rows = [line.split(",")[:41] for line in synth_lines]
+        return model, rows + [r[:2] + ["no_such_service"] + r[3:] for r in rows]
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(dim=st.sampled_from([1, 7, 64, 251, 1000]),
+           threshold=st.sampled_from([-1.0, 0.0, 20.5, 41.0, 1e9]),
+           alpha=st.sampled_from([1.0, 0.1]),
+           jobs=st.sampled_from([1, 2, 3]),
+           data=st.data())
+    def test_prop_equals_predict_batch(self, trained, dim, threshold, alpha, jobs, data):
+        model_of, rows = trained
+        model = with_hyperparams(model_of(dim, alpha), threshold=threshold)
+        # duplicates, and up to every row: 680 distinct, three encoder batches
+        picks = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=900)
+                          | st.just(list(range(len(rows)))))
+        table = RecordTable.from_rows([rows[i] for i in picks], 41)
+        preds, sims, inverse = predict_table(model, table, jobs=jobs)
+        want_preds, want_sims = predict_batch(
+            model, encode_dataset(table, model.codebook, model.schema, threshold))
+        assert preds.dtype == np.int64 and inverse.dtype == np.int64
+        assert len(preds) == len(sims) == inverse.max() + 1 and len(inverse) == len(picks)
+        assert preds[inverse].tobytes() == want_preds.tobytes()
+        assert sims[inverse].tobytes() == want_sims.tobytes()
+
+    def test_many_threads_fast_switching(self, trained):
+        """More workers than cores, switching threads every microsecond: every
+        slice is written once, and the bytes equal the serial run's."""
+        model_of, rows = trained
+        model = model_of(251, 0.1)
+        table = RecordTable.from_rows(rows * 2, 41)
+        want = predict_table(model, table, jobs=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = predict_table(model, table, jobs=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+    def test_table_unchanged(self, trained):
+        model_of, rows = trained
+        table = RecordTable.from_rows(rows + rows[:50], 41)
+
+        def state():
+            columns = [table.labels, table.difficulty, *table.features]
+            return ([(list(c.values), c.codes.tobytes()) for c in columns],
+                    table.line_no.tobytes())
+
+        before = state()
+        predict_table(model_of(64, 1.0), table, jobs=2)
+        assert state() == before
+
+    def test_empty_or_wrong_width_rejected(self, trained):
+        model = trained[0](64, 1.0)
+        with pytest.raises(ValueError, match="no records"):
+            predict_table(model, RecordTable.from_rows([], 41))
+        with pytest.raises(ValueError, match="expected 41"):
+            predict_table(model, RecordTable.from_rows([["0"] * 40], 40))
 
 
 class TestHyperparams:
@@ -688,6 +770,20 @@ class TestDamagedHeader:
         path.write_bytes(reframe(blob[:-40] + np.float64(value).tobytes() + blob[-32:],
                                  header))
         with pytest.raises(CorruptModelError, match="finite"):
+            load_model(path)
+
+    def test_codebook_bits_past_dim_rejected(self, tmp_path, synth_lines):
+        """Scoring reads the encoder's words as they are, so a codebook bit
+        past dim would enter |h|; dim 1001 leaves bits 1-7 of the last byte."""
+        src = tmp_path / "train.txt"
+        src.write_text("\n".join(synth_lines) + "\n")
+        model, _, _ = train_small_model(src, dim=1001, iterations=1)
+        path = tmp_path / "m.hdm"
+        save_model(model, path)
+        load_model(path)
+        model.codebook.matrix[3, -1] |= 0xFE
+        save_model(model, path)
+        with pytest.raises(CorruptModelError, match="past dim"):
             load_model(path)
 
     def test_unedited_header_loads(self, tmp_path, blob):
