@@ -56,42 +56,40 @@ def default_threshold(schema: FeatureSchema) -> float:
     return schema.num_features / 2.0
 
 
-def run_chunks(fn: Callable[[int, int], None], n: int, chunk: int,
-               jobs: int | None) -> None:
-    """Call fn(start, stop) on each fixed slice [k*chunk, (k+1)*chunk) of range(n).
+def run_chunks(fn: Callable[[int, int, object], None], n: int, chunk: int,
+               jobs: int | None, scratch: Callable[[], object]) -> None:
+    """Call fn(start, stop, held) on each fixed slice [k*chunk, (k+1)*chunk)
+    of range(n), held one of the scratch() objects, which no two slices
+    hold at once.
 
     With jobs > 1 the slices run on a thread pool of at most jobs, the
     slice count and four times the CPU count threads. Slice bounds depend
     on chunk alone, so the worker count cannot change what fn computes.
+    One scratch() is made per thread, none when n is 0, all by the calling
+    thread, so a worker's scratch comes from that thread's heap, which holds
+    memory earlier steps freed, and not from a heap the C allocator would
+    add for the worker. A slice that raises returns its scratch, so the
+    other slices still run and the error reaches the caller.
     """
     bounds = [(s, min(s + chunk, n)) for s in range(0, n, chunk)]
-    workers = _workers(jobs, len(bounds))
+    workers = min(jobs or 1, len(bounds), 4 * (os.cpu_count() or 1))
+    free: queue.SimpleQueue = queue.SimpleQueue()
+    for _ in range(workers):
+        free.put(scratch())
+
+    def run(bound: tuple[int, int]) -> None:
+        held = free.get()
+        try:
+            fn(*bound, held)
+        finally:
+            free.put(held)
+
     if workers <= 1:
-        for s, e in bounds:
-            fn(s, e)
+        for bound in bounds:
+            run(bound)
         return
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(lambda b: fn(*b), bounds))  # re-raises a worker's exception
-
-
-def _workers(jobs: int | None, slices: int) -> int:
-    """Threads run_chunks runs `slices` slices on at jobs."""
-    return min(jobs or 1, slices, 4 * (os.cpu_count() or 1))
-
-
-def worker_buffers(make: Callable[[], object], n: int, chunk: int,
-                   jobs: int | None) -> queue.SimpleQueue:
-    """A queue of one make() per thread that run_chunks(fn, n, chunk, jobs)
-    runs fn on, for fn to take for a slice and put back after it.
-
-    They are made by the calling thread, so a worker's scratch comes from
-    that thread's heap, which holds memory earlier steps freed, and not from
-    a heap the C allocator would add for the worker.
-    """
-    buffers: queue.SimpleQueue = queue.SimpleQueue()
-    for _ in range(_workers(jobs, -(-n // chunk))):
-        buffers.put(make())
-    return buffers
+        list(pool.map(run, bounds))  # re-raises a worker's exception
 
 
 def padding_bits(dim: int) -> np.uint8:
@@ -267,18 +265,18 @@ class EncoderTables:
         return idx[rep], inverse
 
     def buffer_pool(self) -> list[np.ndarray]:
-        """The spare buffers encode_rows needs for DEFAULT_BATCH_SIZE records:
-        self.buffers (DEFAULT_BATCH_SIZE, words) uint64 arrays, which a caller
-        slices to a batch's records."""
+        """The buffers encode_rows needs for up to DEFAULT_BATCH_SIZE records:
+        self.buffers (DEFAULT_BATCH_SIZE, words) uint64 arrays."""
         return [np.empty((DEFAULT_BATCH_SIZE, self.words), dtype=np.uint64)
                 for _ in range(self.buffers)]
 
-    def encode_rows(self, idx: np.ndarray, threshold: float, spare=None) -> np.ndarray:
+    def encode_rows(self, idx: np.ndarray, threshold: float, pool=None) -> np.ndarray:
         """(records, words) uint64 encodings of the records with row indices idx.
 
-        spare is an optional list of (len(idx), words) uint64 buffers, which
-        the count uses before it allocates any; self.buffers of them are
-        enough, and the result may be one of them.
+        pool is an optional list of (at least len(idx), words) uint64
+        buffers, such as buffer_pool's, whose first len(idx) rows the count
+        uses before it allocates any; self.buffers of them are enough, and
+        the result may be one of them.
 
         Coordinate i of a record is set when more than threshold of its
         feature rows have bit i set, the strict rule, for any float
@@ -293,7 +291,7 @@ class EncoderTables:
         if not threshold < features:  # no count exceeds it (NaN included)
             return np.zeros((len(idx), self.words), dtype=np.uint64)
         k = math.floor(threshold) + 1
-        planes = self._count_planes(idx, [] if spare is None else spare)
+        planes = self._count_planes(idx, [b[: len(idx)] for b in pool or ()])
         low = (k & -k).bit_length() - 1
         at_least = planes[low]
         for i in range(low + 1, len(planes)):
@@ -384,14 +382,10 @@ def encode_dataset(
     # frees the table before its sort, unless the caller keeps one
     distinct, inverse = tables.distinct_rows(held.pop())
     rows = np.empty((len(distinct), (codebook.dim + 7) // 8), dtype=np.uint8)
-    pools = worker_buffers(tables.buffer_pool, len(rows), DEFAULT_BATCH_SIZE, jobs)
 
-    def encode(start: int, stop: int) -> None:
-        pool = pools.get()
-        words = tables.encode_rows(distinct[start:stop], threshold,
-                                   [b[: stop - start] for b in pool])
+    def encode(start: int, stop: int, pool: list) -> None:
+        words = tables.encode_rows(distinct[start:stop], threshold, pool)
         rows[start:stop] = words.view(np.uint8)[:, : rows.shape[1]]
-        pools.put(pool)
 
-    run_chunks(encode, len(rows), DEFAULT_BATCH_SIZE, jobs)
+    run_chunks(encode, len(rows), DEFAULT_BATCH_SIZE, jobs, tables.buffer_pool)
     return EncodedDataset(rows, codebook.dim, labels, inverse)

@@ -80,7 +80,6 @@ from .encoding import (
     default_threshold,
     padding_bits,
     run_chunks,
-    worker_buffers,
 )
 
 log = logging.getLogger(__name__)
@@ -199,29 +198,24 @@ def _check_labels(labels: np.ndarray, num_classes: int) -> None:
         raise ValueError(f"class index {int(bad[0])} outside [0, {num_classes})")
 
 
-def _dot_rows(dim: int) -> int:
-    """Rows per _dots block: a multiple of 8 whose float64 fits _DOT_BLOCK_BYTES."""
-    return 8 * max(1, _DOT_BLOCK_BYTES // (64 * dim))
-
-
 def _dot_block(dim: int) -> np.ndarray:
-    """A float64 block for _dots at dim."""
-    return np.empty((_dot_rows(dim), dim), dtype=np.float64)
+    """A float64 block for _dots at dim: a multiple of 8 rows (at least 8)
+    that fits _DOT_BLOCK_BYTES."""
+    return np.empty((8 * max(1, _DOT_BLOCK_BYTES // (64 * dim)), dim), dtype=np.float64)
 
 
-def _dots(bits: np.ndarray, reps: np.ndarray, block: np.ndarray | None = None) -> np.ndarray:
+def _dots(bits: np.ndarray, reps: np.ndarray, block: np.ndarray) -> np.ndarray:
     """float64 (n, classes) dot products of unpacked 0/1 rows (uint8, (n, dim))
     with each representative row, one cache-sized float64 block at a time.
 
-    Every GEMM runs on a whole (step, dim) block, step a multiple of 8, the
-    last one zero-filled past its real rows, so a row's dots do not depend
-    on where it sits in bits even when BLAS rounds them (see the module
-    docstring). block, when given, is the (step, dim) float64 buffer to use."""
-    n, dim = bits.shape
-    step = _dot_rows(dim)
+    block is _dot_block(dim), the buffer each block's rows are converted
+    into. Every GEMM runs on the whole block, its row count a multiple of 8,
+    the last one zero-filled past its real rows, so a row's dots do not
+    depend on where it sits in bits even when BLAS rounds them (see the
+    module docstring)."""
+    n = len(bits)
+    step = len(block)
     out = np.empty((-(-n // step) * step, reps.shape[0]), dtype=np.float64)
-    if block is None:
-        block = _dot_block(dim)
     for start in range(0, n, step):
         rows = bits[start:start + step]
         block[:len(rows)] = rows
@@ -296,15 +290,12 @@ def predict_batch(model: ClassModel, data: EncodedDataset, jobs: int | None = No
     rows = data.rows
     preds = np.empty(len(rows), dtype=np.int64)
     sims = np.empty((len(rows), model.num_classes), dtype=np.float64)
-    blocks = worker_buffers(lambda: _dot_block(data.dim), len(rows), _CHUNK, jobs)
 
-    def score(start: int, stop: int) -> None:
-        block = blocks.get()
+    def score(start: int, stop: int, block: np.ndarray) -> None:
         preds[start:stop], sims[start:stop] = _score(rows[start:stop], data.dim, reps,
                                                      safe_norms, block)
-        blocks.put(block)
 
-    run_chunks(score, len(rows), _CHUNK, jobs)
+    run_chunks(score, len(rows), _CHUNK, jobs, lambda: _dot_block(data.dim))
     return preds[data.inverse], sims[data.inverse]
 
 
@@ -333,21 +324,18 @@ def predict_table(model: ClassModel, table: RecordTable, jobs: int | None = None
     dim, threshold = model.codebook.dim, model.threshold
     preds = np.empty(len(distinct), dtype=np.int64)
     sims = np.empty((len(distinct), model.num_classes), dtype=np.float64)
-    scratch = worker_buffers(lambda: (tables.buffer_pool(), _dot_block(dim)),
-                             len(distinct), DEFAULT_BATCH_SIZE, jobs)
 
-    def encode_and_score(start: int, stop: int) -> None:
-        pool, block = scratch.get()
-        words = tables.encode_rows(distinct[start:stop], threshold,
-                                   [b[: stop - start] for b in pool])
+    def encode_and_score(start: int, stop: int, scratch: tuple) -> None:
+        pool, block = scratch
+        words = tables.encode_rows(distinct[start:stop], threshold, pool)
         packed = words.view(np.uint8)  # whole words: the bytes past the row's are zero
         for s in range(start, stop, _CHUNK):
             e = min(s + _CHUNK, stop)
             preds[s:e], sims[s:e] = _score(packed[s - start:e - start], dim, reps,
                                            safe_norms, block)
-        scratch.put((pool, block))
 
-    run_chunks(encode_and_score, len(distinct), DEFAULT_BATCH_SIZE, jobs)
+    run_chunks(encode_and_score, len(distinct), DEFAULT_BATCH_SIZE, jobs,
+               lambda: (tables.buffer_pool(), _dot_block(dim)))
     return preds, sims, inverse
 
 
@@ -381,6 +369,7 @@ def retrain(model: ClassModel, encoded: EncodedDataset):
     # popcounts after a miss run a word at a time
     padded = np.zeros((_RETRAIN_CHUNK, -(-width // 8) * 8), dtype=np.uint8)
     words = padded.view(np.uint64)
+    block = _dot_block(dim)
 
     trace: list[float] = []
     for _ in range(model.hyperparams.iterations):
@@ -393,7 +382,7 @@ def retrain(model: ClassModel, encoded: EncodedDataset):
             np.take(encoded.rows, at[start:start + b], axis=0, out=rows, mode="clip")
             y = encoded.labels[idx]
             bits = np.unpackbits(rows, axis=1, count=dim, bitorder="little")
-            dots = _dots(bits, reps)
+            dots = _dots(bits, reps, block)
             pos = 0
             while pos < b:
                 safe = np.where(norms > 0, norms, 1.0)
@@ -443,12 +432,6 @@ def atomic_write(path):
         raise
 
 
-def atomic_write_bytes(path, data: bytes) -> None:
-    """Write data to path through atomic_write."""
-    with atomic_write(path) as fh:
-        fh.write(data)
-
-
 def _array_manifest(rows: int, width: int, classes: int, dim: int) -> list:
     return [
         {"name": "codebook", "dtype": "uint8", "shape": [rows, width]},
@@ -480,7 +463,8 @@ def save_model(model: ClassModel, path) -> None:
     body += matrix.tobytes()
     body += reps.tobytes()
     body += hashlib.sha256(body).digest()
-    atomic_write_bytes(path, body)
+    with atomic_write(path) as fh:
+        fh.write(body)
 
 
 def load_model(path) -> ClassModel:
@@ -527,8 +511,9 @@ def _model_from(header: dict, payload: bytes) -> ClassModel:
                          f"dim {dim}, bins {bins} and seed {seed}")
     classes = len(label_map.class_names)
     indices = [*label_map.raw_to_class.values(), label_map.fallback_class]
-    if not all(isinstance(c, int) and 0 <= c < classes for c in indices):
-        raise ValueError(f"label map has class indices outside [0, {classes})")
+    if not all(isinstance(c, int) and not isinstance(c, bool) and 0 <= c < classes
+               for c in indices):
+        raise ValueError(f"label map has class indices that are not integers in [0, {classes})")
 
     offsets = row_offsets(schema, bins)
     rows, width = offsets[-1] + 1, (dim + 7) // 8

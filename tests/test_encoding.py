@@ -1,6 +1,8 @@
 """The batch encoder against the unpacked reference, and encoding edge cases."""
 
 import hashlib
+import sys
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -409,7 +411,8 @@ class TestMemory:
 
 class TestRunChunks:
     def test_thread_pool_capped(self, monkeypatch):
-        """No more threads than jobs, slices or four per CPU; none start here."""
+        """No more threads than jobs, slices or four per CPU, one scratch
+        per thread and none for no slices; no thread starts here."""
         sizes = []
 
         class InlinePool:
@@ -427,9 +430,47 @@ class TestRunChunks:
 
         monkeypatch.setattr(encoding.concurrent.futures, "ThreadPoolExecutor", InlinePool)
         monkeypatch.setattr(encoding.os, "cpu_count", lambda: 2)
-        done = []
-        for n, jobs in ((100, 500), (5, 500), (100, 3), (100, 1), (1, 500)):
-            run_chunks(lambda s, e: done.append((s, e)), n, 1, jobs)
-            assert sorted(done) == [(i, i + 1) for i in range(n)]
+        done, made = [], []
+
+        def scratch():
+            made.append(object())
+            return made[-1]
+
+        for n, jobs, threads in ((100, 500, 8), (5, 500, 5), (100, 3, 3), (100, 1, 1),
+                                 (1, 500, 1), (0, 500, 0)):
+            run_chunks(lambda s, e, held: done.append((s, e, held)), n, 1, jobs, scratch)
+            assert sorted((s, e) for s, e, _ in done) == [(i, i + 1) for i in range(n)]
+            assert len(made) == threads
+            assert {id(held) for _, _, held in done} <= {id(m) for m in made}
             done.clear()
+            made.clear()
         assert sizes == [8, 5, 3]
+
+    def test_scratch_held_by_one_slice_at_a_time(self):
+        """Real threads switching every microsecond: every scratch is made on
+        the calling thread, and no two slices hold one at once."""
+        lock = threading.Lock()
+        made, held, clashes, done = [], set(), [], []
+
+        def scratch():
+            made.append(threading.get_ident())
+            return [len(made)]
+
+        def fn(start, stop, mine):
+            with lock:
+                if mine[0] in held:
+                    clashes.append(mine[0])
+                held.add(mine[0])
+            sum(range(2000))  # long enough for the other threads to run
+            with lock:
+                held.discard(mine[0])
+                done.append(start)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            run_chunks(fn, 300, 1, 3, scratch)
+        finally:
+            sys.setswitchinterval(interval)
+        assert made == [threading.get_ident()] * 3
+        assert not clashes and sorted(done) == list(range(300))

@@ -3,7 +3,10 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -331,6 +334,38 @@ class TestPredictTable:
         finally:
             sys.setswitchinterval(interval)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+    def test_worker_error_raised_not_hung(self, tmp_path, trained):
+        """Every worker's slice raising MemoryError: the error comes back,
+        with slices still queued. Run in a child with a timeout, since a
+        pool thread that blocks forever would also keep pytest from exiting."""
+        model_of, rows = trained
+        save_model(model_of(64, 1.0), tmp_path / "m.hdm")
+        (tmp_path / "rows.json").write_text(json.dumps(rows))  # 680 distinct: three slices
+        script = textwrap.dedent("""
+            import json, sys
+            from hdnids import encoding
+            from hdnids.dataset import RecordTable
+            from hdnids.model import load_model, predict_table
+
+            def fail(*args, **kwargs):
+                raise MemoryError("no room")
+
+            encoding.EncoderTables.encode_rows = fail
+            table = RecordTable.from_rows(json.load(open(sys.argv[2])), 41)
+            try:
+                predict_table(load_model(sys.argv[1]), table, jobs=2)
+            except MemoryError as exc:
+                print("raised", exc)
+        """)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(hdnids.model.__file__)))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "m.hdm"), str(tmp_path / "rows.json")],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "raised no room\n"
 
     def test_table_unchanged(self, trained):
         model_of, rows = trained
@@ -723,6 +758,11 @@ def _bool_fallback(h):
     return h
 
 
+def _bool_class(h):
+    h["label_map"]["raw_to_class"]["neptune"] = True
+    return h
+
+
 # the codebook was built with dim 64, bins 10 and seed 42
 def _hyperparams_dim(h):
     h["hyperparams"]["dim"] = 10000
@@ -753,7 +793,7 @@ class TestDamagedHeader:
 
     @pytest.mark.parametrize("edit", [
         _drop_schema, _bad_dtype, _class_out_of_range, _infinite_threshold,
-        _string_strict, _fractional_fallback, _bool_fallback,
+        _string_strict, _fractional_fallback, _bool_fallback, _bool_class,
         _hyperparams_dim, _hyperparams_bins, _hyperparams_seed,
     ])
     def test_rejected(self, tmp_path, blob, edit):
