@@ -2,13 +2,13 @@
 """Download and verify the NSL-KDD train/test files.
 
 Fetches KDDTrain+.txt and KDDTest+.txt into ./data (or --dest) from the
-first reachable mirror, then verifies structure: every line must have 42
-or 43 comma-separated fields (41 features, label, optional difficulty)
-and the files must have the documented record counts (125,973 train /
-22,544 test). SHA-256 digests are printed so downloads can be compared
-against published checksums; run with --verify-only to check files you
-obtained some other way, e.g. the zip from the UNB page
-https://www.unb.ca/cic/datasets/nsl.html.
+first reachable mirror, then reads each file with hdnids.parse_file, so
+by the input rules every command applies: no line may be malformed, and
+the files must have the documented record counts (125,973 train / 22,544
+test). Needs the hdnids package installed. SHA-256 digests are printed
+so downloads can be compared against published checksums; run with
+--verify-only to check files you obtained some other way, e.g. the zip
+from the UNB page https://www.unb.ca/cic/datasets/nsl.html.
 """
 
 import argparse
@@ -17,6 +17,8 @@ import sys
 import urllib.error
 import urllib.request
 from pathlib import Path
+
+from hdnids import ParseError, parse_file
 
 MIRRORS = [
     "https://raw.githubusercontent.com/defcom17/NSL_KDD/master/{name}",
@@ -45,27 +47,25 @@ def fetch(name: str, dest: Path) -> Path:
     raise SystemExit(f"could not download {name} from any mirror: {last_error}")
 
 
-def verify(path: Path, expected_lines: int) -> bool:
-    ok = True
-    lines = 0
-    bad_fields = 0
+def verify(path: Path, expected_records: int) -> bool:
     sha = hashlib.sha256()
     with open(path, "rb") as fh:
-        for raw in fh:
-            sha.update(raw)
-            line = raw.decode("utf-8", errors="replace").rstrip("\r\n")
-            if not line.strip():
-                continue
-            lines += 1
-            n = len(line.split(","))
-            if n not in (42, 43):
-                bad_fields += 1
-    print(f"{path.name}: {lines} records, sha256 {sha.hexdigest()}")
-    if lines != expected_lines:
-        print(f"  WARNING: expected {expected_lines} records", file=sys.stderr)
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            sha.update(chunk)
+    print(f"{path.name}: sha256 {sha.hexdigest()}")
+    try:
+        result = parse_file(path)
+    except ParseError as exc:
+        print(f"  WARNING: {exc}", file=sys.stderr)
+        return False
+    records, malformed = len(result.records), result.malformed_count
+    print(f"  {records} records")
+    ok = True
+    if records != expected_records:
+        print(f"  WARNING: expected {expected_records} records", file=sys.stderr)
         ok = False
-    if bad_fields:
-        print(f"  WARNING: {bad_fields} lines without 42/43 fields", file=sys.stderr)
+    if malformed:
+        print(f"  WARNING: {malformed} malformed lines", file=sys.stderr)
         ok = False
     return ok
 

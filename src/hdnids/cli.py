@@ -38,7 +38,7 @@ from .dataset import (
     split,
 )
 from .codebook import build_codebook
-from .encoding import default_threshold, encode_dataset
+from .encoding import EncodedDataset, default_threshold, encode_dataset
 from .evaluation import REPORT_FORMATS, evaluate, render_report
 from .model import (
     ClassModel,
@@ -217,8 +217,9 @@ def _train_pipeline(tables: list, label_map, hyper: Hyperparams, jobs: int):
         label_map=label_map, hyperparams=hyper,
     )
     t0 = time.perf_counter()
-    preds = predict_batch(model, data, jobs=jobs)[0]  # the similarities are freed here
-    initial_accuracy = float((preds == data.labels).mean())
+    # each distinct row scored once, its prediction gathered to every record
+    preds = predict_batch(model, EncodedDataset(data.rows, data.dim), jobs=jobs)[0]
+    initial_accuracy = float((preds[data.inverse] == data.labels).mean())
     timings["initial_score"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -368,11 +369,15 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+# the settings of the label table and its unknown-label policy
+_LABEL_SETTINGS = ("label_map", "unknown_label", "fallback_class")
+
+
 def _add_settings(p, *keys):
-    """--config, and one flag per setting: the given keys plus jobs and the
-    label settings, each typed and documented from SETTINGS."""
+    """--config, and one flag per given setting, each typed and documented
+    from SETTINGS."""
     p.add_argument("--config", help="JSON config file; flags override it")
-    for key in (*keys, "jobs", "label_map", "unknown_label", "fallback_class"):
+    for key in keys:
         kind, default, text = SETTINGS[key]
         if kind is bool:
             kw = {"action": argparse.BooleanOptionalAction}
@@ -394,28 +399,29 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a model and save it")
     p.add_argument("--train", required=True, help="training data file")
     p.add_argument("--model", required=True, help="output model path")
-    _add_settings(p, "dim", "bins", "threshold", "alpha", "iterations", "seed", "log_scale")
+    _add_settings(p, "dim", "bins", "threshold", "alpha", "iterations", "seed", "log_scale",
+                  "jobs", *_LABEL_SETTINGS)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="score a labelled file against a model")
     p.add_argument("--model", required=True, help="model file")
     p.add_argument("--test", required=True, help="labelled data file")
     p.add_argument("--report", default=None, help="write report here instead of stdout")
-    _add_settings(p, "format")
+    _add_settings(p, "format", "jobs", *_LABEL_SETTINGS)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("predict", help="classify records (labels optional)")
     p.add_argument("--model", required=True, help="model file")
     p.add_argument("--input", required=True, help="data file; 41 or 42/43 fields per line")
     p.add_argument("--output", default=None, help="write CSV here instead of stdout")
-    _add_settings(p)
+    _add_settings(p, "jobs")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("split", help="seeded stratified split of a labelled file")
     p.add_argument("--input", required=True, help="labelled data file")
     p.add_argument("--train-out", dest="train_out", required=True)
     p.add_argument("--test-out", dest="test_out", required=True)
-    _add_settings(p, "fraction", "seed")
+    _add_settings(p, "fraction", "seed", *_LABEL_SETTINGS)
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("sweep", help="grid over dim/bins/alpha/seed, CSV out")
@@ -431,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", dest="seed_grid", metavar="SEEDS", type=_list_of(int),
                    help="comma-separated seeds")
     p.add_argument("--output", default=None, help="write CSV here instead of stdout")
-    _add_settings(p, "iterations", "fraction", "log_scale")
+    _add_settings(p, "iterations", "fraction", "log_scale", "jobs", *_LABEL_SETTINGS)
     p.set_defaults(func=cmd_sweep)
     return parser
 

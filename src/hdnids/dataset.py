@@ -17,30 +17,28 @@ distinct strings), so schema inference, label mapping and binning each
 run once per distinct string and gather their results by code, and no
 Python object is made per field.
 
-parse_file reads the file as bytes, _READ_BYTES of whole lines at a time
-into one reused buffer, and works through them in blocks of _BLOCK_LINES
-lines. In a block it finds the commas and keys every field of a
-well-formed line by its bytes and its length, so embedded NUL bytes cannot
-merge two strings, and groups equal keys by sorting. Only one field's
-bytes per group and each record's group number in the block (int8 or
-int16, as a block holds at most _BLOCK_LINES groups) outlive the block,
-so the transients stay a few MB whatever the file's size. At the end each
-field's groups are merged the same way and each distinct byte string is
-decoded once; then, with the merges' transients freed, the line numbers
-and every field's codes are built in one allocation. On a large file that
-one block is mapped apart from the heap, so the table neither pins heap
-the parse freed nor leaves holes in it, and its memory goes back to the
-system whole when the table dies.
+parse_file reads the file in Python's text mode, so line ends and invalid
+UTF-8 (read as U+FFFD) are text mode's. It takes about _READ_CHARS
+characters of whole lines at a time, encodes them back to UTF-8, and works
+through the bytes in blocks of _BLOCK_LINES lines. In a block it finds the
+commas and keys every field of a well-formed line by its bytes and its
+length, so embedded NUL bytes cannot merge two strings, and groups equal
+keys by sorting. Only one field's bytes per group and each record's group
+number in the block (int8 or int16, as a block holds at most _BLOCK_LINES
+groups) outlive the block, so the transients stay a few MB whatever the
+file's size. At the end each field's groups are merged the same way and
+each distinct byte string is decoded once; then, with the merges'
+transients freed, the line numbers and every field's codes are built in
+one allocation. On a large file that one block is mapped apart from the
+heap, so the table neither pins heap the parse freed nor leaves holes in
+it, and its memory goes back to the system whole when the table dies.
 
-Decoding fields one at a time equals decoding the file, since ',', '\\r'
-and '\\n' are ASCII, but distinct bytes can decode to the same string
-(invalid UTF-8 becomes U+FFFD), so a column's strings may repeat and
-everything that compares strings acts on the decoded ones. A field is
-keyed by at most _KEY_BYTES bytes, which bounds a key's width whatever a
-line holds. Lines that are not plainly well formed (a blank line, a comma
-count other than 41 or 42, or 40 with allow_unlabeled, a field longer
-than _KEY_BYTES, a difficulty that int() rejects) are decoded and read by
-parse_line, so their records, errors and line numbers are its own.
+A field is keyed by at most _KEY_BYTES bytes, which bounds a key's width
+whatever a line holds. Lines that are not plainly well formed (a blank
+line, a comma count other than 41 or 42, or 40 with allow_unlabeled, a
+field longer than _KEY_BYTES, a difficulty that int() rejects) are decoded
+and read by parse_line, so their records, errors and line numbers are its
+own.
 """
 
 from __future__ import annotations
@@ -92,8 +90,8 @@ _SPLIT_STREAM_TAG = 0x5B117
 
 # fields a line can hold: the features, the label and the difficulty
 _FIELDS = NUM_FEATURES + 2
-# bytes of whole lines read at a time
-_READ_BYTES = 1 << 20
+# characters of whole lines read at a time
+_READ_CHARS = 1 << 19
 # lines per parse block: a block's field bounds take _FIELDS + 1 int64 per
 # line, 1.4 MB at 4096 lines
 _BLOCK_LINES = 4096
@@ -158,9 +156,10 @@ class Column:
     """One field of many records, dictionary-encoded.
 
     Record i holds values[codes[i]], or no such field when codes[i] is -1.
-    values may repeat a string (distinct bytes can decode alike) and, in a
-    table cut by RecordTable.take, hold strings no record uses. codes is in
-    the dtype _code_dtype(len(values)) gives, int8 up to 128 strings.
+    values may repeat a string (parse_file gives each field longer than
+    _KEY_BYTES an entry of its own) and, in a table cut by RecordTable.take,
+    hold strings no record uses. codes is in the dtype
+    _code_dtype(len(values)) gives, int8 up to 128 strings.
     """
 
     values: list
@@ -308,47 +307,22 @@ def parse_line(line: str, line_no: int = 0, allow_unlabeled: bool = False) -> Ra
 
 
 def _runs(fh):
-    """The lines of a binary file about _READ_BYTES at a time, as (buf,
-    size): buf[:size] holds whole lines with their line ends, and _PAD zero
-    bytes follow, the last of buf.
-
-    Every run is read into one buffer, reused while no line outgrows it, so
-    a run is valid until the next is asked for. A run never ends between
-    the '\\r' and '\\n' of one line end; only the last may end without a
-    line end.
-    """
-    raw = bytearray(_READ_BYTES + _PAD)
-    kept = 0  # bytes of a line begun in the run before
-    while True:
-        if kept + _PAD == len(raw):  # the line fills the buffer: double it
-            raw = raw[:kept] + bytearray(kept + _PAD)
-        read = fh.readinto(memoryview(raw)[kept:len(raw) - _PAD])
-        size = kept + read
-        # cut after the last line end; a '\r' that ends the text may be
-        # half of a '\r\n', so it waits for the next read
-        cut = (max(raw.rfind(b"\n", 0, size), raw.rfind(b"\r", 0, size - 1)) + 1
-               if read else size)
-        carry = bytes(raw[cut:size])
-        if cut:
-            raw[cut:cut + _PAD] = bytes(_PAD)
-            yield np.frombuffer(raw, dtype=np.uint8, count=cut + _PAD), cut
-        if not read:
-            return
-        raw[:len(carry)] = carry
-        kept = len(carry)
+    """The lines of a text file about _READ_CHARS characters at a time, as
+    (buf, size): buf[:size] holds whole lines UTF-8 encoded, each ended by
+    '\\n' but perhaps the file's last, and _PAD zero bytes follow."""
+    while lines := fh.readlines(_READ_CHARS):
+        lines.append("\0" * _PAD)
+        buf = np.frombuffer("".join(lines).encode(), dtype=np.uint8)
+        del lines  # the line strings die before the run is worked through
+        yield buf, len(buf) - _PAD
 
 
 def _line_bounds(buf: np.ndarray, size: int):
     """First and end byte offset of every line of buf[:size], the end
-    excluding the line end: '\\n', '\\r\\n' and a lone '\\r' each end a line,
-    as in Python's text mode, and a last line needs no line end."""
-    cr = np.flatnonzero(buf[:size] == 13)
-    nl = np.flatnonzero(buf[:size] == 10)
-    nl = nl[buf[nl - 1] != 13]  # buf[-1], padding, stands before a newline at offset 0
-    ends = np.sort(np.concatenate((cr, nl)), kind="stable")  # two sorted runs
-    after = ends + 1 + ((buf[ends] == 13) & (buf[ends + 1] == 10))
-    starts = np.concatenate(([0], after))
-    stops = np.concatenate((ends, [size]))
+    excluding the '\\n'; a last line needs none."""
+    ends = np.flatnonzero(buf[:size] == 10)
+    starts = np.concatenate(([0], ends + 1))
+    stops = np.append(ends, size)
     if starts[-1] == size:  # nothing after the last line end
         starts, stops = starts[:-1], stops[:-1]
     return starts, stops
@@ -422,13 +396,12 @@ def _joined(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> np.ndarray
 def _decode(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> list:
     """The decoded strings of the byte fields buf[starts[i]:starts[i] + lens[i]].
 
-    Fields hold no commas, and an ASCII comma ends any invalid UTF-8
-    sequence, so the fields joined by commas decode in one call and split
-    back into each field's own decoding.
+    Fields hold no commas, so the fields joined by commas decode in one
+    call and split back into each field.
     """
     if not len(lens):
         return []
-    return _joined(buf, starts, lens)[:-1].tobytes().decode("utf-8", "replace").split(",")
+    return _joined(buf, starts, lens)[:-1].tobytes().decode().split(",")
 
 
 def _fields(buf: np.ndarray, first: np.ndarray, end: np.ndarray):
@@ -476,7 +449,7 @@ def _merge(rep_bytes: list):
     del first, field_at, field_len
     text = blob[:len(keep)][keep].tobytes()
     del blob, keep
-    decoded = text.decode("utf-8", "replace").split(",")[:-1]
+    decoded = text.decode().split(",")[:-1]
     del text
     rank = np.empty(len(rep), dtype=np.int64)
     rank[np.argsort(rep)] = np.arange(len(rep))
@@ -527,7 +500,7 @@ def _scan(fh, allow_unlabeled: bool):
 
             keep = fast.copy()
             for i in np.flatnonzero(~fast).tolist():
-                line = str(text[first[i]:end[i]], "utf-8", "replace")
+                line = str(text[first[i]:end[i]], "utf-8")
                 if not line.strip():
                     continue
                 total += 1
@@ -567,7 +540,7 @@ def parse_file(path, allow_unlabeled: bool = False) -> ParseResult:
     """
     path = Path(path)
     # the block transients die with _scan, before the fields are merged
-    with open(path, "rb") as fh:
+    with open(path, encoding="utf-8", errors="replace") as fh:
         rep_bytes, slots, line_no, malformed, total = _scan(fh, allow_unlabeled)
 
     if not total:

@@ -348,7 +348,9 @@ def retrain(model: ClassModel, encoded: EncodedDataset):
     correct samples change nothing. Samples are visited in one seeded
     shuffle that is fixed across epochs, drawn from the seed's retrain
     stream (codebook.stream, so any integer seed works, taken mod 2**64).
-    Stops early on a zero-update epoch. Returns (updated model, per-epoch
+    Stops early on a zero-update epoch, and raises ValueError when an
+    update leaves a representative whose squared norm is not finite, where
+    every cosine would read 0. Returns (updated model, per-epoch
     accuracy trace); the trace records the fraction of samples correct at
     the moment they were visited. At 0 iterations the representatives are
     unchanged and the trace is empty.
@@ -398,8 +400,12 @@ def retrain(model: ClassModel, encoded: EncodedDataset):
                 step = alpha * bits[i]
                 reps[wrong] -= step
                 reps[true] += step
-                norms[wrong] = np.linalg.norm(reps[wrong])
-                norms[true] = np.linalg.norm(reps[true])
+                with np.errstate(over="ignore"):  # checked below, not warned about
+                    norms[wrong] = np.linalg.norm(reps[wrong])
+                    norms[true] = np.linalg.norm(reps[true])
+                if not (math.isfinite(norms[wrong]) and math.isfinite(norms[true])):
+                    raise ValueError(f"alpha {alpha!r} overflows the representatives: "
+                                     "a squared norm passes float64's range")
                 updates += 1
                 pos = i + 1
                 if pos < b:
@@ -499,7 +505,7 @@ def _model_from(header: dict, payload: bytes) -> ClassModel:
     mistyped or out of range, when the codebook manifest's dim, bins or seed
     differ from the hyperparams', when the arrays do not have the shapes the
     schema, codebook manifest and label map imply, or when a representative
-    entry is NaN or infinite.
+    entry is NaN or infinite or its squared norm is.
     """
     schema = FeatureSchema.from_dict(header["schema"])
     label_map = LabelMap.from_dict(header["label_map"])
@@ -529,6 +535,9 @@ def _model_from(header: dict, payload: bytes) -> ClassModel:
     reps = np.frombuffer(payload, np.float64, offset=rows * width).reshape(classes, dim)
     if not np.isfinite(reps).all():
         raise ValueError("representatives hold a non-finite value")
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.linalg.norm(reps, axis=1)).all():
+            raise ValueError("a representative's norm is not finite")
     return ClassModel(
         representatives=[AccumulatorVector(r) for r in reps.copy()],
         codebook=Codebook(dim=dim, bins=bins, seed=seed, matrix=matrix.copy(),

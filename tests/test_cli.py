@@ -22,7 +22,7 @@ from hdnids.cli import main
 from hdnids.dataset import parse_file
 from hdnids.encoding import encode_dataset
 from hdnids.model import load_model, predict_batch
-from conftest import edit_header, make_synth_lines
+from conftest import DEFAULT_COUNTS, edit_header, make_synth_lines
 
 
 @pytest.fixture()
@@ -160,6 +160,16 @@ class TestTrain:
         summary = capsys.readouterr().out.splitlines()[-1]
         assert summary.startswith("model written to")
         assert float(re.search(r"train_initial (\S+)s", summary).group(1)) < 0.3
+
+    def test_alpha_overflowing_the_representatives(self, tmp_path, capsys):
+        """Retraining at such an alpha exits 2 and writes no model."""
+        overlapping = tmp_path / "overlap.txt"
+        overlapping.write_text("\n".join(make_synth_lines(DEFAULT_COUNTS, gap=-280)) + "\n")
+        model = tmp_path / "m.hdm"
+        assert run(["train", "--train", overlapping, "--model", model, "--dim", 256,
+                    "--iterations", 3, "--alpha", "1e200"]) == 2
+        assert "alpha" in capsys.readouterr().err
+        assert not model.exists()
 
     def test_malformed_data(self, tmp_path):
         bad = tmp_path / "bad.txt"
@@ -688,3 +698,23 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["train", "--wat"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("predict", "--label-map", "/nonexistent"), ("predict", "--unknown-label", "strict"),
+        ("predict", "--fallback-class", "u2r"), ("split", "--jobs", 2),
+    ])
+    def test_flag_the_command_does_not_read(self, tmp_path, corpus, capsys,
+                                            command, flag, value):
+        """A command takes only the flags it reads: with one it ignores, argparse exits 2."""
+        if command == "predict":
+            args = ["predict", "--model", quick_train(tmp_path, corpus), "--input", corpus,
+                    "--output", tmp_path / "out.csv"]
+        else:
+            args = ["split", "--input", corpus, "--train-out", tmp_path / "tr.txt",
+                    "--test-out", tmp_path / "te.txt"]
+        assert run(args) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run(args + [flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err

@@ -82,14 +82,14 @@ class TestLines:
         with pytest.raises(ParseError, match="2 of 152 lines malformed"):
             parse_file(path)
 
-    @pytest.mark.parametrize("read_bytes", [1, 2, 5, 64, 1000])
-    def test_reads_split_anywhere(self, tmp_path, monkeypatch, read_bytes):
+    @pytest.mark.parametrize("read_chars", [1, 2, 5, 64, 1000])
+    def test_reads_split_anywhere(self, tmp_path, monkeypatch, read_chars):
         # reads that end between '\r' and '\n', inside a field, at a line end
         a, b = line("normal", "3").encode(), line("smurf").encode()
         data = a + b"\r\n" + b + b"\r\r\n\n" + a + b"\r" + b + b"\n\r" + a
         path = write(tmp_path, data)
         want = as_tuples(parse_file(path).records)
-        monkeypatch.setattr(dataset, "_READ_BYTES", read_bytes)
+        monkeypatch.setattr(dataset, "_READ_CHARS", read_chars)
         assert as_tuples(parse_file(path).records) == want
         assert [r[3] for r in want] == [1, 2, 5, 6, 8]
 
@@ -433,14 +433,14 @@ class TestAgainstOracle:
 
 
     @settings(max_examples=150, deadline=None)
-    @given(data=corpus(pad=False), read_bytes=st.integers(1, 300),
+    @given(data=corpus(pad=False), read_chars=st.integers(1, 300),
            block_lines=st.integers(1, 5))
-    def test_reads_and_blocks_change_nothing(self, data, read_bytes, block_lines):
+    def test_reads_and_blocks_change_nothing(self, data, read_chars, block_lines):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "in.txt"
             path.write_bytes(data)
             want = outcome(ref_parse_file, path)
-            with mock.patch.object(dataset, "_READ_BYTES", read_bytes), \
+            with mock.patch.object(dataset, "_READ_CHARS", read_chars), \
                     mock.patch.object(dataset, "_BLOCK_LINES", block_lines):
                 (kind, result), _ = outcome(parse_file, path)
         if kind != "ok":

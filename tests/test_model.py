@@ -439,6 +439,20 @@ class TestRetrain:
         with pytest.raises(ValueError, match=rf"class index {bad} outside \[0, 3\)"):
             retrain(model, data)
 
+    @pytest.mark.parametrize("alpha", [1e155, 1e200, 1e308])
+    def test_alpha_overflowing_the_representatives_raises(self, alpha):
+        """One update at such an alpha leaves a squared norm past float64, so
+        every cosine would read 0: retrain raises, without a numpy warning."""
+        data = toy_clusters()
+        with pytest.raises(ValueError, match="alpha"):
+            retrain(toy_model(data, alpha=alpha, iterations=3), data)
+
+    def test_large_alpha_that_fits_retrains(self):
+        data = toy_clusters()
+        out, trace = retrain(toy_model(data, alpha=1e100, iterations=3), data)
+        assert np.isfinite(np.linalg.norm(out.rep_matrix(), axis=1)).all()
+        assert trace
+
     def test_integer_alpha_matches_float(self):
         data = toy_clusters()
         a, trace_a = retrain(toy_model(data, alpha=2, iterations=3), data)
@@ -810,6 +824,15 @@ class TestDamagedHeader:
         path.write_bytes(reframe(blob[:-40] + np.float64(value).tobytes() + blob[-32:],
                                  header))
         with pytest.raises(CorruptModelError, match="finite"):
+            load_model(path)
+
+    def test_representative_norm_overflow_rejected(self, tmp_path, blob):
+        # a finite entry whose square is not: the representative's norm is infinite
+        header = blob[20 : 20 + int.from_bytes(blob[12:20], "little")]
+        path = tmp_path / "bad.hdm"
+        path.write_bytes(reframe(blob[:-40] + np.float64(1e200).tobytes() + blob[-32:],
+                                 header))
+        with pytest.raises(CorruptModelError, match="norm"):
             load_model(path)
 
     def test_codebook_bits_past_dim_rejected(self, tmp_path, synth_lines):
