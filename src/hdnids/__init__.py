@@ -42,7 +42,6 @@ from .encoding import (
     value_index,
 )
 from .model import (
-    AccumulatorVector,
     ClassModel,
     CorruptModelError,
     Hyperparams,
@@ -70,7 +69,7 @@ __all__ = [
     "load_label_map", "map_label", "parse_file", "parse_line", "split",
     "EncodedDataset", "default_threshold", "encode_dataset", "lookup_level",
     "value_index",
-    "AccumulatorVector", "ClassModel", "CorruptModelError", "Hyperparams",
+    "ClassModel", "CorruptModelError", "Hyperparams",
     "load_model", "predict_batch", "predict_table", "retrain", "save_model", "train_initial",
     "ConfusionMatrix", "EvaluationReport", "evaluate", "render_report",
     "__version__",

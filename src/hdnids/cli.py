@@ -213,7 +213,7 @@ def _train_pipeline(tables: list, label_map, hyper: Hyperparams, jobs: int):
     reps = train_initial(data, num_classes=len(label_map.class_names))
     timings["train_initial"] = time.perf_counter() - t0
     model = ClassModel(
-        representatives=reps, codebook=codebook, schema=schema,
+        reps=reps, codebook=codebook, schema=schema,
         label_map=label_map, hyperparams=hyper,
     )
     t0 = time.perf_counter()

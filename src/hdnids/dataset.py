@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from importlib import resources
@@ -732,18 +733,22 @@ def _classes(labels: Column, label_map: LabelMap, rows=None) -> np.ndarray:
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class SplitSpec:
-    """A seeded stratified cut of one labelled file into (train, test)."""
+    """A seeded stratified cut of one labelled file into (train, test), valid
+    once built: construction raises ValueError naming the field when seed is
+    not an integer or train_fraction is not a number in (0, 1)."""
 
     train_fraction: float = 0.8
     seed: int = 42
 
     def __post_init__(self):
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError(
-                f"train_fraction must be in (0, 1), got {self.train_fraction}"
-            )
+        if not isinstance(self.seed, numbers.Integral) or isinstance(self.seed, bool):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        fraction = self.train_fraction
+        if not (isinstance(fraction, numbers.Real) and not isinstance(fraction, bool)
+                and 0.0 < fraction < 1.0):
+            raise ValueError(f"train_fraction must be in (0, 1), got {fraction!r}")
 
 
 def split(table: RecordTable, spec: SplitSpec, label_map: LabelMap):

@@ -1,9 +1,10 @@
 """Class-representative model: centroid training, retraining, inference, IO.
 
-Representatives start as per-class sums of the binary training encodings.
+A model holds one (classes, dim) float64 matrix, a representative row per
+class. The rows start as per-class sums of the binary training encodings.
 Retraining then walks the samples in one fixed seeded order per run and,
 for every sample the current model gets wrong, moves alpha times the
-sample vector from the wrongly predicted class onto the true class.
+sample's bits from the wrongly predicted class's row onto the true class's.
 Correct samples cause no update, so a fully correct epoch is a fixed
 point and triggers early stop.
 
@@ -68,6 +69,7 @@ import os
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -153,42 +155,51 @@ def _finite(value) -> bool:
             and math.isfinite(value))
 
 
-class AccumulatorVector:
-    """One class representative: a real-valued (dim,) float64 vector.
-
-    float64 keeps integer arithmetic exact far beyond any dataset size
-    while still admitting fractional learning rates.
-    """
-
-    __slots__ = ("values",)
-
-    def __init__(self, values: np.ndarray):
-        values = np.asarray(values, dtype=np.float64)
-        if values.ndim != 1 or values.size < 1:
-            raise ValueError("accumulator values must be a non-empty 1-D array")
-        self.values = values
-
-
 @dataclass
 class ClassModel:
-    representatives: list  # one AccumulatorVector per class
+    """A trained classifier, valid once built. reps holds one float64
+    representative row per class: a (len(label_map.class_names),
+    hyperparams.dim) matrix.
+
+    Construction, dataclasses.replace included, raises ValueError when reps
+    has another type, dtype or shape, or holds a NaN or infinite entry or a
+    row whose squared norm is not finite, against which every cosine reads 0.
+    """
+
+    reps: np.ndarray
     codebook: Codebook
     schema: FeatureSchema
     label_map: LabelMap
     hyperparams: Hyperparams
 
+    def __post_init__(self) -> None:
+        shape = (len(self.label_map.class_names), self.hyperparams.dim)
+        reps = self.reps
+        if not (isinstance(reps, np.ndarray) and reps.dtype == np.float64
+                and reps.shape == shape):
+            got = (f"{reps.dtype} {reps.shape}" if isinstance(reps, np.ndarray)
+                   else type(reps).__name__)
+            raise ValueError(f"reps must be a {shape} float64 array, got {got}")
+        if not np.isfinite(reps).all():
+            raise ValueError("representatives hold a non-finite value")
+        with np.errstate(over="ignore"):  # checked here, not warned about
+            if not np.isfinite(np.linalg.norm(reps, axis=1)).all():
+                raise ValueError("a representative's squared norm is not finite")
+
     @property
     def num_classes(self) -> int:
-        return len(self.representatives)
+        return len(self.reps)
 
     @property
     def threshold(self) -> float:
         t = self.hyperparams.threshold
         return default_threshold(self.schema) if t is None else t
 
-    def rep_matrix(self) -> np.ndarray:
-        """Representatives stacked to a (num_classes, dim) float64 matrix."""
-        return np.stack([r.values for r in self.representatives])
+    @property
+    def representatives(self) -> list:
+        """Each row of reps, a view, as .values. Only the benchmark's oracle
+        check reads this; ROADMAP item 2 deletes it."""
+        return [SimpleNamespace(values=row) for row in self.reps]
 
 
 def _check_labels(labels: np.ndarray, num_classes: int) -> None:
@@ -224,10 +235,11 @@ def _dots(bits: np.ndarray, reps: np.ndarray, block: np.ndarray) -> np.ndarray:
     return out[:n]
 
 
-def train_initial(encoded: EncodedDataset, num_classes: int) -> list:
-    """Per-class sums of the binary training vectors.
+def train_initial(encoded: EncodedDataset, num_classes: int) -> np.ndarray:
+    """Per-class sums of the binary training vectors: the (num_classes, dim)
+    float64 matrix a ClassModel holds.
 
-    A class with no samples keeps the all-zero vector (logged); cosine
+    A class with no samples keeps an all-zero row (logged); cosine
     against an all-zero representative is defined as 0, so inference
     still works.
     """
@@ -247,16 +259,14 @@ def train_initial(encoded: EncodedDataset, num_classes: int) -> list:
     for c in range(num_classes):
         if not counts[c].any():
             log.warning("class %d has no training samples; representative is zero", c)
-    reps = counts.astype(np.float64)
-    return [AccumulatorVector(reps[c]) for c in range(num_classes)]
+    return counts.astype(np.float64)
 
 
 def _reps_and_norms(model: ClassModel) -> tuple[np.ndarray, np.ndarray]:
     """What _score reads of a model: its (classes, dim) representatives and
     their norms, an all-zero row's taken as 1."""
-    reps = model.rep_matrix()
-    norms = np.linalg.norm(reps, axis=1)
-    return reps, np.where(norms > 0, norms, 1.0)
+    norms = np.linalg.norm(model.reps, axis=1)
+    return model.reps, np.where(norms > 0, norms, 1.0)
 
 
 def _score(packed: np.ndarray, dim: int, reps: np.ndarray, safe_norms: np.ndarray,
@@ -361,7 +371,7 @@ def retrain(model: ClassModel, encoded: EncodedDataset):
     alpha = float(model.hyperparams.alpha)  # an int alpha would keep alpha * bits in uint8
     m = len(encoded)
 
-    reps = model.rep_matrix().copy()
+    reps = model.reps.copy()
     norms = np.linalg.norm(reps, axis=1)
     order = stream(model.hyperparams.seed, _RETRAIN_STREAM_TAG).permutation(m)
     at = encoded.inverse[order]  # each visited sample's row; EncodedDataset range-checks it
@@ -418,7 +428,7 @@ def retrain(model: ClassModel, encoded: EncodedDataset):
         if updates == 0:
             break
 
-    return dataclasses.replace(model, representatives=[AccumulatorVector(r) for r in reps]), trace
+    return dataclasses.replace(model, reps=reps), trace
 
 
 @contextlib.contextmanager
@@ -449,7 +459,7 @@ def save_model(model: ClassModel, path) -> None:
     """Write the model container atomically (temp file + rename)."""
     cb = model.codebook
     matrix = np.ascontiguousarray(cb.matrix)
-    reps = np.ascontiguousarray(model.rep_matrix())
+    reps = np.ascontiguousarray(model.reps)
     header = {
         "format_version": FORMAT_VERSION,
         "hyperparams": model.hyperparams.to_dict(),
@@ -493,20 +503,21 @@ def load_model(path) -> ClassModel:
         raise CorruptModelError(f"{path}: header runs past the end of the file")
     try:
         header = json.loads(blob[20:header_end].decode("utf-8"))
-        return _model_from(header, blob[header_end:-32])
+        fields = _header_fields(header)
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise CorruptModelError(f"{path}: bad header: {exc!r}") from None
+    try:
+        return _model_from(*fields, blob[header_end:-32])
+    except ValueError as exc:
+        raise CorruptModelError(f"{path}: bad arrays: {exc!r}") from None
 
 
-def _model_from(header: dict, payload: bytes) -> ClassModel:
-    """The model a decoded header and its array bytes describe.
-
-    Raises ValueError, KeyError or TypeError when a header field is missing,
+def _header_fields(header: dict) -> tuple:
+    """(hyperparams, schema, label map, codebook row offsets) of a decoded
+    header. Raises ValueError, KeyError or TypeError when a field is missing,
     mistyped or out of range, when the codebook manifest's dim, bins or seed
-    differ from the hyperparams', when the arrays do not have the shapes the
-    schema, codebook manifest and label map imply, or when a representative
-    entry is NaN or infinite or its squared norm is.
-    """
+    differ from the hyperparams', or when the array manifest does not give
+    the shapes the schema, codebook manifest and label map imply."""
     schema = FeatureSchema.from_dict(header["schema"])
     label_map = LabelMap.from_dict(header["label_map"])
     hyper = Hyperparams.from_dict(header["hyperparams"])
@@ -522,10 +533,20 @@ def _model_from(header: dict, payload: bytes) -> ClassModel:
         raise ValueError(f"label map has class indices that are not integers in [0, {classes})")
 
     offsets = row_offsets(schema, bins)
-    rows, width = offsets[-1] + 1, (dim + 7) // 8
-    expected = _array_manifest(rows, width, classes, dim)
+    rows = offsets[-1] + 1
+    expected = _array_manifest(rows, (dim + 7) // 8, classes, dim)
     if manifest["rows"] != rows or header["arrays"] != expected:
         raise ValueError(f"arrays {header['arrays']} do not match the schema's {expected}")
+    return hyper, schema, label_map, offsets
+
+
+def _model_from(hyper: Hyperparams, schema: FeatureSchema, label_map: LabelMap,
+                offsets: list, payload: bytes) -> ClassModel:
+    """The model of _header_fields' parts and the array bytes. Raises
+    ValueError when the payload's length is not the arrays', when a codebook
+    row has bits set past dim, or when ClassModel rejects the representatives."""
+    dim, classes = hyper.dim, len(label_map.class_names)
+    rows, width = offsets[-1] + 1, (dim + 7) // 8
     need = rows * width + classes * dim * 8
     if len(payload) != need:
         raise ValueError(f"arrays take {len(payload)} bytes, the header implies {need}")
@@ -533,16 +554,6 @@ def _model_from(header: dict, payload: bytes) -> ClassModel:
     if (matrix[:, -1] & padding_bits(dim)).any():
         raise ValueError(f"codebook rows have bits set past dim {dim}")
     reps = np.frombuffer(payload, np.float64, offset=rows * width).reshape(classes, dim)
-    if not np.isfinite(reps).all():
-        raise ValueError("representatives hold a non-finite value")
-    with np.errstate(over="ignore"):
-        if not np.isfinite(np.linalg.norm(reps, axis=1)).all():
-            raise ValueError("a representative's norm is not finite")
-    return ClassModel(
-        representatives=[AccumulatorVector(r) for r in reps.copy()],
-        codebook=Codebook(dim=dim, bins=bins, seed=seed, matrix=matrix.copy(),
-                          offsets=offsets),
-        schema=schema,
-        label_map=label_map,
-        hyperparams=hyper,
-    )
+    codebook = Codebook(dim=dim, bins=hyper.bins, seed=hyper.seed, matrix=matrix.copy(),
+                        offsets=offsets)
+    return ClassModel(reps.copy(), codebook, schema, label_map, hyper)

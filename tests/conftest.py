@@ -94,7 +94,7 @@ def train_small_model(path, dim=2000, bins=10, alpha=1.0, iterations=10,
     data = encode_dataset(records, codebook, schema, threshold, labels=labels, jobs=jobs)
     reps = train_initial(data, num_classes=len(label_map.class_names))
     model = ClassModel(
-        representatives=reps, codebook=codebook, schema=schema,
+        reps=reps, codebook=codebook, schema=schema,
         label_map=label_map,
         hyperparams=Hyperparams(dim=dim, bins=bins, threshold=threshold,
                                 alpha=alpha, iterations=iterations, seed=seed,

@@ -166,10 +166,29 @@ def ref_parse_file(path, allow_unlabeled=False):
     return records, lines, malformed
 
 
+def ref_numbers(column, name, lines=None):
+    """float() of each raw string of a continuous column; a ParseError names
+    the column, the first value that is not a finite number, and its line
+    when lines (one per value) is given and the line is not 0."""
+    from hdnids.dataset import ParseError
+
+    values = []
+    for i, raw in enumerate(column):
+        try:
+            value = float(raw)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            where = f"line {lines[i]}: " if lines is not None and lines[i] else ""
+            raise ParseError(f"{where}column {name!r} has non-numeric value {raw!r}")
+        values.append(value)
+    return values
+
+
 def ref_infer_schema(records, log_scale=False):
     """The schema of RawRecords, every column read as a list of strings."""
     from hdnids.codebook import FeatureSchema, FeatureSpec
-    from hdnids.dataset import CLASS_NAMES, COLUMN_NAMES, SYMBOLIC_COLUMNS, numeric_column
+    from hdnids.dataset import CLASS_NAMES, COLUMN_NAMES, SYMBOLIC_COLUMNS
 
     transform = "log1p" if log_scale else "none"
     lines = [r.line_no for r in records]
@@ -182,7 +201,10 @@ def ref_infer_schema(records, log_scale=False):
         elif set(column) <= {"0", "1"}:
             specs.append(FeatureSpec(name=name, kind="categorical", vocabulary=["0", "1"]))
         else:
-            vals = numeric_column(column, name, transform, lines)
+            vals = np.array(ref_numbers(column, name, lines), dtype=np.float64)
+            if log_scale:
+                # numpy's log1p over the column, as the library applies it
+                vals = np.log1p(np.maximum(vals, 0.0))
             specs.append(FeatureSpec(name=name, kind="continuous", min=float(vals.min()),
                                      max=float(vals.max()), transform=transform))
     return FeatureSchema(features=specs, class_names=list(CLASS_NAMES))
@@ -192,14 +214,20 @@ def ref_row_indices(rows, schema, bins):
     """(records, features) value index of every value of plain value rows, in
     the narrowest unsigned dtype that holds the largest index any feature
     has: bins - 1 for a continuous one, the OOV index len(vocabulary) for a
-    categorical one."""
-    from hdnids.encoding import value_index
-
+    categorical one. A continuous value goes to its ref_bin; a categorical
+    one to its position in the sorted vocabulary, or to the OOV index."""
     largest = max(bins - 1 if spec.kind == "continuous" else len(spec.vocabulary)
                   for spec in schema.features)
     idx = np.empty((len(rows), schema.num_features), dtype=np.min_scalar_type(largest))
     for j, spec in enumerate(schema.features):
-        idx[:, j] = value_index([row[j] for row in rows], spec, bins)
+        column = [row[j] for row in rows]
+        if spec.kind == "continuous":
+            ref_numbers(column, spec.name)
+            idx[:, j] = [ref_bin(raw, spec, bins) for raw in column]
+        else:
+            vocabulary = sorted(spec.vocabulary)
+            idx[:, j] = [vocabulary.index(raw) if raw in vocabulary else len(vocabulary)
+                         for raw in column]
     return idx
 
 

@@ -30,7 +30,6 @@ from hdnids.dataset import (
 from hdnids.encoding import EncodedDataset, encode_dataset, lookup_level
 from hdnids.evaluation import evaluate, render_report
 from hdnids.model import (
-    AccumulatorVector,
     ClassModel,
     CorruptModelError,
     Hyperparams,
@@ -59,7 +58,7 @@ def train_records(records, dim, bins=10, alpha=1.0, iterations=50, seed=SEED,
                           labels=labels, jobs=jobs)
     reps = train_initial(data, len(lm.class_names))
     model = ClassModel(
-        representatives=reps, codebook=cb, schema=schema, label_map=lm,
+        reps=reps, codebook=cb, schema=schema, label_map=lm,
         hyperparams=Hyperparams(dim=dim, bins=bins, threshold=threshold,
                                 alpha=alpha, iterations=iterations, seed=seed),
     )
@@ -104,7 +103,7 @@ def test_criterion_1_kernel_property_suite():
             values = gen.normal(size=dim)
             scale = float(gen.uniform(0.01, 100.0))
             model = ClassModel(
-                representatives=[AccumulatorVector(values), AccumulatorVector(values * scale)],
+                reps=np.array([values, values * scale]),
                 codebook=None, schema=None, label_map=tiny_label_map(["x", "y"]),
                 hyperparams=Hyperparams(dim=dim),
             )
@@ -113,8 +112,8 @@ def test_criterion_1_kernel_property_suite():
             assert np.all(np.abs(sims[:, 0] - sims[:, 1]) < 1e-9)
             reps = train_initial(data, 2)
             a_bits, b_bits = data.unpack(slice(0, 1))[0], data.unpack(slice(1, 2))[0]
-            assert np.array_equal(reps[0].values, a_bits + b_bits)
-            assert np.array_equal(reps[1].values, data.unpack(slice(2, 3))[0])
+            assert np.array_equal(reps[0], a_bits + b_bits)
+            assert np.array_equal(reps[1], data.unpack(slice(2, 3))[0])
             assert popcount(a) == int(a_bits.sum())
             cases += 1
     elapsed = time.perf_counter() - start
@@ -263,9 +262,9 @@ def test_criterion_7_retraining_invariants():
     data = toy_clusters()  # separable, centroids start ~92% correct
     model = toy_model(data)
 
-    before = model.rep_matrix().sum(axis=0)
+    before = model.reps.sum(axis=0)
     out, trace = retrain(model, data)
-    assert np.array_equal(before, out.rep_matrix().sum(axis=0))
+    assert np.array_equal(before, out.reps.sum(axis=0))
 
     assert trace[-1] == 1.0 and len(trace) < 50
     preds, _ = predict_batch(out, data)
@@ -273,7 +272,7 @@ def test_criterion_7_retraining_invariants():
 
     again, trace2 = retrain(out, data)
     assert trace2 == [1.0]  # a clean pass makes no updates and stops
-    assert np.array_equal(again.rep_matrix(), out.rep_matrix())
+    assert np.array_equal(again.reps, out.reps)
     print(f"\nCRITERION 7 PASS: mass conserved, fixed point holds, separable toy "
           f"hit 100% at epoch {len(trace)} (<=50)")
 

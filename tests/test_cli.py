@@ -22,7 +22,7 @@ from hdnids.cli import main
 from hdnids.dataset import parse_file
 from hdnids.encoding import encode_dataset
 from hdnids.model import load_model, predict_batch
-from conftest import DEFAULT_COUNTS, edit_header, make_synth_lines
+from conftest import DEFAULT_COUNTS, edit_header, make_synth_lines, reframe
 
 
 @pytest.fixture()
@@ -186,7 +186,7 @@ class TestSeeds:
             model = tmp_path / f"m{seed}.hdm"
             assert run(["train", "--train", corpus, "--model", model, "--dim", 256,
                         "--iterations", 1, "--seed", seed]) == 0
-            reps.append(load_model(model).rep_matrix())
+            reps.append(load_model(model).reps)
         assert reps[0].tobytes() == reps[1].tobytes()
 
 
@@ -372,6 +372,17 @@ class TestEvaluate:
 
         broken.write_bytes(edit_header(model.read_bytes(), drop_schema))
         assert run(["evaluate", "--model", broken, "--test", corpus]) == 5
+
+    def test_damaged_arrays_exit_code(self, tmp_path, corpus, capsys):
+        # a NaN in the last representative entry, the header and checksum intact
+        blob = quick_train(tmp_path, corpus).read_bytes()
+        header = blob[20:20 + int.from_bytes(blob[12:20], "little")]
+        broken = tmp_path / "broken.hdm"
+        broken.write_bytes(reframe(blob[:-40] + np.float64("nan").tobytes() + blob[-32:],
+                                   header))
+        capsys.readouterr()
+        assert run(["evaluate", "--model", broken, "--test", corpus]) == 5
+        assert "bad arrays" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["evaluate", "predict", "train"])
     @pytest.mark.parametrize("value", ["abc", "inf"])

@@ -9,7 +9,6 @@ from hdnids.codebook import FeatureSchema, FeatureSpec, build_codebook, row_offs
 from hdnids.dataset import LabelMap, ParseError
 from hdnids.encoding import lookup_level, value_index
 from hdnids.model import (
-    AccumulatorVector,
     ClassModel,
     CorruptModelError,
     Hyperparams,
@@ -233,7 +232,7 @@ class TestLookupLevel:
 
 def saved_model(tmp_path, cb, schema):
     model = ClassModel(
-        representatives=[AccumulatorVector(np.arange(cb.dim, dtype=np.float64))] * 2,
+        reps=np.array([np.arange(cb.dim, dtype=np.float64)] * 2),
         codebook=cb, schema=schema,
         label_map=LabelMap(raw_to_class={"n": 0, "d": 1}, class_names=["normal", "dos"]),
         hyperparams=Hyperparams(dim=cb.dim, bins=cb.bins, seed=cb.seed),

@@ -1,5 +1,6 @@
 """Parsing, schema inference, label mapping, and splitting."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -248,6 +249,23 @@ class TestSplit:
     def test_bad_spec(self):
         with pytest.raises(ValueError):
             SplitSpec(train_fraction=1.5)
+
+    @pytest.mark.parametrize("field, value", [
+        ("train_fraction", 0), ("train_fraction", 1),
+        ("train_fraction", float("nan")), ("train_fraction", float("inf")),
+        ("train_fraction", True), ("train_fraction", "0.5"), ("train_fraction", None),
+        ("seed", 1.5), ("seed", True), ("seed", "7"), ("seed", None),
+    ])
+    def test_spec_rejects(self, field, value):
+        """A SplitSpec is valid once built: seed 1.5 would split as seed 1."""
+        with pytest.raises(ValueError, match=field):
+            SplitSpec(**{field: value})
+        # a copy is checked as it is built
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(SplitSpec(), **{field: value})
+        # nor can a built one be changed
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(SplitSpec(), field, value)
 
     def test_class_indices(self, tmp_path, synth_lines):
         recs = self.records(tmp_path, synth_lines)

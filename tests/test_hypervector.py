@@ -17,7 +17,6 @@ from hdnids.codebook import (
 from hdnids.dataset import LabelMap
 from hdnids.encoding import EncodedDataset, EncoderTables
 from hdnids.model import (
-    AccumulatorVector,
     ClassModel,
     Hyperparams,
     predict_batch,
@@ -53,7 +52,7 @@ def model_of(reps, dim, **hyperparams):
     and retrain."""
     names = [f"c{i}" for i in range(len(reps))]
     return ClassModel(
-        representatives=[AccumulatorVector(r) for r in reps],
+        reps=np.array(reps, dtype=np.float64),
         codebook=None,
         schema=None,
         label_map=LabelMap(raw_to_class={n: i for i, n in enumerate(names)},
@@ -194,8 +193,8 @@ class TestOps:
         reps = [np.array([1.0, 0, 1, 0, 1, 0, 1, 0]), np.array([0, 1.0, 0, 1, 0, 1, 0, 1])]
         out, trace = retrain(model_of(reps, 8, alpha=2.5, iterations=1), data)
         assert trace == [0.0]
-        assert out.rep_matrix().tolist() == [[-1.5, 0, -1.5, 0, -1.5, 0, -1.5, 0],
-                                            [2.5, 1, 2.5, 1, 2.5, 1, 2.5, 1]]
+        assert out.reps.tolist() == [[-1.5, 0, -1.5, 0, -1.5, 0, -1.5, 0],
+                                     [2.5, 1, 2.5, 1, 2.5, 1, 2.5, 1]]
 
 
 @settings(max_examples=200, deadline=None)
@@ -266,4 +265,4 @@ def test_prop_accumulate_arithmetic(dim, seed, n):
     for c in (0, 1):
         members = [ref_unpack(r, dim) for r, y in zip(rows, labels) if y == c]
         want = ref_bundle(members) if members else [0] * dim
-        assert reps[c].values.tolist() == want
+        assert reps[c].tolist() == want

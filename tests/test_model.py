@@ -20,7 +20,6 @@ from hdnids.evaluation import evaluate
 import hdnids.model
 from hdnids.model import (
     _RETRAIN_STREAM_TAG,
-    AccumulatorVector,
     ClassModel,
     CorruptModelError,
     Hyperparams,
@@ -74,7 +73,7 @@ def toy_clusters(seed=6, n_per=30, dim=64, flip=24, classes=3):
 def toy_model(data, classes=3, seed=6, alpha=1.0, iterations=50):
     names = ["a", "b", "c", "d", "e"][:classes]
     return ClassModel(
-        representatives=train_initial(data, classes),
+        reps=train_initial(data, classes),
         codebook=None,
         schema=tiny_schema(names),
         label_map=tiny_label_map(names),
@@ -107,7 +106,7 @@ def check_retrain_against_oracle(n, dim, classes, alpha, seed):
     names = ["a", "b", "c", "d"][:classes]
     epochs = 2
     model = ClassModel(
-        representatives=train_initial(data, classes), codebook=None,
+        reps=train_initial(data, classes), codebook=None,
         schema=tiny_schema(names), label_map=tiny_label_map(names),
         hyperparams=Hyperparams(dim=dim, bins=1, alpha=alpha, iterations=epochs, seed=seed),
     )
@@ -117,7 +116,7 @@ def check_retrain_against_oracle(n, dim, classes, alpha, seed):
         np.random.SeedSequence([seed, _RETRAIN_STREAM_TAG]))).permutation(n)
     samples = [bits[i].astype(int).tolist() for i in order]
     visit_labels = [int(labels[i]) for i in order]
-    reps = [r.values.tolist() for r in model.representatives]
+    reps = model.reps.tolist()
     want = []
     for _ in range(epochs):
         reps, updates, correct = ref_retrain_epoch(reps, samples, visit_labels, alpha)
@@ -125,7 +124,7 @@ def check_retrain_against_oracle(n, dim, classes, alpha, seed):
         if updates == 0:
             break
     assert trace == want
-    assert np.array_equal(got.rep_matrix(), np.array(reps))
+    assert np.array_equal(got.reps, np.array(reps))
 
 
 # SHA-256 of the model file overlap_model_digest trains, one per alpha;
@@ -152,14 +151,14 @@ class TestTrainInitial:
         rows = [packed([1, 1, 0, 0]), packed([1, 0, 1, 0]), packed([0, 0, 1, 1])]
         data = EncodedDataset(np.vstack(rows), 4, np.array([0, 0, 1]))
         reps = train_initial(data, 2)
-        assert reps[0].values.tolist() == [2, 1, 1, 0]
-        assert reps[1].values.tolist() == [0, 0, 1, 1]
+        assert reps[0].tolist() == [2, 1, 1, 0]
+        assert reps[1].tolist() == [0, 0, 1, 1]
 
     def test_empty_class_is_zero_vector(self, caplog):
         data = EncodedDataset(np.vstack([packed([1, 0])]), 2, np.array([0]))
         with caplog.at_level("WARNING"):
             reps = train_initial(data, 3)
-        assert not reps[1].values.any() and not reps[2].values.any()
+        assert not reps[1].any() and not reps[2].any()
         assert "no training samples" in caplog.text
 
     def test_empty_dataset_rejected(self):
@@ -190,7 +189,7 @@ class TestPredict:
     def test_tie_breaks_to_lowest_index(self):
         rep = np.array([1.0, 1.0, 0.0, 0.0])
         model = ClassModel(
-            representatives=[AccumulatorVector(rep), AccumulatorVector(rep.copy())],
+            reps=np.array([rep, rep]),
             codebook=None, schema=tiny_schema(["a", "b"]),
             label_map=tiny_label_map(["a", "b"]),
             hyperparams=Hyperparams(dim=4, bins=1),
@@ -217,7 +216,7 @@ class TestPredict:
         data = toy_clusters()
         model = toy_model(data)
         preds, sims = predict_batch(model, data)
-        reps = [r.values.tolist() for r in model.representatives]
+        reps = model.reps.tolist()
         for i in range(len(data)):
             want = [ref_cosine(ref_unpack(data.packed[i], data.dim), r) for r in reps]
             assert sims[i] == pytest.approx(want, abs=1e-12)
@@ -228,7 +227,7 @@ class TestPredict:
         rows = np.array([[0xFF, 0xFF]], dtype=np.uint8)
         reps = [np.ones(9), np.arange(9, dtype=np.float64)]
         model = ClassModel(
-            representatives=[AccumulatorVector(r) for r in reps],
+            reps=np.array(reps, dtype=np.float64),
             codebook=None, schema=tiny_schema(["a", "b"]),
             label_map=tiny_label_map(["a", "b"]), hyperparams=Hyperparams(dim=9, bins=1),
         )
@@ -246,7 +245,7 @@ class TestPredict:
         reps = rng.integers(0, 10000, size=(5, dim)) / 10
         names = ["a", "b", "c", "d", "e"]
         model = ClassModel(
-            representatives=[AccumulatorVector(r) for r in reps],
+            reps=reps,
             codebook=None, schema=tiny_schema(names),
             label_map=tiny_label_map(names), hyperparams=Hyperparams(dim=dim),
         )
@@ -419,6 +418,44 @@ class TestHyperparams:
             retrain(toy_model(data, alpha=float("nan"), iterations=5), data)
 
 
+def two_class_model(reps):
+    """A two-class model at dim 8 holding reps as given."""
+    return ClassModel(reps, None, tiny_schema(["a", "b"]), tiny_label_map(["a", "b"]),
+                      Hyperparams(dim=8, bins=1))
+
+
+class TestClassModel:
+    def test_overflowing_representative_rejected(self):
+        """Finite entries of 1e200 square past float64's range, so every
+        cosine against them would read 0: the model is not built, and no
+        overflow is warned about on the way."""
+        with pytest.raises(ValueError, match="squared norm"):
+            model = two_class_model(np.full((2, 8), 1e200))
+            predict_batch(model, EncodedDataset(packed([1] * 8)[None, :], 8))
+
+    @pytest.mark.parametrize("reps, match", [
+        (np.zeros((3, 8)), r"\(2, 8\) float64"),
+        (np.zeros((2, 9)), r"\(2, 8\) float64"),
+        (np.zeros(16), r"\(2, 8\) float64"),
+        (np.zeros((2, 8), dtype=np.float32), "float32"),
+        (np.zeros((2, 8), dtype=np.int64), "int64"),
+        ([[0.0] * 8] * 2, "list"),
+        (np.full((2, 8), np.nan), "non-finite"),
+        (np.full((2, 8), -np.inf), "non-finite"),
+    ])
+    def test_rejects(self, reps, match):
+        with pytest.raises(ValueError, match=match):
+            two_class_model(reps)
+        # a copy is checked as it is built
+        with pytest.raises(ValueError, match=match):
+            dataclasses.replace(two_class_model(np.zeros((2, 8))), reps=reps)
+
+    def test_rows_must_match_the_label_map(self):
+        model = two_class_model(np.zeros((2, 8)))
+        with pytest.raises(ValueError, match=r"\(3, 8\)"):
+            dataclasses.replace(model, label_map=tiny_label_map(["a", "b", "c"]))
+
+
 class TestRetrain:
     def test_parameter_validation(self):
         """0 iterations is a valid setting: the representatives come back as
@@ -427,7 +464,7 @@ class TestRetrain:
         model = toy_model(data, iterations=0)
         out, trace = retrain(model, data)
         assert trace == []
-        assert out.rep_matrix().tobytes() == model.rep_matrix().tobytes()
+        assert out.reps.tobytes() == model.reps.tobytes()
         assert out.hyperparams == model.hyperparams
 
     @pytest.mark.parametrize("bad", [-1, 3, 7])
@@ -450,7 +487,7 @@ class TestRetrain:
     def test_large_alpha_that_fits_retrains(self):
         data = toy_clusters()
         out, trace = retrain(toy_model(data, alpha=1e100, iterations=3), data)
-        assert np.isfinite(np.linalg.norm(out.rep_matrix(), axis=1)).all()
+        assert np.isfinite(np.linalg.norm(out.reps, axis=1)).all()
         assert trace
 
     def test_integer_alpha_matches_float(self):
@@ -458,7 +495,7 @@ class TestRetrain:
         a, trace_a = retrain(toy_model(data, alpha=2, iterations=3), data)
         b, trace_b = retrain(toy_model(data, alpha=2.0, iterations=3), data)
         assert trace_a == trace_b
-        assert np.array_equal(a.rep_matrix(), b.rep_matrix())
+        assert np.array_equal(a.reps, b.reps)
         assert a.hyperparams == b.hyperparams
 
     def test_model_records_its_alpha_and_iterations(self, synth_file):
@@ -474,25 +511,25 @@ class TestRetrain:
     def test_representative_mass_conserved(self):
         data = toy_clusters()
         model = toy_model(data, iterations=10)
-        before = model.rep_matrix().sum(axis=0)
+        before = model.reps.sum(axis=0)
         out, trace = retrain(model, data)
-        after = out.rep_matrix().sum(axis=0)
+        after = out.reps.sum(axis=0)
         assert np.array_equal(before, after)
         assert any(t < 1.0 for t in trace)  # updates actually happened
 
     def test_does_not_mutate_input_model(self):
         data = toy_clusters()
         model = toy_model(data, iterations=5)
-        snapshot = model.rep_matrix().copy()
+        snapshot = model.reps.copy()
         retrain(model, data)
-        assert np.array_equal(model.rep_matrix(), snapshot)
+        assert np.array_equal(model.reps, snapshot)
 
     def test_zero_update_epoch_is_fixed_point(self):
         data = toy_clusters(flip=8)  # centroids already perfect
         model = toy_model(data)
         out, trace = retrain(model, data)
         assert trace == [1.0]  # early stop after one clean pass
-        assert np.array_equal(out.rep_matrix(), model.rep_matrix())
+        assert np.array_equal(out.reps, model.reps)
 
     def test_separable_toy_reaches_full_accuracy(self):
         data = toy_clusters()  # starts at ~92%
@@ -528,12 +565,12 @@ class TestRetrain:
         order = rng.permutation(len(data))
         samples = [data.unpack(slice(i, i + 1))[0].astype(int).tolist() for i in order]
         labels = [int(data.labels[i]) for i in order]
-        reps = [r.values.tolist() for r in model.representatives]
+        reps = model.reps.tolist()
         for _ in range(epochs):
             reps, updates, _ = ref_retrain_epoch(reps, samples, labels, alpha)
             if updates == 0:
                 break
-        assert np.array_equal(got.rep_matrix(), np.array(reps))
+        assert np.array_equal(got.reps, np.array(reps))
 
     @settings(max_examples=12, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -556,7 +593,7 @@ class TestRetrain:
         a, trace_a = retrain(model, data)
         b, trace_b = retrain(model, data)
         assert trace_a == trace_b
-        assert np.array_equal(a.rep_matrix(), b.rep_matrix())
+        assert np.array_equal(a.reps, b.reps)
 
 
 class TestDotBlocks:
@@ -578,7 +615,7 @@ class TestDotBlocks:
         block_rows(data.dim)
         preds, sims = predict_batch(model, data, jobs=2)
         assert np.array_equal(sims, want_sims) and np.array_equal(preds, want_preds)
-        reps = [r.values.tolist() for r in model.representatives]
+        reps = model.reps.tolist()
         for i in range(len(data)):
             want = [ref_cosine(ref_unpack(data.packed[i], data.dim), r) for r in reps]
             assert sims[i] == pytest.approx(want, abs=1e-12)
@@ -627,16 +664,16 @@ class TestSharedRows:
 
         def model(data):
             return ClassModel(
-                representatives=train_initial(data, len(names)), codebook=cb,
+                reps=train_initial(data, len(names)), codebook=cb,
                 schema=schema, label_map=tiny_label_map(names),
                 hyperparams=Hyperparams(dim=67, bins=8, alpha=alpha, iterations=3, seed=seed))
 
         want, got = model(flat), model(shared)
-        assert got.rep_matrix().tobytes() == want.rep_matrix().tobytes()
+        assert got.reps.tobytes() == want.reps.tobytes()
         want, want_trace = retrain(want, flat)
         got, got_trace = retrain(got, shared)
         assert got_trace == want_trace
-        assert got.rep_matrix().tobytes() == want.rep_matrix().tobytes()
+        assert got.reps.tobytes() == want.reps.tobytes()
         want_preds, want_sims = predict_batch(want, flat)
         preds, sims = predict_batch(got, shared, jobs=2)
         assert np.array_equal(preds, want_preds) and sims.tobytes() == want_sims.tobytes()
@@ -678,7 +715,7 @@ class TestPersistence:
         assert back.hyperparams == model.hyperparams
         assert back.schema == model.schema
         assert back.label_map.to_dict() == model.label_map.to_dict()
-        assert np.array_equal(back.rep_matrix(), model.rep_matrix())
+        assert np.array_equal(back.reps, model.reps)
         assert np.array_equal(back.codebook.matrix, model.codebook.matrix)
         assert back.codebook.offsets == model.codebook.offsets
         assert (back.codebook.dim, back.codebook.bins, back.codebook.seed) == (
@@ -813,7 +850,7 @@ class TestDamagedHeader:
     def test_rejected(self, tmp_path, blob, edit):
         path = tmp_path / "bad.hdm"
         path.write_bytes(edit_header(blob, edit))
-        with pytest.raises(CorruptModelError):
+        with pytest.raises(CorruptModelError, match="bad header"):
             load_model(path)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
@@ -823,7 +860,7 @@ class TestDamagedHeader:
         path = tmp_path / "bad.hdm"
         path.write_bytes(reframe(blob[:-40] + np.float64(value).tobytes() + blob[-32:],
                                  header))
-        with pytest.raises(CorruptModelError, match="finite"):
+        with pytest.raises(CorruptModelError, match="bad arrays: .*non-finite value"):
             load_model(path)
 
     def test_representative_norm_overflow_rejected(self, tmp_path, blob):
@@ -832,7 +869,16 @@ class TestDamagedHeader:
         path = tmp_path / "bad.hdm"
         path.write_bytes(reframe(blob[:-40] + np.float64(1e200).tobytes() + blob[-32:],
                                  header))
-        with pytest.raises(CorruptModelError, match="norm"):
+        with pytest.raises(CorruptModelError, match="bad arrays: .*squared norm"):
+            load_model(path)
+
+    @pytest.mark.parametrize("cut", [8, 1])
+    def test_payload_length_rejected(self, tmp_path, blob, cut):
+        # the header is intact; the arrays lose their last bytes
+        header = blob[20 : 20 + int.from_bytes(blob[12:20], "little")]
+        path = tmp_path / "bad.hdm"
+        path.write_bytes(reframe(blob[:-32 - cut] + blob[-32:], header))
+        with pytest.raises(CorruptModelError, match="bad arrays: .*the header implies"):
             load_model(path)
 
     def test_codebook_bits_past_dim_rejected(self, tmp_path, synth_lines):
@@ -846,7 +892,7 @@ class TestDamagedHeader:
         load_model(path)
         model.codebook.matrix[3, -1] |= 0xFE
         save_model(model, path)
-        with pytest.raises(CorruptModelError, match="past dim"):
+        with pytest.raises(CorruptModelError, match="bad arrays: .*past dim"):
             load_model(path)
 
     def test_unedited_header_loads(self, tmp_path, blob):
