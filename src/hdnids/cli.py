@@ -169,9 +169,9 @@ def _label_map(settings: dict, table=None):
     packaged one) under the settings' unknown-label policy."""
     if settings["label_map"] is not None or table is None:
         table = load_label_map(settings["label_map"])
-    table.strict = settings["unknown_label"] == "strict"
-    table.fallback_class = table.class_names.index(settings["fallback_class"])
-    return table
+    return dataclasses.replace(
+        table, strict=settings["unknown_label"] == "strict",
+        fallback_class=table.class_names.index(settings["fallback_class"]))
 
 
 @contextlib.contextmanager
@@ -263,7 +263,7 @@ def cmd_evaluate(args) -> int:
     stored = model.label_map
     s = _settings(args, unknown_label="strict" if stored.strict else "fallback",
                   fallback_class=stored.class_names[stored.fallback_class])
-    model.label_map = _label_map(s, stored)
+    model = dataclasses.replace(model, label_map=_label_map(s, stored))
     result = parse_file(args.test)
     report = evaluate(model, result.records, jobs=s["jobs"])
     rendered = render_report(report, s["format"])

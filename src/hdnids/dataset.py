@@ -21,17 +21,17 @@ parse_file reads the file in Python's text mode, so line ends and invalid
 UTF-8 (read as U+FFFD) are text mode's. It takes about _READ_CHARS
 characters of whole lines at a time, encodes them back to UTF-8, and works
 through the bytes in blocks of _BLOCK_LINES lines. In a block it finds the
-commas and keys every field of a well-formed line by its bytes and its
-length, so embedded NUL bytes cannot merge two strings, and groups equal
-keys by sorting. Only one field's bytes per group and each record's group
-number in the block (int8 or int16, as a block holds at most _BLOCK_LINES
-groups) outlive the block, so the transients stay a few MB whatever the
-file's size. At the end each field's groups are merged the same way and
-each distinct byte string is decoded once; then, with the merges'
-transients freed, the line numbers and every field's codes are built in
-one allocation. On a large file that one block is mapped apart from the
-heap, so the table neither pins heap the parse freed nor leaves holes in
-it, and its memory goes back to the system whole when the table dies.
+commas, keys every field of a well-formed line by its bytes and its
+length, so embedded NUL bytes cannot merge two strings, and adds the keys
+to the field's RunningKeys, which numbers the file's distinct strings
+block by block as it first meets them. Only each record's number and the
+bytes of the strings new in the block outlive the block, so the
+transients stay a few MB whatever the file's size. At the end each
+field's new bytes are decoded in one call, and the line numbers and every
+field's codes are built in one allocation. On a large file that one block
+is mapped apart from the heap, so the table neither pins heap the parse
+freed nor leaves holes in it, and its memory goes back to the system
+whole when the table dies.
 
 A field is keyed by at most _KEY_BYTES bytes, which bounds a key's width
 whatever a line holds. Lines that are not plainly well formed (a blank
@@ -211,19 +211,15 @@ class RecordTable(Sequence):
 
     def __getitem__(self, i) -> RawRecord:
         i = range(len(self))[i]  # an int or numpy integer, negatives and IndexError as a list
-        return _record(tuple(c.values[c.codes[i]] for c in self.features),
-                       self._string(self.labels, i), self._string(self.difficulty, i),
+        label, difficulty = ((c.values + [None])[c.codes[i]]  # a code of -1 picks the None
+                             for c in (self.labels, self.difficulty))
+        return _record(tuple(c.values[c.codes[i]] for c in self.features), label, difficulty,
                        int(self.line_no[i]))
 
     def __iter__(self):
         columns = zip(*(c.strings() for c in self.features))
         return map(_record, columns, self.labels.strings(), self.difficulty.strings(),
                    self.line_no.tolist())
-
-    @staticmethod
-    def _string(column: Column, i: int):
-        code = column.codes[i]
-        return None if code < 0 else column.values[code]
 
     def take(self, rows) -> "RecordTable":
         """The records at index array or slice rows, in that order; the
@@ -299,12 +295,7 @@ def parse_line(line: str, line_no: int = 0, allow_unlabeled: bool = False) -> Ra
             f"line {line_no}: expected {NUM_FEATURES + 1} or {NUM_FEATURES + 2} "
             f"comma-separated fields, got {n}"
         )
-    return RawRecord(
-        values=tuple(values),
-        label=None if label is None else label.strip(),
-        difficulty=difficulty,
-        line_no=line_no,
-    )
+    return _record(values, label, difficulty, line_no)
 
 
 def _runs(fh):
@@ -333,18 +324,20 @@ def _keys(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     """(w, n) uint64 keys of the fields buf[starts[i]:starts[i] + lens[i]],
     none longer than _KEY_BYTES.
 
-    A key holds a field's bytes, little-endian, in w words, zero past the
-    field, and the field's length in the top byte of the last word; w is
-    the least word count that leaves that byte free for every field. Equal
-    keys therefore mean equal bytes, whatever the machine's byte order.
+    A key holds a field's bytes, little-endian, zero past the field, and
+    the field's length in the top byte of word len // 8, which the field
+    leaves free; w is the least word count that holds every field. Equal
+    keys therefore mean equal bytes, whatever the machine's byte order, and
+    a key with zero words appended is the same field's key.
     """
     words_at = np.ndarray((len(buf) - 7,), dtype="<u8", buffer=buf, strides=(1,))
     w = int(lens.max()) // 8 + 1 if len(lens) else 1
     keys = np.empty((w, len(lens)), dtype=np.uint64)
+    length, word = lens.astype(np.uint64) << np.uint64(56), lens >> 3
     for k in range(w):
         np.bitwise_and(words_at[starts + 8 * k], _MASKS[np.clip(lens - 8 * k, 0, 8)],
                        out=keys[k])
-    keys[-1] |= lens.astype(np.uint64) << np.uint64(56)
+        np.bitwise_or(keys[k], length, out=keys[k], where=word == k)
     return keys
 
 
@@ -365,22 +358,75 @@ def _distinct(x: np.ndarray):
     return inverse, order[new]
 
 
-def _group(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray):
-    """(inverse, rep) of byte fields: fields with equal keys share a number;
-    a field longer than _KEY_BYTES has one of its own."""
-    long = np.flatnonzero(lens > _KEY_BYTES)
-    short = np.flatnonzero(lens <= _KEY_BYTES) if long.size else slice(None)
-    keys = _keys(buf, starts[short], lens[short])
+class RunningKeys:
+    """The distinct keys of batches added one after another, each with an id.
+
+    A key is a row of unsigned integer words, of one dtype in every batch,
+    and is the same key with zero words appended. Ids count from 0 in the
+    order keys are first met: batch by batch, and in a batch in sorted key
+    order. The keys are held sorted, as numbers while one word wide and
+    else as their words' big-endian bytes, which sort as the rows do and
+    keep their order when zero bytes are appended.
+    """
+
+    def __init__(self):
+        self._width, self._word = 0, None  # words per held key, and their dtype
+        self._sorted = self._ids = np.empty(0, dtype=np.int64)  # the keys, and their ids
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def add(self, keys: np.ndarray):
+        """(ids, new) of a (n, w) batch of keys: each key's id, and the index
+        in keys of one entry of each key not held before, in id order."""
+        if keys.shape[1] > self._width:  # the held keys gain zero words
+            held = (self._sorted[:, None] if self._width <= 1 else
+                    self._sorted.view(self._word.newbyteorder(">")).reshape(-1, self._width))
+            self._word, self._width = keys.dtype, keys.shape[1]
+            self._sorted = self._flat(held)
+        keys = self._flat(keys)
+        inverse, rep = _distinct(keys)
+        keys = keys[rep]  # the batch's distinct keys, sorted
+        if not len(self._ids):
+            self._sorted, self._ids = keys, np.arange(len(keys))
+            return self._ids[inverse], rep
+        at = np.searchsorted(self._sorted, keys)
+        ids = self._ids.take(at, mode="clip")
+        new = np.flatnonzero(self._sorted.take(at, mode="clip") != keys)
+        if len(new):
+            ids[new] = len(self._ids) + np.arange(len(new))
+            self._sorted = np.insert(self._sorted, at[new], keys[new])
+            self._ids = np.insert(self._ids, at[new], ids[new])
+        return ids[inverse], rep[new]
+
+    def _flat(self, keys: np.ndarray) -> np.ndarray:
+        """(n,) keys of (n, w) rows of words, as held."""
+        if self._width == 1:
+            return keys[:, 0]
+        if keys.shape[1] < self._width:
+            keys = np.pad(keys, ((0, 0), (0, self._width - keys.shape[1])))
+        rows = np.ascontiguousarray(keys, dtype=self._word.newbyteorder(">"))
+        return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize)))[:, 0]
+
+
+def _add_fields(store: RunningKeys, buf: np.ndarray, starts: np.ndarray, lens: np.ndarray):
+    """(ids, new) of the byte fields buf[starts[i]:starts[i] + lens[i]]
+    added to store, as RunningKeys.add gives them: equal fields share an
+    id, and a field longer than _KEY_BYTES has one of its own."""
+    long = lens > _KEY_BYTES
+    keys = _keys(buf, starts, np.where(long, 0, lens))
+    if long.any():  # a new key no field has: UTF-8 holds no byte 0xFF
+        serial = len(store) + np.arange(long.sum(), dtype=np.uint64)
+        keys[0, long] = serial | np.uint64(0xFF << 56)
+    if len(keys) == 1:
+        return store.add(keys.T)
+    # wider keys are grouped word by word, so store sorts no byte string twice
     inverse, rep = _distinct(keys[0])
     for word in keys[1:]:  # pairs of numbers to one number, word by word
         word_inverse, word_rep = _distinct(word)
         inverse, rep = _distinct(inverse * len(word_rep) + word_inverse)
-    if not long.size:
-        return inverse, rep
-    out = np.empty(len(lens), dtype=np.int64)
-    out[short] = inverse
-    out[long] = len(rep) + np.arange(len(long))
-    return out, np.concatenate((short[rep], long))
+    ids, new = store.add(keys[:, rep].T)
+    return ids[inverse], rep[new]
 
 
 def _joined(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
@@ -392,17 +438,6 @@ def _joined(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> np.ndarray
     joined = buf[at]
     joined[stops - 1] = 44
     return joined
-
-
-def _decode(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> list:
-    """The decoded strings of the byte fields buf[starts[i]:starts[i] + lens[i]].
-
-    Fields hold no commas, so the fields joined by commas decode in one
-    call and split back into each field.
-    """
-    if not len(lens):
-        return []
-    return _joined(buf, starts, lens)[:-1].tobytes().decode().split(",")
 
 
 def _fields(buf: np.ndarray, first: np.ndarray, end: np.ndarray):
@@ -426,37 +461,6 @@ def _fields(buf: np.ndarray, first: np.ndarray, end: np.ndarray):
     return count, seps, lens
 
 
-def _merge(rep_bytes: list):
-    """(values, lut) of one field: the groups' bytes, end to end with a comma
-    after each, grouped again over the blocks; values holds each distinct
-    byte string decoded once, lut[g] the index in values of group g, and
-    lut[-1] is -1, in the dtype _code_dtype(len(values)) gives."""
-    blob = np.frombuffer(b"".join([*rep_bytes, bytes(_PAD)]), dtype=np.uint8)
-    field_len = np.flatnonzero(blob == 44)  # each field's end, until made its length
-    field_at = np.empty_like(field_len)
-    field_at[:1] = 0
-    np.add(field_len[:-1], 1, out=field_at[1:])
-    field_len -= field_at
-    inverse, rep = _group(blob, field_at, field_len)
-    lut = np.empty(len(inverse) + 1, dtype=_code_dtype(len(rep)))
-    lut[:-1] = inverse
-    lut[-1] = -1
-    del inverse
-    # the distinct fields decoded in the blob's order, picked by a byte
-    # mask, then put in rep's order
-    first = np.zeros(len(field_len), dtype=bool)
-    first[rep] = True
-    keep = np.repeat(first, field_len + 1)
-    del first, field_at, field_len
-    text = blob[:len(keep)][keep].tobytes()
-    del blob, keep
-    decoded = text.decode().split(",")[:-1]
-    del text
-    rank = np.empty(len(rep), dtype=np.int64)
-    rank[np.argsort(rep)] = np.arange(len(rep))
-    return [decoded[r] for r in rank.tolist()], lut
-
-
 def _is_int(text: str) -> bool:
     try:
         int(text)
@@ -466,19 +470,20 @@ def _is_int(text: str) -> bool:
 
 
 def _scan(fh, allow_unlabeled: bool):
-    """Group every field of the lines of fh, block by block.
+    """Number every field of the lines of fh through a RunningKeys per field.
 
-    Returns (rep_bytes, slots, line_no, malformed, total): per field, per
-    block, the bytes of one field of each group, each followed by a comma
-    (fields hold none), and (the groups counted over the blocks before it,
-    each record's group in the block or -1 where it lacks the field); per
-    block, each record's line number; the (line_no, reason) pairs of the
-    malformed lines; and the count of lines that are not blank.
+    Returns (codes, new_bytes, sizes, line_no, malformed, total): per field,
+    per block, each record's number (-1 where it lacks the field) in the
+    dtype _code_dtype gives for the numbers given so far, and the bytes of
+    the strings new in the block in number order, each followed by a comma;
+    per field, the count of numbers; per block, each record's line number;
+    the (line_no, reason) pairs of the malformed lines; and the count of
+    lines that are not blank.
     """
     arity = [NUM_FEATURES, NUM_FEATURES + 1] + ([NUM_FEATURES - 1] if allow_unlabeled else [])
-    rep_bytes = [[] for _ in range(_FIELDS)]
-    reps = [0] * _FIELDS
-    slots = [[] for _ in range(_FIELDS)]
+    stores = [RunningKeys() for _ in range(_FIELDS)]
+    codes = [[] for _ in range(_FIELDS)]
+    new_bytes = [[] for _ in range(_FIELDS)]
     line_no: list[np.ndarray] = []
     malformed: list[tuple[int, str]] = []
     total = 0
@@ -495,8 +500,9 @@ def _scan(fh, allow_unlabeled: bool):
             if scored.size:  # a difficulty int() rejects makes parse_line's error
                 field_at = seps[_FIELDS - 1, scored] + 1
                 field_len = lens[_FIELDS - 1, scored]
-                inverse, rep = _group(buf, field_at, field_len)
-                ok = [_is_int(v) for v in _decode(buf, field_at[rep], field_len[rep])]
+                inverse, rep = RunningKeys().add(_keys(buf, field_at, field_len).T)
+                scores = _joined(buf, field_at[rep], field_len[rep]).tobytes().decode()
+                ok = [_is_int(v) for v in scores.split(",")[:-1]]
                 fast[scored[~np.array(ok)[inverse]]] = False
 
             keep = fast.copy()
@@ -519,14 +525,13 @@ def _scan(fh, allow_unlabeled: bool):
             for j in range(_FIELDS):
                 has = slice(None) if j < NUM_FEATURES else lens[j] >= 0
                 field_at, field_len = seps[j, has] + 1, lens[j, has]
-                inverse, rep = _group(buf, field_at, field_len)
-                slot = np.full(len(rows), -1, dtype=_code_dtype(len(rep)))
-                slot[has] = inverse
-                slots[j].append((reps[j], slot))
-                rep_bytes[j].append(_joined(buf, field_at[rep], field_len[rep]).tobytes())
-                reps[j] += len(rep)
+                ids, new = _add_fields(stores[j], buf, field_at, field_len)
+                code = np.full(len(rows), -1, dtype=_code_dtype(len(stores[j])))
+                code[has] = ids
+                codes[j].append(code)
+                new_bytes[j].append(_joined(buf, field_at[new], field_len[new]).tobytes())
         lines_before += len(starts)
-    return rep_bytes, slots, line_no, malformed, total
+    return codes, new_bytes, [len(s) for s in stores], line_no, malformed, total
 
 
 def parse_file(path, allow_unlabeled: bool = False) -> ParseResult:
@@ -540,9 +545,9 @@ def parse_file(path, allow_unlabeled: bool = False) -> ParseResult:
     only). Blank lines count toward line numbers but not toward the 1%.
     """
     path = Path(path)
-    # the block transients die with _scan, before the fields are merged
+    # the block transients die with _scan, before the columns are built
     with open(path, encoding="utf-8", errors="replace") as fh:
-        rep_bytes, slots, line_no, malformed, total = _scan(fh, allow_unlabeled)
+        codes, new_bytes, sizes, line_no, malformed, total = _scan(fh, allow_unlabeled)
 
     if not total:
         raise ParseError(f"{path}: no records")
@@ -554,25 +559,15 @@ def parse_file(path, allow_unlabeled: bool = False) -> ParseResult:
     if malformed:
         log.warning("%s: %d malformed line(s) skipped", path, len(malformed))
 
-    merged = []
-    for j in range(_FIELDS):
-        merged.append(_merge(rep_bytes[j]))
-        rep_bytes[j] = None
-    # the line numbers and every field's codes share one allocation, made
-    # once the merges' transients are freed: the table is one block of
-    # memory, taken and given back whole
+    # the line numbers and every field's codes share one allocation: the
+    # table is one block of memory, taken and given back whole
     records = sum(map(len, line_no))
-    numbers, *codes = _carve(records, [np.dtype(np.int64)] + [lut.dtype for _, lut in merged])
+    numbers, *columns = _carve(records, [np.dtype(np.int64)] + [_code_dtype(n) for n in sizes])
     np.concatenate(line_no, out=numbers)
-    columns = []
-    for j, (values, lut) in enumerate(merged):  # each field's blocks freed as its codes are built
-        at = 0
-        for before, slot in slots[j]:
-            # lut[before:][-1] is lut[-1], -1, for a record that lacks the field
-            codes[j][at:at + len(slot)] = lut[before:][slot]
-            at += len(slot)
-        slots[j] = merged[j] = None
-        columns.append(Column(values, codes[j]))
+    for j in range(_FIELDS):  # each field's blocks freed as its column is built
+        np.concatenate(codes[j], out=columns[j])
+        columns[j] = Column(b"".join(new_bytes[j]).decode().split(",")[:-1], columns[j])
+        codes[j] = new_bytes[j] = None
     table = RecordTable(columns[:NUM_FEATURES], columns[NUM_FEATURES],
                         columns[NUM_FEATURES + 1], numbers)
     return ParseResult(records=table, malformed=malformed)

@@ -40,7 +40,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .codebook import KIND_CONTINUOUS, Codebook, FeatureSchema, FeatureSpec
-from .dataset import ParseError, RecordTable, _distinct, numeric_column
+from .dataset import ParseError, RecordTable, RunningKeys, numeric_column
 
 # Distinct records per encoder batch. Measured on the bench corpus (seed
 # 3001, D=10000, 2 vCPUs, jobs 2, best of 3, whole encode_dataset, test /
@@ -246,8 +246,7 @@ class EncoderTables:
         """(distinct, inverse): the distinct row index rows of a RecordTable,
         sorted as byte strings, and each record's position among them.
 
-        np.unique(rows, axis=0, return_inverse=True) without its flatten
-        copy: one sort of the rows viewed as byte strings. table is released
+        One batch of byte keys into an empty RunningKeys. table is released
         once its row indices are built, so a caller that passes its last
         reference has it freed before the sort (CPython 3.11 and later move
         call arguments into the callee); the per-record index matrix is
@@ -261,7 +260,7 @@ class EncoderTables:
             raise ValueError("no records to encode")
         idx = self.row_indices(table)
         del table
-        inverse, rep = _distinct(idx.view(np.dtype((np.void, width * idx.itemsize))).ravel())
+        inverse, rep = RunningKeys().add(idx.view(np.uint8))
         return idx[rep], inverse
 
     def buffer_pool(self) -> list[np.ndarray]:

@@ -155,7 +155,7 @@ def _finite(value) -> bool:
             and math.isfinite(value))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClassModel:
     """A trained classifier, valid once built. reps holds one float64
     representative row per class: a (len(label_map.class_names),
@@ -164,6 +164,8 @@ class ClassModel:
     Construction, dataclasses.replace included, raises ValueError when reps
     has another type, dtype or shape, or holds a NaN or infinite entry or a
     row whose squared norm is not finite, against which every cosine reads 0.
+    The model is frozen and reps read-only, so what was checked stays so; a
+    writable or unaligned reps is copied, leaving the caller's array as is.
     """
 
     reps: np.ndarray
@@ -185,6 +187,10 @@ class ClassModel:
         with np.errstate(over="ignore"):  # checked here, not warned about
             if not np.isfinite(np.linalg.norm(reps, axis=1)).all():
                 raise ValueError("a representative's squared norm is not finite")
+        if reps.flags.writeable or not reps.flags.aligned:  # matmul copies unaligned ones per call
+            reps = reps.copy()
+            reps.flags.writeable = False
+            object.__setattr__(self, "reps", reps)
 
     @property
     def num_classes(self) -> int:
@@ -556,4 +562,4 @@ def _model_from(hyper: Hyperparams, schema: FeatureSchema, label_map: LabelMap,
     reps = np.frombuffer(payload, np.float64, offset=rows * width).reshape(classes, dim)
     codebook = Codebook(dim=dim, bins=hyper.bins, seed=hyper.seed, matrix=matrix.copy(),
                         offsets=offsets)
-    return ClassModel(reps.copy(), codebook, schema, label_map, hyper)
+    return ClassModel(reps, codebook, schema, label_map, hyper)

@@ -141,6 +141,26 @@ class TestFields:
         assert [r.values[2] for r in records] == ["s" * width, "2", "s" * width]
         assert len(calls) == (2 if width > CAP else 0)
 
+    @pytest.mark.parametrize("block_lines", [1, 2, 3])
+    def test_each_string_is_one_value(self, tmp_path, monkeypatch, block_lines):
+        """A string keyed in blocks whose widest field takes one word, two or
+        six is one entry of its column's values, which come in the order the
+        blocks first hold them; each field past the key width has its own."""
+        monkeypatch.setattr(dataset, "_BLOCK_LINES", block_lines)
+        column = ["zz", "x" * 12, "ab", "ab", "y" * 40, "ab", "s" * (CAP + 1), "ab", "x" * 12,
+                  "t" * (CAP + 2)]
+        feats = list(FEATURES)
+        rows = []
+        for value in column:
+            feats[2] = value
+            rows.append(line(features=feats))
+        table = parse_file(write(tmp_path, "\n".join(rows).encode())).records
+        values = table.features[2].values
+        assert table.features[2].strings() == column
+        assert sorted(values) == sorted(set(column))
+        if block_lines == 1:
+            assert values == ["zz", "x" * 12, "ab", "y" * 40, "s" * (CAP + 1), "t" * (CAP + 2)]
+
     def test_invalid_utf8_decodes_as_the_file_does(self, tmp_path):
         # a cut multi-byte sequence before a comma, and two invalid start bytes
         feats = [f.encode() for f in FEATURES]
@@ -351,6 +371,36 @@ class TestNarrowCodes:
         assert sorted(cut.features[6].present(), key=int) == ["0", "72", "127"]
         assert cut.difficulty.strings() == [None] * len(rows)
         assert [r.line_no for r in cut] == (rows + 1).tolist()
+
+
+class TestRunningKeys:
+    """RunningKeys against a dict keyed by each row padded with zero words to
+    eight, which numbers the keys a batch adds in sorted order."""
+
+    @staticmethod
+    def padded(row) -> tuple:
+        return tuple(row) + (0,) * (8 - len(row))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), dtype=st.sampled_from([np.uint8, np.uint64]),
+           steps=st.integers(1, 8))
+    def test_against_a_dict(self, data, dtype, steps):
+        top = int(np.iinfo(dtype).max)
+        word = st.sampled_from([0, 1, 2, top // 2 + 1, top])  # few: many duplicates
+        store, seen, given = dataset.RunningKeys(), {}, 0
+        for _ in range(steps):
+            width = data.draw(st.integers(1, 8), label="width")
+            rows = data.draw(st.lists(st.lists(word, min_size=width, max_size=width),
+                                      max_size=12), label="rows")
+            keys = np.array(rows, dtype=dtype).reshape(len(rows), width)
+            ids, new = store.add(keys)
+            unseen = sorted({self.padded(r) for r in rows} - seen.keys())
+            for key in unseen:
+                seen[key] = given
+                given += 1
+            assert ids.tolist() == [seen[self.padded(r)] for r in rows]
+            assert [self.padded(rows[i]) for i in new.tolist()] == unseen
+            assert len(store) == given
 
 
 class _Warnings(logging.Handler):

@@ -455,6 +455,32 @@ class TestClassModel:
         with pytest.raises(ValueError, match=r"\(3, 8\)"):
             dataclasses.replace(model, label_map=tiny_label_map(["a", "b", "c"]))
 
+    def test_checked_state_cannot_be_changed(self):
+        """What construction checked stays so: reps cannot be written in
+        place, through representatives either, and no field can be set."""
+        model = two_class_model(np.zeros((2, 8)))
+        with pytest.raises(ValueError, match="read-only"):
+            model.reps[0] = 1e200
+        with pytest.raises(ValueError, match="read-only"):
+            model.representatives[1].values[:] = np.nan
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.reps = np.zeros((1, 3))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.label_map = tiny_label_map(["a", "b"])
+        assert not model.reps.any()
+
+    def test_writable_or_unaligned_arrays_are_copied(self):
+        reps = np.zeros((2, 8))
+        model = two_class_model(reps)
+        reps[0] = 1.0  # the caller's array keeps its flags, and the model its values
+        assert reps.flags.writeable and not model.reps.any()
+        frozen = np.ones((2, 8))
+        frozen.flags.writeable = False
+        assert two_class_model(frozen).reps is frozen  # read-only: held as given
+        # as load_model's view of the file can be: read-only but unaligned
+        unaligned = np.frombuffer(bytes(2 + 16 * 8), np.float64, offset=2).reshape(2, 8)
+        assert not unaligned.flags.aligned and two_class_model(unaligned).reps.flags.aligned
+
 
 class TestRetrain:
     def test_parameter_validation(self):
