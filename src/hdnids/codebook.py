@@ -47,23 +47,26 @@ def _name_key(name: str) -> int:
     return int.from_bytes(hashlib.sha256(name.encode("utf-8")).digest()[:16], "little")
 
 
-@dataclass
+@dataclass(frozen=True)
 class FeatureSpec:
-    """Metadata for one feature column.
+    """Metadata for one feature column, valid once built.
 
     Continuous features carry the training-data [min, max] (in transformed
     space when transform != "none"); categorical features carry a sorted,
-    duplicate-free vocabulary.
+    duplicate-free vocabulary, held as a tuple. Construction,
+    dataclasses.replace included, raises ValueError on anything else.
     """
 
     name: str
     kind: str
     min: float | None = None
     max: float | None = None
-    vocabulary: list[str] | None = None
+    vocabulary: tuple[str, ...] | None = None
     transform: str = TRANSFORM_NONE
 
     def __post_init__(self):
+        if self.vocabulary is not None:
+            object.__setattr__(self, "vocabulary", tuple(self.vocabulary))
         if self.kind not in (KIND_CONTINUOUS, KIND_CATEGORICAL):
             raise ValueError(f"unknown feature kind {self.kind!r}")
         if self.kind == KIND_CONTINUOUS:
@@ -80,8 +83,9 @@ class FeatureSpec:
                 raise ValueError(f"categorical feature {self.name!r} needs a vocabulary")
             if not all(isinstance(v, str) for v in self.vocabulary):
                 raise ValueError(f"feature {self.name!r}: vocabulary entries must be strings")
-            if len(set(self.vocabulary)) != len(self.vocabulary):
-                raise ValueError(f"feature {self.name!r}: vocabulary has duplicates")
+            if any(a >= b for a, b in zip(self.vocabulary, self.vocabulary[1:])):
+                raise ValueError(f"feature {self.name!r}: vocabulary must be sorted, "
+                                 "without duplicates")
 
     def to_dict(self) -> dict:
         d = {"name": self.name, "kind": self.kind}
@@ -105,19 +109,22 @@ class FeatureSpec:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class FeatureSchema:
-    """Ordered feature specs plus the class-name list.
+    """Ordered feature specs plus the class names, both held as tuples.
 
     Feature order is fixed at inference-schema time and must be identical
     between training and inference; names must be unique because codebook
-    sub-streams are keyed by them.
+    sub-streams are keyed by them. Construction, dataclasses.replace
+    included, raises ValueError when there is no feature or a name repeats.
     """
 
-    features: list[FeatureSpec]
-    class_names: list[str]
+    features: tuple[FeatureSpec, ...]
+    class_names: tuple[str, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "features", tuple(self.features))
+        object.__setattr__(self, "class_names", tuple(self.class_names))
         if not self.features:
             raise ValueError("schema needs at least one feature")
         names = [f.name for f in self.features]
@@ -138,7 +145,7 @@ class FeatureSchema:
     def from_dict(cls, d: dict) -> "FeatureSchema":
         return cls(
             features=[FeatureSpec.from_dict(f) for f in d["features"]],
-            class_names=list(d["class_names"]),
+            class_names=d["class_names"],
         )
 
 
@@ -152,11 +159,15 @@ def stream(seed: int, *tags: int) -> np.random.Generator:
         np.random.SeedSequence([int(seed) & 0xFFFFFFFFFFFFFFFF, *tags])))
 
 
+def padding_bits(dim: int) -> np.uint8:
+    """The bits of a packed row's last byte that lie past dim."""
+    return np.uint8(0xFF << (dim % 8 or 8) & 0xFF)
+
+
 def random_hv(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Packed row of dim i.i.d. fair-coin bits drawn from rng."""
     packed = rng.integers(0, 256, size=(dim + 7) // 8, dtype=np.uint8)
-    if dim % 8:
-        packed[-1] &= (1 << dim % 8) - 1
+    packed[-1] &= ~padding_bits(dim)
     return packed
 
 
@@ -177,7 +188,7 @@ def flip_bits(row: np.ndarray, dim: int, count: int, rng: np.random.Generator) -
     return out
 
 
-def row_offsets(schema: FeatureSchema, bins: int) -> list[int]:
+def row_offsets(schema: FeatureSchema, bins: int) -> tuple[int, ...]:
     """Codebook row of each feature's base vector, then of the OOV vector.
 
     A feature's value rows follow its base: bins level rows for a
@@ -187,25 +198,48 @@ def row_offsets(schema: FeatureSchema, bins: int) -> list[int]:
     for spec in schema.features:
         values = bins if spec.kind == KIND_CONTINUOUS else len(spec.vocabulary)
         offsets.append(offsets[-1] + 1 + values)
-    return offsets
+    return tuple(offsets)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Codebook:
-    """All hypervectors needed to encode records under one schema.
+    """All hypervectors needed to encode records under one schema, valid
+    once built.
 
     matrix holds one packed row per vector, (rows, ceil(dim / 8)) uint8, in
     the model file's order: per feature j its base at offsets[j], then its
     K-vector level chain (continuous) or its vectors in sorted vocabulary
     order (categorical); the shared out-of-vocabulary vector is the last
-    row, at offsets[-1]. Immutable after build.
+    row, at offsets[-1]. offsets is a tuple.
+
+    Construction, dataclasses.replace included, raises ValueError when
+    matrix is not a (offsets[-1] + 1, ceil(dim / 8)) uint8 array or has a
+    bit set past dim, which popcounts over whole bytes would count. The
+    codebook is frozen and matrix read-only, so what was checked stays so;
+    a writable matrix is copied, leaving the caller's array as it is.
     """
 
     dim: int
     bins: int
     seed: int
     matrix: np.ndarray
-    offsets: list[int]
+    offsets: tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "offsets", tuple(self.offsets))
+        matrix = self.matrix
+        shape = (self.offsets[-1] + 1, (self.dim + 7) // 8)
+        if not (isinstance(matrix, np.ndarray) and matrix.dtype == np.uint8
+                and matrix.shape == shape):
+            got = (f"{matrix.dtype} {matrix.shape}" if isinstance(matrix, np.ndarray)
+                   else type(matrix).__name__)
+            raise ValueError(f"codebook matrix must be a {shape} uint8 array, got {got}")
+        if (matrix[:, -1] & padding_bits(self.dim)).any():
+            raise ValueError(f"codebook rows have bits set past dim {self.dim}")
+        if matrix.flags.writeable:
+            matrix = matrix.copy()
+            matrix.flags.writeable = False
+            object.__setattr__(self, "matrix", matrix)
 
 
 def build_codebook(schema: FeatureSchema, dim: int, bins: int, seed: int) -> Codebook:
@@ -234,5 +268,7 @@ def build_codebook(schema: FeatureSchema, dim: int, bins: int, seed: int) -> Cod
             rng = stream(seed, _TAG_CATEGORIES, key)
             rows.extend(random_hv(dim, rng) for _ in spec.vocabulary)
     rows.append(random_hv(dim, stream(seed, _TAG_OOV)))
-    return Codebook(dim=dim, bins=bins, seed=seed, matrix=np.vstack(rows),
+    matrix = np.vstack(rows)
+    matrix.flags.writeable = False  # handed over, not copied
+    return Codebook(dim=dim, bins=bins, seed=seed, matrix=matrix,
                     offsets=row_offsets(schema, bins))

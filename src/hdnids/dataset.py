@@ -46,10 +46,11 @@ from __future__ import annotations
 import logging
 import math
 import numbers
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -618,18 +619,35 @@ def infer_schema(table: RecordTable, log_scale: bool = False) -> FeatureSchema:
         specs.append(FeatureSpec(name=name, kind=KIND_CONTINUOUS,
                                  min=float(vals.min()), max=float(vals.max()),
                                  transform=transform))
-    return FeatureSchema(features=specs, class_names=list(CLASS_NAMES))
+    return FeatureSchema(features=specs, class_names=CLASS_NAMES)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LabelMap:
-    """Raw attack label -> class index, with an unknown-label policy."""
+    """Raw attack label -> class index, with an unknown-label policy, valid
+    once built.
 
-    raw_to_class: dict
-    class_names: list = field(default_factory=lambda: list(CLASS_NAMES))
+    raw_to_class is held as a read-only mapping and class_names as a tuple.
+    Construction, dataclasses.replace included, raises ValueError when
+    strict is not a bool, or when fallback_class or a mapped class index is
+    not an integer in [0, len(class_names)).
+    """
+
+    raw_to_class: Mapping[str, int]
+    class_names: tuple[str, ...] = tuple(CLASS_NAMES)
     strict: bool = False
     fallback_class: int = 0
-    _warned: set = field(default_factory=set, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "raw_to_class", MappingProxyType(dict(self.raw_to_class)))
+        object.__setattr__(self, "class_names", tuple(self.class_names))
+        if not isinstance(self.strict, bool):
+            raise ValueError(f"label map strict must be true or false, got {self.strict!r}")
+        classes = len(self.class_names)
+        for c in (*self.raw_to_class.values(), self.fallback_class):
+            if not isinstance(c, int) or isinstance(c, bool) or not 0 <= c < classes:
+                raise ValueError(f"label map class index {c!r} is not an integer "
+                                 f"in [0, {classes})")
 
     def to_dict(self) -> dict:
         return {
@@ -641,18 +659,12 @@ class LabelMap:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LabelMap":
-        """The label map to_dict wrote; a mistyped policy raises ValueError."""
-        strict = d.get("strict", False)
-        fallback = d.get("fallback_class", 0)
-        if not isinstance(strict, bool):
-            raise ValueError(f"label map strict must be true or false, got {strict!r}")
-        if not isinstance(fallback, int) or isinstance(fallback, bool):
-            raise ValueError(f"label map fallback_class must be an integer, got {fallback!r}")
+        """The label map to_dict wrote."""
         return cls(
-            raw_to_class=dict(d["raw_to_class"]),
-            class_names=list(d["class_names"]),
-            strict=strict,
-            fallback_class=fallback,
+            raw_to_class=d["raw_to_class"],
+            class_names=d["class_names"],
+            strict=d.get("strict", False),
+            fallback_class=d.get("fallback_class", 0),
         )
 
 
@@ -660,7 +672,8 @@ def load_label_map(path=None) -> LabelMap:
     """Load 'raw_label,category' pairs; default is the file shipped in-package.
 
     The map's policy is the default one: unknown labels warn and map to
-    class 0. Set its strict and fallback_class fields to change that.
+    class 0. The map is frozen; dataclasses.replace(load_label_map(),
+    strict=True) or (..., fallback_class=1) gives one with another policy.
     """
     if path is None:
         text = (resources.files("hdnids") / "data" / "attack_categories.txt").read_text(
@@ -692,18 +705,18 @@ def load_label_map(path=None) -> LabelMap:
 
 
 def map_label(raw: str, label_map: LabelMap) -> int:
-    """Class index for a raw label, applying the unknown-label policy."""
+    """Class index for a raw label, applying the unknown-label policy: an
+    unknown label raises UnknownLabelError under a strict map, and else
+    warns, on every call, and maps to the fallback class."""
     idx = label_map.raw_to_class.get(raw)
     if idx is not None:
         return idx
     if label_map.strict:
         raise UnknownLabelError(f"unknown attack label {raw!r}")
-    if raw not in label_map._warned:
-        label_map._warned.add(raw)
-        log.warning(
-            "unknown attack label %r mapped to fallback class %r",
-            raw, label_map.class_names[label_map.fallback_class],
-        )
+    log.warning(
+        "unknown attack label %r mapped to fallback class %r",
+        raw, label_map.class_names[label_map.fallback_class],
+    )
     return label_map.fallback_class
 
 
@@ -711,9 +724,9 @@ def _classes(labels: Column, label_map: LabelMap, rows=None) -> np.ndarray:
     """Class index of every record, or of the records at index array rows in
     that order, each distinct raw label stripped and looked up once.
 
-    Unknown labels go through map_label in the order the records meet
-    them, so strict mode raises on, and fallback mode warns about, the same
-    labels in the same order as one map_label call per record.
+    Each distinct unknown label goes through map_label once, in the order
+    the records meet them, so strict mode raises on the first and fallback
+    mode warns once per call about each, in that order.
     """
     codes = labels.codes if rows is None else labels.codes[rows]
     raw = [v.strip() for v in labels.values] + [None]  # a code of -1 picks the None
@@ -722,8 +735,12 @@ def _classes(labels: Column, label_map: LabelMap, rows=None) -> np.ndarray:
     unknown = np.flatnonzero(out < 0)
     if unknown.size:
         _, first = np.unique(codes[unknown], return_index=True)
+        mapped: dict = {}  # codes whose strings strip to one label share its call
         for i in np.sort(unknown[first]).tolist():
-            known[codes[i]] = map_label(raw[codes[i]], label_map)
+            label = raw[codes[i]]
+            if label not in mapped:
+                mapped[label] = map_label(label, label_map)
+            known[codes[i]] = mapped[label]
         out = known[codes]
     return out
 

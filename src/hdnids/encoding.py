@@ -35,11 +35,12 @@ import concurrent.futures
 import math
 import os
 import queue
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .codebook import KIND_CONTINUOUS, Codebook, FeatureSchema, FeatureSpec
+from .codebook import KIND_CONTINUOUS, Codebook, FeatureSchema, FeatureSpec, padding_bits
 from .dataset import ParseError, RecordTable, RunningKeys, numeric_column
 
 # Distinct records per encoder batch. Measured on the bench corpus (seed
@@ -92,11 +93,6 @@ def run_chunks(fn: Callable[[int, int, object], None], n: int, chunk: int,
         list(pool.map(run, bounds))  # re-raises a worker's exception
 
 
-def padding_bits(dim: int) -> np.uint8:
-    """The bits of a packed row's last byte that lie past dim."""
-    return np.uint8(0xFF << (dim % 8 or 8) & 0xFF)
-
-
 def value_index(column: Sequence, spec: FeatureSpec, bins: int, lines=None) -> np.ndarray:
     """Index of each raw value among its feature's value rows, as int32.
 
@@ -111,7 +107,7 @@ def value_index(column: Sequence, spec: FeatureSpec, bins: int, lines=None) -> n
     continuous value, and its line when lines (one per value) is given.
     """
     if spec.kind != KIND_CONTINUOUS:
-        lut = {v: i for i, v in enumerate(sorted(spec.vocabulary))}
+        lut = {v: i for i, v in enumerate(spec.vocabulary)}
         return np.array([lut.get(str(v), len(lut)) for v in column], dtype=np.int32)
     vals = numeric_column(column, spec.name, spec.transform, lines)
     lo, hi = spec.min, spec.max
@@ -140,6 +136,7 @@ def lookup_level(
     return codebook.matrix[row if row < codebook.offsets[feature_index + 1] else -1]
 
 
+@dataclass(frozen=True, eq=False)
 class EncodedDataset:
     """Packed binary encodings of many records, plus optional labels.
 
@@ -150,10 +147,19 @@ class EncodedDataset:
     past dim in a row's last byte are always zero, so a popcount over a
     row's bytes counts only its dim real bits: given rows with padding bits
     set are copied and cleared, and others are kept as they are.
+
+    The dataset is frozen, and rows, inverse and labels are read-only views
+    of the arrays given (labels converted to int64 first), never copies of
+    them: what was checked stays so through these names.
     """
 
-    def __init__(self, rows: np.ndarray, dim: int, labels: np.ndarray | None = None,
-                 inverse: np.ndarray | None = None):
+    rows: np.ndarray
+    dim: int
+    labels: np.ndarray | None = None
+    inverse: np.ndarray | None = None
+
+    def __post_init__(self):
+        rows, dim, labels, inverse = self.rows, self.dim, self.labels, self.inverse
         if rows.ndim != 2 or rows.dtype != np.uint8:
             raise ValueError("rows must be a 2-D uint8 array")
         if rows.shape[1] != (dim + 7) // 8:
@@ -172,10 +178,13 @@ class EncodedDataset:
         if (rows[:, -1] & padding).any():
             rows = rows.copy()
             rows[:, -1] &= ~padding
-        self.rows = rows
-        self.dim = dim
-        self.inverse = inverse
-        self.labels = None if labels is None else np.asarray(labels, dtype=np.int64)
+        if labels is not None:
+            labels = np.asarray(labels, dtype=np.int64)
+        for name, array in (("rows", rows), ("inverse", inverse), ("labels", labels)):
+            if array is not None:
+                array = array.view()
+                array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     def __len__(self) -> int:
         return len(self.inverse)

@@ -53,7 +53,14 @@ sizes at alpha 0.1 on the test and benchmark corpora.
 
 Model files are a versioned binary container (magic, format version,
 JSON header, raw array payload, SHA-256 trailer); see README for the
-exact byte layout.
+exact byte layout. load_model checks the container: its framing, the
+header's parts against one another, and the payload's length. Each part
+checks itself when it is built, from a file or not: Hyperparams its
+settings, FeatureSchema and FeatureSpec their features, LabelMap its
+policy and class indices, Codebook its matrix's shape and padding bits,
+and ClassModel its representatives. All of them are frozen and their
+arrays read-only, so a model that exists passed every check and still
+holds what was checked.
 """
 
 from __future__ import annotations
@@ -80,7 +87,6 @@ from .encoding import (
     DEFAULT_BATCH_SIZE,
     EncodedDataset,
     default_threshold,
-    padding_bits,
     run_chunks,
 )
 
@@ -520,10 +526,11 @@ def load_model(path) -> ClassModel:
 
 def _header_fields(header: dict) -> tuple:
     """(hyperparams, schema, label map, codebook row offsets) of a decoded
-    header. Raises ValueError, KeyError or TypeError when a field is missing,
-    mistyped or out of range, when the codebook manifest's dim, bins or seed
-    differ from the hyperparams', or when the array manifest does not give
-    the shapes the schema, codebook manifest and label map imply."""
+    header. Raises ValueError, KeyError or TypeError when a field is missing
+    or one of the three objects rejects it, when the codebook manifest's
+    dim, bins or seed differ from the hyperparams', or when the array
+    manifest does not give the shapes the schema, codebook manifest and
+    label map imply."""
     schema = FeatureSchema.from_dict(header["schema"])
     label_map = LabelMap.from_dict(header["label_map"])
     hyper = Hyperparams.from_dict(header["hyperparams"])
@@ -532,34 +539,27 @@ def _header_fields(header: dict) -> tuple:
     if [manifest["dim"], manifest["bins"], manifest["seed"]] != [dim, bins, seed]:
         raise ValueError(f"codebook {manifest} was not built with the hyperparams' "
                          f"dim {dim}, bins {bins} and seed {seed}")
-    classes = len(label_map.class_names)
-    indices = [*label_map.raw_to_class.values(), label_map.fallback_class]
-    if not all(isinstance(c, int) and not isinstance(c, bool) and 0 <= c < classes
-               for c in indices):
-        raise ValueError(f"label map has class indices that are not integers in [0, {classes})")
-
     offsets = row_offsets(schema, bins)
     rows = offsets[-1] + 1
-    expected = _array_manifest(rows, (dim + 7) // 8, classes, dim)
+    expected = _array_manifest(rows, (dim + 7) // 8, len(label_map.class_names), dim)
     if manifest["rows"] != rows or header["arrays"] != expected:
         raise ValueError(f"arrays {header['arrays']} do not match the schema's {expected}")
     return hyper, schema, label_map, offsets
 
 
 def _model_from(hyper: Hyperparams, schema: FeatureSchema, label_map: LabelMap,
-                offsets: list, payload: bytes) -> ClassModel:
-    """The model of _header_fields' parts and the array bytes. Raises
-    ValueError when the payload's length is not the arrays', when a codebook
-    row has bits set past dim, or when ClassModel rejects the representatives."""
+                offsets: tuple, payload: bytes) -> ClassModel:
+    """The model of _header_fields' parts and the array bytes; its codebook
+    matrix is a read-only view of payload, not a copy. Raises ValueError
+    when the payload's length is not the arrays', or when Codebook rejects
+    the codebook matrix or ClassModel the representatives."""
     dim, classes = hyper.dim, len(label_map.class_names)
     rows, width = offsets[-1] + 1, (dim + 7) // 8
     need = rows * width + classes * dim * 8
     if len(payload) != need:
         raise ValueError(f"arrays take {len(payload)} bytes, the header implies {need}")
     matrix = np.frombuffer(payload, np.uint8, count=rows * width).reshape(rows, width)
-    if (matrix[:, -1] & padding_bits(dim)).any():
-        raise ValueError(f"codebook rows have bits set past dim {dim}")
     reps = np.frombuffer(payload, np.float64, offset=rows * width).reshape(classes, dim)
-    codebook = Codebook(dim=dim, bins=hyper.bins, seed=hyper.seed, matrix=matrix.copy(),
+    codebook = Codebook(dim=dim, bins=hyper.bins, seed=hyper.seed, matrix=matrix,
                         offsets=offsets)
     return ClassModel(reps, codebook, schema, label_map, hyper)

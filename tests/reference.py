@@ -231,22 +231,39 @@ def ref_row_indices(rows, schema, bins):
     return idx
 
 
-def ref_class_indices(records, label_map):
-    from hdnids.dataset import map_label
+def ref_labels(labels, label_map):
+    """Class index of each raw label by a dict lookup. Under a strict map
+    the first unknown label raises UnknownLabelError; else each unknown
+    label maps to the fallback class and is logged once, where first met."""
+    from hdnids.dataset import UnknownLabelError
 
-    return np.array([map_label(r.label, label_map) for r in records], dtype=np.int64)
+    mapping = dict(label_map.raw_to_class)
+    warned = set()
+    for raw in labels:
+        if raw in mapping or raw in warned:
+            continue
+        if label_map.strict:
+            raise UnknownLabelError(f"unknown attack label {raw!r}")
+        warned.add(raw)
+        logging.getLogger("hdnids.dataset").warning(
+            "unknown attack label %r mapped to fallback class %r",
+            raw, label_map.class_names[label_map.fallback_class])
+    return [mapping.get(raw, label_map.fallback_class) for raw in labels]
+
+
+def ref_class_indices(records, label_map):
+    return np.array(ref_labels([r.label for r in records], label_map), dtype=np.int64)
 
 
 def ref_split(records, lines, spec, label_map):
-    """(train lines, test lines) of a seeded stratified split, one map_label
-    call per record in shuffled order."""
-    from hdnids.dataset import map_label
-
+    """(train lines, test lines) of a seeded stratified split, the labels
+    mapped by ref_labels in shuffled order."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([spec.seed, 0x5B117])))
     perm = rng.permutation(len(records))
     buckets = {}
-    for i in perm:
-        buckets.setdefault(map_label(records[i].label, label_map), []).append(int(i))
+    classes = ref_labels([records[i].label for i in perm], label_map)
+    for i, cls in zip(perm, classes):
+        buckets.setdefault(cls, []).append(int(i))
     train, test = [], []
     for cls in sorted(buckets):
         idxs = buckets[cls]

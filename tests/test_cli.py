@@ -579,6 +579,31 @@ class TestSplit:
         assert outs[0] == outs[1]
 
 
+class TestUnknownLabels:
+    def test_split_and_evaluate_name_each_unknown_label_once(self, tmp_path, corpus, caplog):
+        """Each command maps the file's labels in one pass, which warns about
+        each distinct unknown label once, however often and with whatever
+        surrounding spaces it occurs."""
+        model = quick_train(tmp_path, corpus)
+        lines = corpus.read_text().splitlines()
+        for i, label in enumerate(["zero_day", " zero_day", "mystery", "zero_day ", "mystery"]):
+            lines[10 * i] = ",".join(lines[10 * i].split(",")[:41] + [label, "3"])
+        odd = tmp_path / "odd.txt"
+        odd.write_text("\n".join(lines) + "\n")
+        for args in (["split", "--input", odd, "--train-out", tmp_path / "tr.txt",
+                      "--test-out", tmp_path / "te.txt"],
+                     ["evaluate", "--model", model, "--test", odd]):
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="hdnids.dataset"):
+                assert run(args) == 0
+            named = [r.getMessage() for r in caplog.records
+                     if r.getMessage().startswith("unknown attack label")]
+            assert sorted(named) == [
+                "unknown attack label 'mystery' mapped to fallback class 'normal'",
+                "unknown attack label 'zero_day' mapped to fallback class 'normal'",
+            ], args[0]
+
+
 class TestSweep:
     def test_grid_and_error_rows(self, tmp_path, capsys):
         lines = make_synth_lines(

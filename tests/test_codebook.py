@@ -42,7 +42,7 @@ def value_rows(cb, j):
 
 def small_schema():
     return FeatureSchema(
-        features=[cont("duration"), cat("protocol", ["tcp", "udp", "icmp"]), cont("bytes")],
+        features=[cont("duration"), cat("protocol", ["icmp", "tcp", "udp"]), cont("bytes")],
         class_names=["normal", "dos"],
     )
 
@@ -112,7 +112,7 @@ class TestBuildCodebook:
         a = build_codebook(schema, dim=256, bins=4, seed=42)
         b = build_codebook(schema, dim=256, bins=4, seed=42)
         assert np.array_equal(a.matrix, b.matrix)
-        assert a.offsets == b.offsets == [0, 5, 9, 14]
+        assert a.offsets == b.offsets == (0, 5, 9, 14)
 
     def test_seed_changes_vectors(self):
         schema = small_schema()
@@ -248,7 +248,7 @@ class TestState:
     def test_roundtrip_bit_exact(self, tmp_path):
         schema = small_schema()
         cb = build_codebook(schema, dim=250, bins=7, seed=9)
-        assert cb.offsets == row_offsets(schema, 7) == [0, 8, 12, 20]
+        assert cb.offsets == row_offsets(schema, 7) == (0, 8, 12, 20)
         assert cb.matrix.shape == (21, 32)
         back = load_model(saved_model(tmp_path, cb, schema)).codebook
         assert (back.dim, back.bins, back.seed) == (cb.dim, cb.bins, cb.seed)

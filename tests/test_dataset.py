@@ -102,13 +102,14 @@ class TestInferSchema:
         assert schema.num_features == NUM_FEATURES
         for j in (1, 2, 3):
             assert schema.features[j].kind == "categorical"
-            assert schema.features[j].vocabulary == sorted(set(schema.features[j].vocabulary))
+            vocabulary = schema.features[j].vocabulary
+            assert vocabulary == tuple(sorted(set(vocabulary)))
 
     def test_indicator_columns_detected(self, tmp_path, synth_lines):
         _, schema = self.build(synth_lines, tmp_path)
         for j in (6, 11, 13):  # conftest emits only "0"/"1" in these
             assert schema.features[j].kind == "categorical"
-            assert schema.features[j].vocabulary == ["0", "1"]
+            assert schema.features[j].vocabulary == ("0", "1")
         assert schema.features[0].kind == "continuous"
 
     def test_continuous_range_covers_data(self, tmp_path, synth_lines):
@@ -143,7 +144,7 @@ class TestInferSchema:
 class TestLabelMap:
     def test_packaged_map_covers_standard_labels(self):
         lm = load_label_map()
-        assert lm.class_names == CLASS_NAMES
+        assert lm.class_names == tuple(CLASS_NAMES)
         assert map_label("normal", lm) == 0
         assert map_label("neptune", lm) == 1
         assert map_label("nmap", lm) == 2
@@ -167,14 +168,12 @@ class TestLabelMap:
         assert map_label("zero-day-thing", lm) == 0
 
     def test_unknown_label_strict_raises(self):
-        lm = load_label_map()
-        lm.strict = True
+        lm = dataclasses.replace(load_label_map(), strict=True)
         with pytest.raises(UnknownLabelError):
             map_label("zero-day-thing", lm)
 
     def test_custom_fallback_class(self):
-        lm = load_label_map()
-        lm.fallback_class = 1
+        lm = dataclasses.replace(load_label_map(), fallback_class=1)
         assert map_label("mystery", lm) == 1
 
     def test_custom_file_with_comments(self, tmp_path):
@@ -202,8 +201,7 @@ class TestLabelMap:
             load_label_map(p)
 
     def test_dict_roundtrip(self):
-        lm = load_label_map()
-        lm.strict, lm.fallback_class = True, 2
+        lm = dataclasses.replace(load_label_map(), strict=True, fallback_class=2)
         back = type(lm).from_dict(lm.to_dict())
         assert back.raw_to_class == lm.raw_to_class
         assert back.strict and back.fallback_class == 2

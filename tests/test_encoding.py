@@ -143,7 +143,7 @@ class TestEncodedDataset:
         assert data.packed.tolist() == [[0xFF, 0x07], [0x01, 0x07]]
         assert rows[0, 1] == 0xFF  # the caller's array is left alone
         clean = data.rows
-        assert EncodedDataset(clean, 11).rows is clean  # nothing to clear, no copy
+        assert np.shares_memory(EncodedDataset(clean, 11).rows, clean)  # nothing to clear, no copy
 
     def test_records_share_rows_through_inverse(self):
         rows = np.array([[0b101], [0b011]], dtype=np.uint8)

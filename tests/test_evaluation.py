@@ -89,7 +89,7 @@ class TestEvaluate:
         assert report.num_records == len(records)
         assert report.accuracy == 1.0
         assert report.config["dim"] == 512
-        assert report.config["classes"] == model.label_map.class_names
+        assert report.config["classes"] == list(model.label_map.class_names)
         assert report.matrix.counts.sum() == len(records)
 
     def trained(self, tmp_path, synth_lines):

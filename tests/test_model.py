@@ -498,7 +498,9 @@ class TestRetrain:
         # -1 would index the last class and 3 would raise IndexError mid-epoch
         data = toy_clusters()
         model = toy_model(data, iterations=2)
-        data.labels[17] = bad
+        labels = data.labels.copy()
+        labels[17] = bad
+        data = EncodedDataset(data.rows, data.dim, labels, data.inverse)
         with pytest.raises(ValueError, match=rf"class index {bad} outside \[0, 3\)"):
             retrain(model, data)
 
@@ -916,8 +918,11 @@ class TestDamagedHeader:
         path = tmp_path / "m.hdm"
         save_model(model, path)
         load_model(path)
-        model.codebook.matrix[3, -1] |= 0xFE
-        save_model(model, path)
+        blob = bytearray(path.read_bytes())
+        header = bytes(blob[20 : 20 + int.from_bytes(blob[12:20], "little")])
+        width = (1001 + 7) // 8
+        blob[20 + len(header) + 4 * width - 1] |= 0xFE  # codebook row 3's last byte
+        path.write_bytes(reframe(bytes(blob), header))
         with pytest.raises(CorruptModelError, match="bad arrays: .*past dim"):
             load_model(path)
 
