@@ -24,14 +24,17 @@ through the bytes in blocks of _BLOCK_LINES lines. In a block it finds the
 commas, keys every field of a well-formed line by its bytes and its
 length, so embedded NUL bytes cannot merge two strings, and adds the keys
 to the field's RunningKeys, which numbers the file's distinct strings
-block by block as it first meets them. Only each record's number and the
-bytes of the strings new in the block outlive the block, so the
-transients stay a few MB whatever the file's size. At the end each
-field's new bytes are decoded in one call, and the line numbers and every
-field's codes are built in one allocation. On a large file that one block
-is mapped apart from the heap, so the table neither pins heap the parse
-freed nor leaves holes in it, and its memory goes back to the system
-whole when the table dies.
+block by block as it first meets them. Only each record's line number
+and field numbers, and the bytes of the strings new in the block, outlive
+the block, so the transients stay a few MB whatever the file's size. The
+numbers go straight into one staging area, an anonymous mapping sized
+from the file's length, outside the malloc heap, so they leave no small
+survivors between the blocks' transients there. At the end each field's
+new bytes are decoded in one call, and the line numbers and every field's
+codes, narrowed, are copied into one allocation and the staging unmapped.
+On a large file that one block is mapped apart from the heap, so the
+table neither pins heap the parse freed nor leaves holes in it, and its
+memory goes back to the system whole when the table dies.
 
 A field is keyed by at most _KEY_BYTES bytes, which bounds a key's width
 whatever a line holds. Lines that are not plainly well formed (a blank
@@ -45,7 +48,9 @@ from __future__ import annotations
 
 import logging
 import math
+import mmap
 import numbers
+import os
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from importlib import resources
@@ -470,22 +475,41 @@ def _is_int(text: str) -> bool:
     return True
 
 
+def _stage(n: int):
+    """(line_no, ids): room for n records' line numbers, (n,) int64, and
+    field numbers, (_FIELDS, n) int32, views of one new anonymous mapping.
+
+    The mapping lies outside the malloc heap, so it leaves no hole there
+    when it is unmapped with its last view, and its pages take no memory
+    until they are written."""
+    mapping = mmap.mmap(-1, n * (8 + 4 * _FIELDS), flags=mmap.MAP_PRIVATE)
+    line_no = np.frombuffer(mapping, dtype=np.int64, count=n)
+    ids = np.frombuffer(mapping, dtype=np.int32, offset=8 * n)
+    return line_no, ids.reshape(_FIELDS, n)
+
+
 def _scan(fh, allow_unlabeled: bool):
     """Number every field of the lines of fh through a RunningKeys per field.
 
-    Returns (codes, new_bytes, sizes, line_no, malformed, total): per field,
-    per block, each record's number (-1 where it lacks the field) in the
-    dtype _code_dtype gives for the numbers given so far, and the bytes of
-    the strings new in the block in number order, each followed by a comma;
-    per field, the count of numbers; per block, each record's line number;
-    the (line_no, reason) pairs of the malformed lines; and the count of
-    lines that are not blank.
+    Returns (line_no, ids, new_bytes, sizes, malformed, total): each kept
+    record's line number and its fields' numbers (-1 where it lacks the
+    field), as views of _stage whose first len(line_no) entries are the
+    records'; per field, per block, the bytes of the strings new in the
+    block in number order, each followed by a comma; per field, the count
+    of numbers; the (line_no, reason) pairs of the malformed lines; and the
+    count of lines that are not blank.
+
+    A kept line holds NUM_FEATURES - 1 commas or more and, but for the
+    last, a line end, so a file of s bytes holds at most s // NUM_FEATURES
+    + 1 records, and the staging is made that large up front. Where fh
+    reports too small a size (a pipe reports 0, and a file may grow after
+    it is opened), a full staging is copied into one twice as large.
     """
     arity = [NUM_FEATURES, NUM_FEATURES + 1] + ([NUM_FEATURES - 1] if allow_unlabeled else [])
     stores = [RunningKeys() for _ in range(_FIELDS)]
-    codes = [[] for _ in range(_FIELDS)]
+    line_no, ids = _stage(os.fstat(fh.fileno()).st_size // NUM_FEATURES + 1)
+    kept = 0
     new_bytes = [[] for _ in range(_FIELDS)]
-    line_no: list[np.ndarray] = []
     malformed: list[tuple[int, str]] = []
     total = 0
     lines_before = 0
@@ -520,19 +544,27 @@ def _scan(fh, allow_unlabeled: bool):
             total += int(fast.sum())
 
             rows = np.flatnonzero(keep)
-            line_no.append(base + rows)
+            if kept + len(rows) > len(line_no):
+                grown = _stage(max(2 * len(line_no), kept + len(rows)))
+                grown[0][:kept] = line_no[:kept]
+                grown[1][:, :kept] = ids[:, :kept]
+                line_no, ids = grown  # the full mapping is unmapped here
+            at = slice(kept, kept + len(rows))
+            kept += len(rows)
+            line_no[at] = base + rows
             if len(rows) < len(keep):
                 seps, lens = seps[:, rows], lens[:, rows]
             for j in range(_FIELDS):
                 has = slice(None) if j < NUM_FEATURES else lens[j] >= 0
                 field_at, field_len = seps[j, has] + 1, lens[j, has]
-                ids, new = _add_fields(stores[j], buf, field_at, field_len)
-                code = np.full(len(rows), -1, dtype=_code_dtype(len(stores[j])))
-                code[has] = ids
-                codes[j].append(code)
+                field_ids, new = _add_fields(stores[j], buf, field_at, field_len)
+                if j >= NUM_FEATURES:
+                    ids[j, at] = -1
+                ids[j, at][has] = field_ids
                 new_bytes[j].append(_joined(buf, field_at[new], field_len[new]).tobytes())
         lines_before += len(starts)
-    return codes, new_bytes, [len(s) for s in stores], line_no, malformed, total
+    return (line_no[:kept], ids[:, :kept], new_bytes, [len(s) for s in stores], malformed,
+            total)
 
 
 def parse_file(path, allow_unlabeled: bool = False) -> ParseResult:
@@ -544,11 +576,17 @@ def parse_file(path, allow_unlabeled: bool = False) -> ParseResult:
     with a ParseError since that almost certainly means the wrong file was
     given, and so does a file with no records at all (empty or blank lines
     only). Blank lines count toward line numbers but not toward the 1%.
+
+    _scan stages every record's line number and field numbers in one
+    anonymous mapping. The table's line numbers and every field's codes,
+    narrowed to its dtype, are then copied into one allocation, and the
+    staging is unmapped: the table is one block of memory, taken and given
+    back whole, and the heap holds none of the staging.
     """
     path = Path(path)
     # the block transients die with _scan, before the columns are built
     with open(path, encoding="utf-8", errors="replace") as fh:
-        codes, new_bytes, sizes, line_no, malformed, total = _scan(fh, allow_unlabeled)
+        line_no, ids, new_bytes, sizes, malformed, total = _scan(fh, allow_unlabeled)
 
     if not total:
         raise ParseError(f"{path}: no records")
@@ -560,15 +598,14 @@ def parse_file(path, allow_unlabeled: bool = False) -> ParseResult:
     if malformed:
         log.warning("%s: %d malformed line(s) skipped", path, len(malformed))
 
-    # the line numbers and every field's codes share one allocation: the
-    # table is one block of memory, taken and given back whole
-    records = sum(map(len, line_no))
-    numbers, *columns = _carve(records, [np.dtype(np.int64)] + [_code_dtype(n) for n in sizes])
-    np.concatenate(line_no, out=numbers)
-    for j in range(_FIELDS):  # each field's blocks freed as its column is built
-        np.concatenate(codes[j], out=columns[j])
+    numbers, *columns = _carve(len(line_no), [np.dtype(np.int64)]
+                               + [_code_dtype(n) for n in sizes])
+    numbers[:] = line_no
+    for j in range(_FIELDS):
+        columns[j][:] = ids[j]
         columns[j] = Column(b"".join(new_bytes[j]).decode().split(",")[:-1], columns[j])
-        codes[j] = new_bytes[j] = None
+        new_bytes[j] = None
+    del line_no, ids  # the staging's last views: it is unmapped here
     table = RecordTable(columns[:NUM_FEATURES], columns[NUM_FEATURES],
                         columns[NUM_FEATURES + 1], numbers)
     return ParseResult(records=table, malformed=malformed)

@@ -523,6 +523,63 @@ class TestAgainstOracle:
             assert result.malformed == malformed
 
 
+# --- the staging of record numbers ---------------------------------------------
+
+def staged(path, allow_unlabeled=False):
+    """(what parse_file read, the sizes of the stagings it made): its table's
+    columns and line numbers and its malformed lines, or its ParseError's
+    message without the path."""
+    sizes = []
+    stage = dataset._stage
+    with mock.patch.object(dataset, "_stage", lambda n: sizes.append(n) or stage(n)):
+        try:
+            result = parse_file(path, allow_unlabeled=allow_unlabeled)
+        except ParseError as exc:
+            return ("ParseError", str(exc).replace(str(path), "")), sizes
+    table = result.records
+    columns = [(c.values, c.codes.dtype, c.codes.tolist())
+               for c in (*table.features, table.labels, table.difficulty)]
+    return ("ok", columns, table.line_no.tolist(), result.malformed), sizes
+
+
+class TestStaging:
+    def test_lines_of_forty_commas_fill_the_bound(self, tmp_path):
+        # the shortest line kept: 41 empty fields. n of them, the last without
+        # its line end, take 41n - 1 bytes, and the one staging made for a
+        # file that long holds exactly n records
+        n = 3 * 4096 + 5
+        path = write(tmp_path, b"\n".join([b"," * (NUM_FEATURES - 1)] * n))
+        (kind, columns, line_no, malformed), sizes = staged(path, allow_unlabeled=True)
+        assert sizes == [n]
+        assert line_no == list(range(1, n + 1)) and malformed == []
+        assert all(values == [""] for values, _, _ in columns[:NUM_FEATURES])
+        assert all(values == [] and set(codes) == {-1}
+                   for values, _, codes in columns[NUM_FEATURES:])
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=corpus(), block_lines=st.integers(1, 5))
+    def test_a_pipe_reads_as_the_file(self, data, block_lines):
+        # a pipe reports size 0: its staging starts at one record and grows,
+        # and two well-formed lines first make it grow at least once
+        data = f"{line()}\r\n{line('smurf', '3')}\n".encode() + data
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(dataset, "_BLOCK_LINES", block_lines):
+            path, fifo = Path(tmp) / "in.txt", Path(tmp) / "fifo"
+            path.write_bytes(data)
+            want, file_sizes = staged(path)
+            os.mkfifo(fifo)
+            writer = threading.Thread(target=fifo.write_bytes, args=(data,))
+            writer.start()
+            try:
+                got, pipe_sizes = staged(fifo)
+            finally:
+                writer.join(timeout=10)
+        assert not writer.is_alive()
+        event(f"parse: {got[0]}, {len(pipe_sizes)} stagings")
+        assert got == want
+        assert len(file_sizes) == 1 and pipe_sizes[0] == 1 and len(pipe_sizes) >= 2
+
+
 # --- what the benchmark harness reads from the library ---------------------------
 
 HARNESS = Path(__file__).resolve().parent.parent / "hdbench" / "child.py"
