@@ -201,7 +201,7 @@ def row_offsets(schema: FeatureSchema, bins: int) -> tuple[int, ...]:
     return tuple(offsets)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Codebook:
     """All hypervectors needed to encode records under one schema, valid
     once built.
@@ -216,7 +216,9 @@ class Codebook:
     matrix is not a (offsets[-1] + 1, ceil(dim / 8)) uint8 array or has a
     bit set past dim, which popcounts over whole bytes would count. The
     codebook is frozen and matrix read-only, so what was checked stays so;
-    a writable matrix is copied, leaving the caller's array as it is.
+    a writable matrix is copied, leaving the caller's array as it is. A
+    codebook equals itself alone and hashes by identity, as an array has no
+    one truth value.
     """
 
     dim: int

@@ -161,7 +161,7 @@ def _finite(value) -> bool:
             and math.isfinite(value))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassModel:
     """A trained classifier, valid once built. reps holds one float64
     representative row per class: a (len(label_map.class_names),
@@ -172,6 +172,8 @@ class ClassModel:
     row whose squared norm is not finite, against which every cosine reads 0.
     The model is frozen and reps read-only, so what was checked stays so; a
     writable or unaligned reps is copied, leaving the caller's array as is.
+    A model equals itself alone and hashes by identity, as an array has no
+    one truth value.
     """
 
     reps: np.ndarray
@@ -550,16 +552,25 @@ def _header_fields(header: dict) -> tuple:
 def _model_from(hyper: Hyperparams, schema: FeatureSchema, label_map: LabelMap,
                 offsets: tuple, payload: bytes) -> ClassModel:
     """The model of _header_fields' parts and the array bytes; its codebook
-    matrix is a read-only view of payload, not a copy. Raises ValueError
-    when the payload's length is not the arrays', or when Codebook rejects
-    the codebook matrix or ClassModel the representatives."""
+    matrix and representatives are copies of their bytes, so the model does
+    not keep payload alive. Raises ValueError when the payload's length is
+    not the arrays', or when Codebook rejects the codebook matrix or
+    ClassModel the representatives."""
     dim, classes = hyper.dim, len(label_map.class_names)
     rows, width = offsets[-1] + 1, (dim + 7) // 8
     need = rows * width + classes * dim * 8
     if len(payload) != need:
         raise ValueError(f"arrays take {len(payload)} bytes, the header implies {need}")
-    matrix = np.frombuffer(payload, np.uint8, count=rows * width).reshape(rows, width)
-    reps = np.frombuffer(payload, np.float64, offset=rows * width).reshape(classes, dim)
+    matrix = _read_only(np.frombuffer(payload, np.uint8, count=rows * width), (rows, width))
+    reps = _read_only(np.frombuffer(payload, np.float64, offset=rows * width), (classes, dim))
     codebook = Codebook(dim=dim, bins=hyper.bins, seed=hyper.seed, matrix=matrix,
                         offsets=offsets)
     return ClassModel(reps, codebook, schema, label_map, hyper)
+
+
+def _read_only(a: np.ndarray, shape: tuple) -> np.ndarray:
+    """A read-only copy of a in shape, which Codebook and ClassModel hold as
+    given."""
+    a = a.reshape(shape).copy()
+    a.flags.writeable = False
+    return a

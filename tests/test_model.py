@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -748,6 +749,25 @@ class TestPersistence:
         assert back.codebook.offsets == model.codebook.offsets
         assert (back.codebook.dim, back.codebook.bins, back.codebook.seed) == (
             model.codebook.dim, model.codebook.bins, model.codebook.seed)
+
+    def test_loaded_model_holds_its_arrays_once(self, tmp_path, synth_file):
+        """load_model keeps a copy of the codebook matrix and of reps and
+        frees the payload bytes they were read from, which would add their
+        90 KB again; beyond the arrays it holds only the header's objects."""
+        model, _, _ = train_small_model(synth_file, dim=1000, iterations=1)
+        path = tmp_path / "m.hdm"
+        save_model(model, path)
+        load_model(path)  # caches the first call fills are not the model's
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            back = load_model(path)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        arrays = back.codebook.matrix.nbytes + back.reps.nbytes
+        assert arrays > 90_000
+        assert arrays <= held < arrays + 32_000
 
     def test_string_log_scale_still_loads(self, tmp_path, synth_lines):
         """Files written while config values went unchecked may hold a string

@@ -11,6 +11,7 @@ from hdnids import encode_dataset, parse_file, predict_batch, predict_table
 from hdnids.codebook import FeatureSchema, FeatureSpec, build_codebook
 from hdnids.dataset import LabelMap, load_label_map, map_label
 from hdnids.encoding import EncodedDataset
+from hdnids.model import ClassModel, Hyperparams
 from conftest import train_small_model
 
 FROZEN = dataclasses.FrozenInstanceError
@@ -35,6 +36,11 @@ def label_map():
 def dataset():
     return EncodedDataset(np.zeros((2, 2), dtype=np.uint8), 16, labels=[0, 1, 1],
                           inverse=np.array([0, 1, 1]))
+
+
+def model():
+    return ClassModel(np.zeros((2, 1001)), codebook(), schema(), label_map(),
+                      Hyperparams(dim=1001, bins=4, seed=3))
 
 
 # per value object: a builder, and attempts to change a built one, each with
@@ -92,6 +98,15 @@ def test_built_state_cannot_be_changed(name):
         with pytest.raises(error):
             attempt(obj)
     assert state(obj) == before
+
+
+@pytest.mark.parametrize("build", [codebook, model], ids=["Codebook", "ClassModel"])
+def test_compared_and_hashed_as_objects(build):
+    """Two objects built alike hold equal arrays, which have no one truth
+    value, so each compares equal to itself alone and hashes by identity."""
+    a, b = build(), build()
+    assert a == a and a != b
+    assert hash(a) == hash(a) and len({a, b}) == 2
 
 
 def test_base_row_padding_write_rejected(tmp_path, synth_lines):
