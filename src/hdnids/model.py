@@ -195,7 +195,7 @@ class ClassModel:
         with np.errstate(over="ignore"):  # checked here, not warned about
             if not np.isfinite(np.linalg.norm(reps, axis=1)).all():
                 raise ValueError("a representative's squared norm is not finite")
-        if reps.flags.writeable or not reps.flags.aligned:  # matmul copies unaligned ones per call
+        if reps.flags.writeable or not reps.flags.aligned:  # np.dot copies unaligned ones per call
             reps = reps.copy()
             reps.flags.writeable = False
             object.__setattr__(self, "reps", reps)
@@ -237,7 +237,9 @@ def _dots(bits: np.ndarray, reps: np.ndarray, block: np.ndarray) -> np.ndarray:
     into. Every GEMM runs on the whole block, its row count a multiple of 8,
     the last one zero-filled past its real rows, so a row's dots do not
     depend on where it sits in bits even when BLAS rounds them (see the
-    module docstring)."""
+    module docstring). The GEMM is np.dot's, which releases the GIL around
+    it, so worker threads multiply at once; np.matmul holds the GIL for a
+    2-D product and gives the same bits."""
     n = len(bits)
     step = len(block)
     out = np.empty((-(-n // step) * step, reps.shape[0]), dtype=np.float64)
@@ -245,7 +247,7 @@ def _dots(bits: np.ndarray, reps: np.ndarray, block: np.ndarray) -> np.ndarray:
         rows = bits[start:start + step]
         block[:len(rows)] = rows
         block[len(rows):] = 0
-        np.matmul(block, reps.T, out=out[start:start + step])
+        np.dot(block, reps.T, out=out[start:start + step])
     return out[:n]
 
 

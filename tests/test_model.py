@@ -664,6 +664,25 @@ class TestDotBlocks:
         block_rows(2000)
         assert overlap_model_digest(tmp_path, alpha) == digest
 
+    @pytest.mark.parametrize("classes", [1, 2, 3, 4, 5])
+    def test_same_bits_as_matmul(self, block_rows, classes):
+        """_dots' GEMM gives each block the bits np.matmul gives it, also for
+        representatives that are not integers, whose dots BLAS rounds."""
+        rng = np.random.default_rng(classes)
+        dim = 1000
+        block_rows(dim)
+        reps = rng.normal(size=(classes, dim)) * 37.3
+        bits = (rng.random((200, dim)) < 0.5).astype(np.uint8)
+        block = hdnids.model._dot_block(dim)
+        got = hdnids.model._dots(bits, reps, block)
+        step = len(block)
+        for start in range(0, len(bits), step):
+            rows = bits[start:start + step]
+            block[:] = 0
+            block[:len(rows)] = rows
+            want = np.matmul(block, reps.T)[:len(rows)]
+            assert got[start:start + len(rows)].tobytes() == want.tobytes()
+
 
 class TestSharedRows:
     """encode_dataset's result, each distinct encoding stored once, against
