@@ -481,8 +481,12 @@ def _stage(n: int):
 
     The mapping lies outside the malloc heap, so it leaves no hole there
     when it is unmapped with its last view, and its pages take no memory
-    until they are written."""
+    until they are written. It opts out of transparent huge pages: where
+    the system grants them unasked, each field's written ids would
+    otherwise take whole 2 MB pages."""
     mapping = mmap.mmap(-1, n * (8 + 4 * _FIELDS), flags=mmap.MAP_PRIVATE)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        mapping.madvise(mmap.MADV_NOHUGEPAGE)
     line_no = np.frombuffer(mapping, dtype=np.int64, count=n)
     ids = np.frombuffer(mapping, dtype=np.int32, offset=8 * n)
     return line_no, ids.reshape(_FIELDS, n)
