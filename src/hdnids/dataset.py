@@ -104,6 +104,9 @@ _READ_CHARS = 1 << 19
 _BLOCK_LINES = 4096
 # the longest field keyed by its bytes; a line with a longer one goes to parse_line
 _KEY_BYTES = 63
+# the most records a first staging holds: 180 MB of address space, which a system
+# that refuses mappings larger than its memory still grants; a longer file's grows
+_STAGE_RECORDS = 1 << 20
 # zero bytes after the lines read, so every 8-byte key word read stays inside the buffer
 _PAD = _KEY_BYTES + 8
 # _MASKS[k] keeps the first k bytes of a little-endian word
@@ -505,13 +508,15 @@ def _scan(fh, allow_unlabeled: bool):
 
     A kept line holds NUM_FEATURES - 1 commas or more and, but for the
     last, a line end, so a file of s bytes holds at most s // NUM_FEATURES
-    + 1 records, and the staging is made that large up front. Where fh
-    reports too small a size (a pipe reports 0, and a file may grow after
-    it is opened), a full staging is copied into one twice as large.
+    + 1 records, and the staging is made that large up front, up to
+    _STAGE_RECORDS. Where that is too small (a longer file, a pipe, which
+    reports size 0, or a file that grew after it was opened), a full
+    staging is copied into one at least twice as large.
     """
     arity = [NUM_FEATURES, NUM_FEATURES + 1] + ([NUM_FEATURES - 1] if allow_unlabeled else [])
     stores = [RunningKeys() for _ in range(_FIELDS)]
-    line_no, ids = _stage(os.fstat(fh.fileno()).st_size // NUM_FEATURES + 1)
+    line_no, ids = _stage(min(os.fstat(fh.fileno()).st_size // NUM_FEATURES + 1,
+                              _STAGE_RECORDS))
     kept = 0
     new_bytes = [[] for _ in range(_FIELDS)]
     malformed: list[tuple[int, str]] = []

@@ -10,6 +10,7 @@ import re
 import tempfile
 import threading
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -555,6 +556,18 @@ class TestStaging:
         assert all(values == [""] for values, _, _ in columns[:NUM_FEATURES])
         assert all(values == [] and set(codes) == {-1}
                    for values, _, codes in columns[NUM_FEATURES:])
+
+    def test_a_huge_file_stages_within_the_cap(self, tmp_path):
+        # a file of 1 PiB bounds its records at 27 trillion, whose staging
+        # (5 PB) no system maps; the first staging stops at the cap, and a
+        # longer file's grows from there
+        path = write(tmp_path, "\n".join([line()] * 5).encode())
+        with mock.patch.object(dataset.os, "fstat", lambda fd: SimpleNamespace(st_size=1 << 50)):
+            got, sizes = staged(path)
+        assert sizes == [dataset._STAGE_RECORDS]
+        with mock.patch.object(dataset, "_STAGE_RECORDS", 2), \
+                mock.patch.object(dataset, "_BLOCK_LINES", 1):
+            assert staged(path) == (got, [2, 4, 8])
 
     @settings(max_examples=40, deadline=None)
     @given(data=corpus(), block_lines=st.integers(1, 5))
