@@ -192,10 +192,11 @@ def _code_dtype(size: int) -> np.dtype:
 
 
 def _dictionary(strings) -> Column:
-    """Column of a sequence of strings (None for none), in first-occurrence order."""
+    """Column of a sequence of values, none of them None, in first-occurrence
+    order: every code points at a value."""
     lut: dict = {}
     # keyed with the type too, so 1, 1.0 and True stay apart as they do as strings
-    codes = [-1 if s is None else lut.setdefault((type(s), s), len(lut)) for s in strings]
+    codes = [lut.setdefault((type(s), s), len(lut)) for s in strings]
     return Column([s for _, s in lut], np.array(codes, dtype=_code_dtype(len(lut))))
 
 
@@ -249,13 +250,16 @@ class RecordTable(Sequence):
         """Table of plain value rows: no labels, no difficulty, and every
         line number 0, as the rows have no lines.
 
-        Every row must have width values; a ValueError names the first that
-        does not. Each field is dictionary-encoded one Python value at a time.
+        Every row must have width values, none of them None; a ValueError
+        names the first record that does not, and the feature it lacks. Each
+        field is dictionary-encoded one Python value at a time.
         """
         rows = [tuple(r) for r in rows]
         for i, r in enumerate(rows):
             if len(r) != width:
                 raise ValueError(f"record {i} has {len(r)} values, expected {width}")
+            if None in r:
+                raise ValueError(f"record {i} has no value for feature {r.index(None)}")
         none = Column([], np.full(len(rows), -1, dtype=_code_dtype(0)))
         return cls([_dictionary([r[j] for r in rows]) for j in range(width)], none, none,
                    np.zeros(len(rows), dtype=np.int64))

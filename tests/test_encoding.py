@@ -235,6 +235,18 @@ class TestBatchPath:
         with pytest.raises(ValueError, match="record 3"):
             encode_dataset(rows, cb, schema, default_threshold(schema))
 
+    def test_missing_value_rejected(self):
+        schema = mixed_schema()
+        cb = build_codebook(schema, dim=128, bins=8, seed=3)
+        rows = [list(r) for r in random_rows(schema, 2, seed=6)]
+        t = default_threshold(schema)
+        with pytest.raises(ValueError, match="^record 0 has no value for feature 0$"):
+            encode_dataset([[None] + rows[0][1:]], cb, schema, t)
+        # a categorical None is not read as the next record's value
+        rows[0][4] = None
+        with pytest.raises(ValueError, match="^record 0 has no value for feature 4$"):
+            encode_dataset(rows, cb, schema, t)
+
     def test_table_width_checked(self):
         schema = mixed_schema()
         cb = build_codebook(schema, dim=128, bins=8, seed=3)

@@ -234,6 +234,13 @@ class TestRecordTable:
         with pytest.raises(ValueError, match="record 1 has 2 values, expected 3"):
             RecordTable.from_rows([("a", "b", "c"), ("a", "b")], 3)
 
+    @pytest.mark.parametrize("row, feature", [((None, "b"), 0), (("a", None), 1),
+                                              ((None, None), 0)])
+    def test_from_rows_rejects_none(self, row, feature):
+        # a record has a value for every feature; a None is not another record's
+        with pytest.raises(ValueError, match=f"^record 1 has no value for feature {feature}$"):
+            RecordTable.from_rows([("a", "b"), row], 2)
+
     def test_from_rows_codes_are_narrow(self):
         table = RecordTable.from_rows([("a", str(i)) for i in range(129)], 2)
         assert [c.codes.dtype for c in table.features] == [np.int8, np.int16]
