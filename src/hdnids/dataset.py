@@ -117,31 +117,30 @@ class ParseError(ValueError):
     """Malformed dataset input (wrong arity, bad numerics, wrong file)."""
 
 
-def numeric_column(values, name: str, transform: str, lines=None) -> np.ndarray:
-    """A continuous column's raw strings as float64, log1p(max(v, 0)) when
-    transform is "log1p".
+def numeric_column(values, name: str, transform: str, codes=None, lines=None) -> np.ndarray:
+    """A continuous column's strings as float64, log1p(max(v, 0)) when
+    transform is "log1p": the one reader of continuous values, for schema
+    inference and binning alike, each string read once.
 
-    The one reader of continuous values, for schema inference and binning
-    alike, so a schema's [min, max] and the bins always see the same
-    numbers. Raises ParseError naming the column and the first value that
-    is not a finite number, with its line number when lines (one per value)
-    is given and the line is not 0, which stands for no line.
+    codes is each record's index into values (each value is a record when
+    it is None), and lines each record's line. A ParseError names the column
+    and the value of the first record that is not a finite number, with its
+    line when lines is given and the line is not 0, which stands for no
+    line. A string no record holds is never an error, and reads as 0.0.
     """
     try:
         vals = np.asarray(values, dtype=np.float64)
-        finite = bool(np.isfinite(vals).all())
-    except ValueError:
-        finite = False
-    if not finite:
-        for i, v in enumerate(values):
-            try:
-                if math.isfinite(float(v)):
-                    continue
-            except ValueError:
-                pass
+    except ValueError:  # one float() per string, None and so NaN where it fails
+        vals = np.array([_parsed(v, float) for v in values], dtype=np.float64)
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        held = np.flatnonzero(bad if codes is None else bad[codes])
+        if held.size:
+            i = held[0]
             where = f"line {lines[i]}: " if lines is not None and lines[i] else ""
-            raise ParseError(f"{where}column {name!r} has non-numeric value {v!r}")
-        raise ParseError(f"column {name!r} has a non-numeric value")
+            value = values[i if codes is None else codes[i]]
+            raise ParseError(f"{where}column {name!r} has non-numeric value {value!r}")
+        vals = np.where(bad, 0.0, vals)
     if transform == TRANSFORM_LOG1P:
         vals = np.log1p(np.maximum(vals, 0.0))
     return vals
@@ -474,12 +473,12 @@ def _fields(buf: np.ndarray, first: np.ndarray, end: np.ndarray):
     return count, seps, lens
 
 
-def _is_int(text: str) -> bool:
+def _parsed(text: str, kind):
+    """kind(text), or None where kind rejects text."""
     try:
-        int(text)
+        return kind(text)
     except ValueError:
-        return False
-    return True
+        return None
 
 
 def _stage(n: int):
@@ -540,7 +539,7 @@ def _scan(fh, allow_unlabeled: bool):
                 field_len = lens[_FIELDS - 1, scored]
                 inverse, rep = RunningKeys().add(_keys(buf, field_at, field_len).T)
                 scores = _joined(buf, field_at[rep], field_len[rep]).tobytes().decode()
-                ok = [_is_int(v) for v in scores.split(",")[:-1]]
+                ok = [_parsed(v, int) is not None for v in scores.split(",")[:-1]]
                 fast[scored[~np.array(ok)[inverse]]] = False
 
             keep = fast.copy()
@@ -644,7 +643,8 @@ def infer_schema(table: RecordTable, log_scale: bool = False) -> FeatureSchema:
     lexicographically sorted vocabularies. Numeric columns whose raw strings
     are all "0"/"1" become two-category indicators; the rest are continuous
     with [min, max] taken over the (optionally log1p-transformed) training
-    values.
+    values, gathered by the records' codes: a string no record holds, as
+    after RecordTable.take, neither raises nor reaches the range.
     """
     if not len(table):
         raise ValueError("cannot infer a schema from zero records")
@@ -660,12 +660,8 @@ def infer_schema(table: RecordTable, log_scale: bool = False) -> FeatureSchema:
             specs.append(FeatureSpec(name=name, kind=KIND_CATEGORICAL,
                                      vocabulary=["0", "1"]))
             continue
-        try:
-            vals = numeric_column(column.values, name, transform)[column.codes]
-        except ParseError:
-            # record by record: names the first bad value and its line, or
-            # reads a table whose dictionary holds a bad string no record uses
-            vals = numeric_column(column.strings(), name, transform, table.line_no)
+        vals = numeric_column(column.values, name, transform, column.codes,
+                              table.line_no)[column.codes]
         specs.append(FeatureSpec(name=name, kind=KIND_CONTINUOUS,
                                  min=float(vals.min()), max=float(vals.max()),
                                  transform=transform))

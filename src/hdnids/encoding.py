@@ -41,7 +41,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .codebook import KIND_CONTINUOUS, Codebook, FeatureSchema, FeatureSpec, padding_bits
-from .dataset import ParseError, RecordTable, RunningKeys, numeric_column
+from .dataset import RecordTable, RunningKeys, numeric_column
 
 # Distinct records per encoder batch. Measured on the bench corpus (seed
 # 3001, D=10000, 2 vCPUs, jobs 2, best of 3, whole encode_dataset, test /
@@ -93,7 +93,8 @@ def run_chunks(fn: Callable[[int, int, object], None], n: int, chunk: int,
         list(pool.map(run, bounds))  # re-raises a worker's exception
 
 
-def value_index(column: Sequence, spec: FeatureSpec, bins: int, lines=None) -> np.ndarray:
+def value_index(column: Sequence, spec: FeatureSpec, bins: int, codes=None,
+                lines=None) -> np.ndarray:
     """Index of each raw value among its feature's value rows, as int32.
 
     Continuous values are read by numeric_column (parsed, checked finite,
@@ -104,12 +105,13 @@ def value_index(column: Sequence, spec: FeatureSpec, bins: int, lines=None) -> n
     len(vocabulary), the OOV row.
 
     Raises ParseError naming the column on a non-numeric or non-finite
-    continuous value, and its line when lines (one per value) is given.
+    continuous value. column may be a dictionary, with codes each record's
+    index into it and lines each record's line, as numeric_column reads them.
     """
     if spec.kind != KIND_CONTINUOUS:
         lut = {v: i for i, v in enumerate(spec.vocabulary)}
         return np.array([lut.get(str(v), len(lut)) for v in column], dtype=np.int32)
-    vals = numeric_column(column, spec.name, spec.transform, lines)
+    vals = numeric_column(column, spec.name, spec.transform, codes, lines)
     lo, hi = spec.min, spec.max
     if lo == hi:
         return np.zeros(vals.shape, dtype=np.int32)
@@ -239,16 +241,12 @@ class EncoderTables:
 
     def row_indices(self, table: RecordTable) -> np.ndarray:
         """(records, features) table row index of every value of a RecordTable,
-        as index_dtype, each feature's distinct strings indexed once."""
+        as index_dtype, each feature's distinct strings indexed once; a bad
+        value is the first record's whose code points at it."""
         idx = np.empty((len(table), self.schema.num_features), dtype=self.index_dtype)
         for j, (spec, column) in enumerate(zip(self.schema.features, table.features)):
-            try:
-                lut = value_index(column.values, spec, self.bins).astype(self.index_dtype)
-                idx[:, j] = lut[column.codes]
-            except ParseError:
-                # record by record: names the first bad value, or reads a table
-                # whose dictionary holds a bad string no record uses
-                idx[:, j] = value_index(column.strings(), spec, self.bins, table.line_no)
+            lut = value_index(column.values, spec, self.bins, column.codes, table.line_no)
+            idx[:, j] = lut.astype(self.index_dtype)[column.codes]
         return idx
 
     def distinct_rows(self, table: RecordTable) -> tuple[np.ndarray, np.ndarray]:

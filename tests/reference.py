@@ -210,19 +210,21 @@ def ref_infer_schema(records, log_scale=False):
     return FeatureSchema(features=specs, class_names=list(CLASS_NAMES))
 
 
-def ref_row_indices(rows, schema, bins):
+def ref_row_indices(rows, schema, bins, lines=None):
     """(records, features) value index of every value of plain value rows, in
     the narrowest unsigned dtype that holds the largest index any feature
     has: bins - 1 for a continuous one, the OOV index len(vocabulary) for a
     categorical one. A continuous value goes to its ref_bin; a categorical
-    one to its position in the sorted vocabulary, or to the OOV index."""
+    one to its position in the sorted vocabulary, or to the OOV index. A bad
+    continuous value raises ref_numbers' error, naming its line from lines
+    (one per row) when given."""
     largest = max(bins - 1 if spec.kind == "continuous" else len(spec.vocabulary)
                   for spec in schema.features)
     idx = np.empty((len(rows), schema.num_features), dtype=np.min_scalar_type(largest))
     for j, spec in enumerate(schema.features):
         column = [row[j] for row in rows]
         if spec.kind == "continuous":
-            ref_numbers(column, spec.name)
+            ref_numbers(column, spec.name, lines)
             idx[:, j] = [ref_bin(raw, spec, bins) for raw in column]
         else:
             vocabulary = sorted(spec.vocabulary)

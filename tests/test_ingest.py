@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import hdnids.dataset as dataset
 from hdnids import build_codebook, encode_dataset, evaluate, load_label_map, render_report
+from hdnids.codebook import FeatureSchema, FeatureSpec
 from hdnids.dataset import (
     NUM_FEATURES,
     ParseError,
@@ -529,6 +530,79 @@ class TestAgainstOracle:
             records, _, malformed = want[0][1]
             assert as_tuples(result.records) == as_tuples(records)
             assert result.malformed == malformed
+
+
+# --- one reader per column: a bad value is found through the codes ---------------
+
+BAD = ["abc", "inf", "nan"]
+# the columns bad values go to, continuous unless a table holds only "0" and "1"
+TAINTED = (0, 4, 5, 22)
+
+
+@st.composite
+def tainted_lines(draw):
+    """Lines of 1-12 records with a few bad values in the TAINTED columns,
+    at random records."""
+    n = draw(st.integers(1, 12))
+    rows = [[draw(st.sampled_from(["0", "1", "7", "300", "-2.5"])) if j in TAINTED
+             else draw(st.sampled_from(["tcp", "udp"])) if j in dataset.SYMBOLIC_COLUMNS
+             else "0" for j in range(NUM_FEATURES)] for _ in range(n)]
+    for i, j, bad in draw(st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from(TAINTED),
+                                             st.sampled_from(BAD)), max_size=4)):
+        rows[i][j] = bad
+    return [",".join(row) + ",normal" for row in rows]
+
+
+def encoding_schema(log_scale):
+    """The schema tainted tables are encoded with, as a model trained on
+    clean records would hold it."""
+    lo, hi = (0.0, float(np.log1p(300.0))) if log_scale else (-2.5, 300.0)
+    specs = [FeatureSpec(name=name, kind="continuous", min=lo, max=hi,
+                         transform="log1p" if log_scale else "none") if j in TAINTED
+             else FeatureSpec(name=name, kind="categorical",
+                              vocabulary=["tcp", "udp"] if j in dataset.SYMBOLIC_COLUMNS
+                              else ["0", "1"])
+             for j, name in enumerate(dataset.COLUMN_NAMES)]
+    return FeatureSchema(features=specs, class_names=dataset.CLASS_NAMES)
+
+
+def ref_encoded(records, codebook, schema, threshold):
+    """Packed encodings of RawRecords, their value indices taken from the
+    oracle: the first bad value in record order raises, with its line."""
+    idx = ref_row_indices([r.values for r in records], schema, codebook.bins,
+                          [r.line_no for r in records])
+    words = EncoderTables(codebook, schema).encode_rows(idx, threshold)
+    return words.view(np.uint8)[:, :(codebook.dim + 7) // 8]
+
+
+class TestOneReader:
+    @settings(max_examples=200, deadline=None)
+    @given(lines=tainted_lines(), data=st.data(), log_scale=st.booleans())
+    def test_schema_and_encodings_of_tables_and_cuts(self, lines, data, log_scale):
+        """infer_schema and encode_dataset of a table, or of a take of it
+        that may leave a bad string unused, give the oracle's results or
+        raise its error; a string no record holds is neither an error nor
+        a NaN that warns when binned."""
+        rows = data.draw(st.none() | st.lists(st.integers(0, len(lines) - 1), min_size=1,
+                                              max_size=len(lines)), label="rows")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write(Path(tmp), "\n".join(lines).encode())
+            table = parse_file(path).records
+            records = ref_parse_file(path)[0]
+        if rows is not None:
+            table, records = table.take(np.array(rows)), [records[i] for i in rows]
+        unused = any(set(table.features[j].values) - set(table.features[j].present())
+                     & set(BAD) for j in TAINTED)
+        event(f"{'whole table' if rows is None else 'take'}, unused bad string: {unused}")
+        same(outcome(infer_schema, table, log_scale=log_scale),
+             outcome(ref_infer_schema, records, log_scale=log_scale))
+        schema = encoding_schema(log_scale)
+        codebook = build_codebook(schema, dim=64, bins=7, seed=1)
+        (kind, got), warned = outcome(encode_dataset, table, codebook, schema, 20.5)
+        event(f"encode: {kind}")
+        if kind == "ok":
+            got = got.packed
+        same(((kind, got), warned), outcome(ref_encoded, records, codebook, schema, 20.5))
 
 
 # --- the staging of record numbers ---------------------------------------------
