@@ -430,15 +430,7 @@ def _add_fields(store: RunningKeys, buf: np.ndarray, starts: np.ndarray, lens: n
     if long.any():  # a new key no field has: UTF-8 holds no byte 0xFF
         serial = len(store) + np.arange(long.sum(), dtype=np.uint64)
         keys[0, long] = serial | np.uint64(0xFF << 56)
-    if len(keys) == 1:
-        return store.add(keys.T)
-    # wider keys are grouped word by word, so store sorts no byte string twice
-    inverse, rep = _distinct(keys[0])
-    for word in keys[1:]:  # pairs of numbers to one number, word by word
-        word_inverse, word_rep = _distinct(word)
-        inverse, rep = _distinct(inverse * len(word_rep) + word_inverse)
-    ids, new = store.add(keys[:, rep].T)
-    return ids[inverse], rep[new]
+    return store.add(keys.T)
 
 
 def _joined(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
