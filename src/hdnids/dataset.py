@@ -164,11 +164,11 @@ class RawRecord:
 class Column:
     """One field of many records, dictionary-encoded.
 
-    Record i holds values[codes[i]], or no such field when codes[i] is -1.
-    values may repeat a string (parse_file gives each field longer than
-    _KEY_BYTES an entry of its own) and, in a table cut by RecordTable.take,
-    hold strings no record uses. codes is in the dtype
-    _code_dtype(len(values)) gives, int8 up to 128 strings.
+    Record i holds values[codes[i]], or no such field when codes[i] is -1,
+    which no feature column holds. values may repeat a string (parse_file
+    gives each field longer than _KEY_BYTES an entry of its own) and, in a
+    table cut by RecordTable.take, hold strings no record uses. codes is in
+    the dtype _code_dtype(len(values)) gives, int8 up to 128 strings.
     """
 
     values: list

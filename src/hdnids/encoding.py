@@ -241,8 +241,8 @@ class EncoderTables:
 
     def row_indices(self, table: RecordTable) -> np.ndarray:
         """(records, features) table row index of every value of a RecordTable,
-        as index_dtype, each feature's distinct strings indexed once; a bad
-        value is the first record's whose code points at it."""
+        as index_dtype, each feature's distinct strings indexed once; a
+        ParseError names the first record whose code points at a bad value."""
         idx = np.empty((len(table), self.schema.num_features), dtype=self.index_dtype)
         for j, (spec, column) in enumerate(zip(self.schema.features, table.features)):
             lut = value_index(column.values, spec, self.bins, column.codes, table.line_no)
