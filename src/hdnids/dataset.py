@@ -636,7 +636,9 @@ def infer_schema(table: RecordTable, log_scale: bool = False) -> FeatureSchema:
     are all "0"/"1" become two-category indicators; the rest are continuous
     with [min, max] taken over the (optionally log1p-transformed) training
     values, gathered by the records' codes: a string no record holds, as
-    after RecordTable.take, neither raises nor reaches the range.
+    after RecordTable.take, neither raises nor reaches the range. A range
+    FeatureSpec rejects, whose width is infinite or below float64's smallest
+    normal number, raises a ParseError naming the column.
     """
     if not len(table):
         raise ValueError("cannot infer a schema from zero records")
@@ -654,9 +656,12 @@ def infer_schema(table: RecordTable, log_scale: bool = False) -> FeatureSchema:
             continue
         vals = numeric_column(column.values, name, transform, column.codes,
                               table.line_no)[column.codes]
-        specs.append(FeatureSpec(name=name, kind=KIND_CONTINUOUS,
-                                 min=float(vals.min()), max=float(vals.max()),
-                                 transform=transform))
+        try:
+            specs.append(FeatureSpec(name=name, kind=KIND_CONTINUOUS,
+                                     min=float(vals.min()), max=float(vals.max()),
+                                     transform=transform))
+        except ValueError as exc:  # a range float64 cannot bin
+            raise ParseError(str(exc)) from None
     return FeatureSchema(features=specs, class_names=CLASS_NAMES)
 
 

@@ -99,10 +99,10 @@ def value_index(column: Sequence, spec: FeatureSpec, bins: int, codes=None,
 
     Continuous values are read by numeric_column (parsed, checked finite,
     transformed when the spec asks) and put in one of `bins` uniform-width
-    bins over [min, max]; out-of-range values clamp to the edge bins and a
-    degenerate range (min == max) maps everything to bin 0. Categorical
-    values take their position in the sorted vocabulary, and unseen ones
-    len(vocabulary), the OOV row.
+    bins over [min, max]; values are clipped into it first, so any value past
+    it takes the edge bin, and a degenerate range (min == max) maps everything
+    to bin 0. Categorical values take their position in the sorted
+    vocabulary, and unseen ones len(vocabulary), the OOV row.
 
     Raises ParseError naming the column on a non-numeric or non-finite
     continuous value. column may be a dictionary, with codes each record's
@@ -111,14 +111,12 @@ def value_index(column: Sequence, spec: FeatureSpec, bins: int, codes=None,
     if spec.kind != KIND_CONTINUOUS:
         lut = {v: i for i, v in enumerate(spec.vocabulary)}
         return np.array([lut.get(str(v), len(lut)) for v in column], dtype=np.int32)
-    vals = numeric_column(column, spec.name, spec.transform, codes, lines)
     lo, hi = spec.min, spec.max
+    vals = np.clip(numeric_column(column, spec.name, spec.transform, codes, lines), lo, hi)
     if lo == hi:
         return np.zeros(vals.shape, dtype=np.int32)
     width = (hi - lo) / bins
-    idx = np.clip(np.floor((vals - lo) / width), 0, bins - 1).astype(np.int32)
-    idx[vals >= hi] = bins - 1
-    return idx
+    return np.clip(np.floor((vals - lo) / width), 0, bins - 1).astype(np.int32)
 
 
 def lookup_level(

@@ -177,6 +177,16 @@ class TestTrain:
         assert run(["train", "--train", bad, "--model", tmp_path / "m.hdm"]) == 4
         assert not (tmp_path / "m.hdm").exists()
 
+    def test_range_float64_cannot_bin_is_data_error(self, tmp_path, capsys):
+        rows = [",".join(["5"] * 4 + [value] + ["5"] * 36) + ",normal,10\n"
+                for value in ("-1e308", "1e308")]
+        wide = tmp_path / "wide.txt"
+        wide.write_text("".join(rows))
+        capsys.readouterr()
+        assert run(["train", "--train", wide, "--model", tmp_path / "m.hdm"]) == 4
+        assert "'src_bytes'" in capsys.readouterr().err
+        assert not (tmp_path / "m.hdm").exists()
+
 
 class TestSeeds:
     def test_seed_taken_mod_2_64(self, tmp_path, corpus):

@@ -83,6 +83,14 @@ class TestFeatureSpec:
         with pytest.raises(ValueError):
             FeatureSpec(name="x", kind="continuous", min=0.0, max=float("inf"))
 
+    @pytest.mark.parametrize("lo, hi", [(-1e308, 1e308), (-1.7e308, 1e308), (0.0, 5e-324),
+                                        (1e-310, 3e-310), (-2.2e-308, 0.0)])
+    def test_range_width_outside_float64(self, lo, hi):
+        """max - min must be 0 or a finite normal float64, so that the bin
+        width is one too."""
+        with pytest.raises(ValueError, match="'x'"):
+            cont("x", lo, hi)
+
     def test_non_string_vocabulary(self):
         with pytest.raises(ValueError):
             FeatureSpec(name="x", kind="categorical", vocabulary=["a", 1])
@@ -208,6 +216,17 @@ class TestLevelIndex:
         spec = cont("x", lo, lo + span, transform=transform)
         raw = [repr(v) for v in values]
         assert value_index(raw, spec, bins).tolist() == [ref_bin(v, spec, bins) for v in raw]
+
+    @pytest.mark.parametrize("lo, hi, raw, want", [
+        (-1.5e308, 0.0, ["1e308", "-1e308", "-1.7e308"], [9, 3, 0]),
+        (-8e307, 8e307, ["1.7e308", "1e307", "-1.7e308"], [9, 5, 0]),
+        (0.0, 2.2250738585072014e-308, ["1", "1.5e-308", "-1"], [9, 6, 0]),
+        (5e-324, 5e-324, ["1e308", "-1e308"], [0, 0]),
+    ])
+    def test_range_at_float64_edges(self, lo, hi, raw, want):
+        """A value however far past a range as wide or as narrow as
+        FeatureSpec allows clamps to its edge bin, with no overflow."""
+        assert value_index(raw, cont("x", lo, hi), 10).tolist() == want
 
     def test_non_numeric_is_parse_error(self):
         for bad in ("abc", "nan", "inf"):

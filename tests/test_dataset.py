@@ -136,6 +136,20 @@ class TestInferSchema:
         with pytest.raises(ParseError, match=f"line 2.*{COLUMN_NAMES[4]}"):
             infer_schema(records)
 
+    @pytest.mark.parametrize("low, high", [("-1e308", "1e308"), ("0", "5e-324")])
+    def test_range_float64_cannot_bin_names_column(self, tmp_path, low, high):
+        """A continuous column whose max - min is infinite or below float64's
+        smallest normal number is a data error, not a FeatureSpec's."""
+        lines = []
+        for value in (low, high):
+            feats = [str(i) for i in range(NUM_FEATURES)]
+            feats[4] = value
+            lines.append(make_line(features=feats))
+        p = tmp_path / "wide.txt"
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=f"'{COLUMN_NAMES[4]}'"):
+            infer_schema(parse_file(p).records)
+
     def test_empty_records_rejected(self):
         with pytest.raises(ValueError):
             infer_schema([])
