@@ -264,8 +264,8 @@ def cmd_evaluate(args) -> int:
     s = _settings(args, unknown_label="strict" if stored.strict else "fallback",
                   fallback_class=stored.class_names[stored.fallback_class])
     model = dataclasses.replace(model, label_map=_label_map(s, stored))
-    result = parse_file(args.test)
-    report = evaluate(model, result.records, jobs=s["jobs"])
+    # evaluate gets the only reference to the table and frees it once read
+    report = evaluate(model, parse_file(args.test).records, jobs=s["jobs"])
     rendered = render_report(report, s["format"])
     with _text_out(args.report) as write:
         write(rendered)

@@ -52,9 +52,9 @@ class FeatureSpec:
     """Metadata for one feature column, valid once built.
 
     Continuous features carry the training-data [min, max] (in transformed
-    space when transform != "none"), max - min 0 or a normal float64 so
-    that a bin's width is one too; categorical features carry a sorted,
-    duplicate-free vocabulary, held as a tuple. Construction,
+    space when transform != "none"), max - min 0 or a positive normal
+    float64 so that a bin's width is one too; categorical features carry a
+    sorted, duplicate-free vocabulary, held as a tuple. Construction,
     dataclasses.replace included, raises ValueError on anything else.
     """
 
@@ -75,12 +75,10 @@ class FeatureSpec:
                 raise ValueError(f"continuous feature {self.name!r} needs min and max")
             if not (math.isfinite(self.min) and math.isfinite(self.max)):
                 raise ValueError(f"feature {self.name!r}: min and max must be finite")
-            if self.min > self.max:
-                raise ValueError(f"feature {self.name!r}: min {self.min} > max {self.max}")
             width = float(self.max) - float(self.min)
-            if math.isinf(width) or 0 < width < np.finfo(np.float64).tiny:
-                raise ValueError(f"feature {self.name!r}: the width of [{self.min}, {self.max}] "
-                                 "is neither 0 nor a normal float64")
+            if not (width == 0 or np.finfo(np.float64).tiny <= width < math.inf):
+                raise ValueError(f"feature {self.name!r}: max - min of [{self.min}, {self.max}] "
+                                 "must be 0 or a positive normal float64")
             if self.transform not in (TRANSFORM_NONE, TRANSFORM_LOG1P):
                 raise ValueError(f"unknown transform {self.transform!r}")
         else:

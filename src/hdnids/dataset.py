@@ -36,12 +36,11 @@ On a large file that one block is mapped apart from the heap, so the
 table neither pins heap the parse freed nor leaves holes in it, and its
 memory goes back to the system whole when the table dies.
 
-A field is keyed by at most _KEY_BYTES bytes, which bounds a key's width
-whatever a line holds. Lines that are not plainly well formed (a blank
-line, a comma count other than 41 or 42, or 40 with allow_unlabeled, a
-field longer than _KEY_BYTES, a difficulty that int() rejects) are decoded
-and read by parse_line, so their records, errors and line numbers are its
-own.
+A key holds at most _KEY_BYTES bytes; a longer field gets a key, and so a
+value entry, of its own. A line is a record when it has 41 or 42 commas
+(or 40 with allow_unlabeled) and, after 42, a difficulty that int() takes.
+Any other line is blank, and skipped, or malformed, and only then decoded,
+for parse_line to name what is wrong with it.
 """
 
 from __future__ import annotations
@@ -102,7 +101,7 @@ _READ_CHARS = 1 << 19
 # lines per parse block: a block's field bounds take _FIELDS + 1 int64 per
 # line, 1.4 MB at 4096 lines
 _BLOCK_LINES = 4096
-# the longest field keyed by its bytes; a line with a longer one goes to parse_line
+# the longest field keyed by its bytes; a longer one gets a key of its own
 _KEY_BYTES = 63
 # the most records a first staging holds: 180 MB of address space, which a system
 # that refuses mappings larger than its memory still grants; a longer file's grows
@@ -493,13 +492,14 @@ def _stage(n: int):
 def _scan(fh, allow_unlabeled: bool):
     """Number every field of the lines of fh through a RunningKeys per field.
 
-    Returns (line_no, ids, new_bytes, sizes, malformed, total): each kept
-    record's line number and its fields' numbers (-1 where it lacks the
-    field), as views of _stage whose first len(line_no) entries are the
-    records'; per field, per block, the bytes of the strings new in the
-    block in number order, each followed by a comma; per field, the count
-    of numbers; the (line_no, reason) pairs of the malformed lines; and the
-    count of lines that are not blank.
+    Returns (line_no, ids, new_bytes, sizes, malformed): each kept record's
+    line number and its fields' numbers (-1 where it lacks the field), as
+    views of _stage whose first len(line_no) entries are the records'; per
+    field, per block, the bytes of the strings new in the block in number
+    order, each followed by a comma; per field, the count of numbers; and
+    the (line_no, reason) pairs of the malformed lines. A block's comma
+    counts and difficulty fields alone pick its records; parse_line reads
+    only the rejected lines that are not blank, for why each is malformed.
 
     A kept line holds NUM_FEATURES - 1 commas or more and, but for the
     last, a line end, so a file of s bytes holds at most s // NUM_FEATURES
@@ -515,7 +515,6 @@ def _scan(fh, allow_unlabeled: bool):
     kept = 0
     new_bytes = [[] for _ in range(_FIELDS)]
     malformed: list[tuple[int, str]] = []
-    total = 0
     lines_before = 0
     for buf, size in _runs(fh):
         text = memoryview(buf)
@@ -524,28 +523,23 @@ def _scan(fh, allow_unlabeled: bool):
             first, end = starts[b:b + _BLOCK_LINES], stops[b:b + _BLOCK_LINES]
             base = lines_before + b + 1  # the block's first line number
             count, seps, lens = _fields(buf, first, end)
-            fast = np.isin(count, arity) & (lens.max(axis=0) <= _KEY_BYTES)
-            scored = np.flatnonzero(fast & (count == NUM_FEATURES + 1))
+            keep = np.isin(count, arity)
+            scored = np.flatnonzero(keep & (count == NUM_FEATURES + 1))
             if scored.size:  # a difficulty int() rejects makes parse_line's error
                 field_at = seps[_FIELDS - 1, scored] + 1
                 field_len = lens[_FIELDS - 1, scored]
-                inverse, rep = RunningKeys().add(_keys(buf, field_at, field_len).T)
+                inverse, rep = _add_fields(RunningKeys(), buf, field_at, field_len)
                 scores = _joined(buf, field_at[rep], field_len[rep]).tobytes().decode()
                 ok = [_parsed(v, int) is not None for v in scores.split(",")[:-1]]
-                fast[scored[~np.array(ok)[inverse]]] = False
+                keep[scored[~np.array(ok)[inverse]]] = False
 
-            keep = fast.copy()
-            for i in np.flatnonzero(~fast).tolist():
+            for i in np.flatnonzero(~keep).tolist():  # blank, or parse_line rejects it
                 line = str(text[first[i]:end[i]], "utf-8")
-                if not line.strip():
-                    continue
-                total += 1
-                try:
-                    parse_line(line, base + i, allow_unlabeled=allow_unlabeled)
-                    keep[i] = True
-                except ParseError as exc:
-                    malformed.append((base + i, str(exc)))
-            total += int(fast.sum())
+                if line.strip():
+                    try:
+                        parse_line(line, base + i, allow_unlabeled=allow_unlabeled)
+                    except ParseError as exc:
+                        malformed.append((base + i, str(exc)))
 
             rows = np.flatnonzero(keep)
             if kept + len(rows) > len(line_no):
@@ -567,8 +561,7 @@ def _scan(fh, allow_unlabeled: bool):
                 ids[j, at][has] = field_ids
                 new_bytes[j].append(_joined(buf, field_at[new], field_len[new]).tobytes())
         lines_before += len(starts)
-    return (line_no[:kept], ids[:, :kept], new_bytes, [len(s) for s in stores], malformed,
-            total)
+    return line_no[:kept], ids[:, :kept], new_bytes, [len(s) for s in stores], malformed
 
 
 def parse_file(path, allow_unlabeled: bool = False) -> ParseResult:
@@ -580,6 +573,7 @@ def parse_file(path, allow_unlabeled: bool = False) -> ParseResult:
     with a ParseError since that almost certainly means the wrong file was
     given, and so does a file with no records at all (empty or blank lines
     only). Blank lines count toward line numbers but not toward the 1%.
+    A field of any length is read alike; a malformed line's reason is parse_line's.
 
     _scan stages every record's line number and field numbers in one
     anonymous mapping. The table's line numbers and every field's codes,
@@ -590,8 +584,9 @@ def parse_file(path, allow_unlabeled: bool = False) -> ParseResult:
     path = Path(path)
     # the block transients die with _scan, before the columns are built
     with open(path, encoding="utf-8", errors="replace") as fh:
-        line_no, ids, new_bytes, sizes, malformed, total = _scan(fh, allow_unlabeled)
+        line_no, ids, new_bytes, sizes, malformed = _scan(fh, allow_unlabeled)
 
+    total = len(line_no) + len(malformed)  # the lines that are not blank
     if not total:
         raise ParseError(f"{path}: no records")
     if len(malformed) / total > 0.01:
@@ -637,8 +632,7 @@ def infer_schema(table: RecordTable, log_scale: bool = False) -> FeatureSchema:
     with [min, max] taken over the (optionally log1p-transformed) training
     values, gathered by the records' codes: a string no record holds, as
     after RecordTable.take, neither raises nor reaches the range. A range
-    FeatureSpec rejects, whose width is infinite or below float64's smallest
-    normal number, raises a ParseError naming the column.
+    FeatureSpec rejects, as float64 cannot bin it, is a ParseError.
     """
     if not len(table):
         raise ValueError("cannot infer a schema from zero records")

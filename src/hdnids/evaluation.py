@@ -133,12 +133,15 @@ def evaluate(model: ClassModel, table: RecordTable, jobs: int | None = None) -> 
     """Score a RecordTable of labelled records with predict_table.
 
     Labels are mapped first, so an unknown label under a strict map is
-    reported before any value is read."""
+    reported before any value is read. predict_table gets this call's last
+    reference to the table, as train's encode_dataset does."""
     if not len(table):
         raise ValueError("empty test set")
     t0 = time.perf_counter()
     labels = class_indices(table, model.label_map)
-    preds, _, inverse = predict_table(model, table, jobs=jobs)
+    held = [table]
+    del table
+    preds, _, inverse = predict_table(model, held.pop(), jobs=jobs)
     wall = time.perf_counter() - t0
     matrix = ConfusionMatrix.from_pairs(labels, preds[inverse], model.label_map.class_names)
     config = dict(model.hyperparams.to_dict())

@@ -472,7 +472,8 @@ def _array_manifest(rows: int, width: int, classes: int, dim: int) -> list:
 
 
 def save_model(model: ClassModel, path) -> None:
-    """Write the model container atomically (temp file + rename)."""
+    """Write the model container atomically (temp file + rename), or raise
+    ValueError and write nothing where load_model would reject its header."""
     cb = model.codebook
     matrix = np.ascontiguousarray(cb.matrix)
     reps = np.ascontiguousarray(model.reps)
@@ -486,6 +487,7 @@ def save_model(model: ClassModel, path) -> None:
         "arrays": _array_manifest(*matrix.shape, *reps.shape),
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+    _header_fields(json.loads(header_bytes))
 
     body = bytearray()
     body += MAGIC

@@ -46,6 +46,27 @@ def quick_train(tmp_path, corpus, **over):
     return model
 
 
+def alive_at_scoring(monkeypatch, argv):
+    """run(argv), which must succeed, noting at each start of predict_table's
+    slices whether the table parse_file read is still alive."""
+    tables, alive = [], []
+    real_parse, real_run = hdnids.cli.parse_file, hdnids.model.run_chunks
+
+    def parse(*args, **kwargs):
+        result = real_parse(*args, **kwargs)
+        tables.append(weakref.ref(result.records))
+        return result
+
+    def run_chunks(*args):
+        alive.append(tables[0]() is not None)
+        return real_run(*args)
+
+    monkeypatch.setattr(hdnids.cli, "parse_file", parse)
+    monkeypatch.setattr(hdnids.model, "run_chunks", run_chunks)
+    assert run(argv) == 0
+    return alive
+
+
 # (command, config file) pairs whose one value has the wrong type for its key
 MISTYPED_CONFIGS = [
     ("split", {"seed": 1.5}), ("split", {"seed": "7"}), ("split", {"seed": None}),
@@ -225,6 +246,23 @@ class TestConfigPrecedence:
         assert run(["train", "--train", corpus, "--model", tmp_path / "m.hdm",
                     "--config", cfg]) == 2
 
+    def test_config_integer_too_large_for_a_float(self, tmp_path, corpus, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"alpha": 1' + "0" * 400 + "}")
+        capsys.readouterr()
+        assert run(["train", "--train", corpus, "--model", tmp_path / "m.hdm",
+                    "--config", cfg]) == 2
+        assert "alpha is out of range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["[]", "[1, 2]", '"dim"', "7", "null"])
+    def test_config_not_an_object_rejected(self, tmp_path, corpus, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        capsys.readouterr()
+        assert run(["train", "--train", corpus, "--model", tmp_path / "m.hdm",
+                    "--config", cfg]) == 2
+        assert "config must be a JSON object" in capsys.readouterr().err
+
     def test_invalid_json_rejected(self, tmp_path, corpus):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")
@@ -335,6 +373,15 @@ class TestConfigPrecedence:
                 if l.startswith("effective-config:")][0]
         assert json.loads(line.split(":", 1)[1])["jobs"] == 3
 
+    @pytest.mark.parametrize("flag, env", [(["--jobs", 0], None), ([], "0")])
+    def test_jobs_below_one_rejected(self, tmp_path, corpus, capsys, monkeypatch, flag, env):
+        if env is not None:
+            monkeypatch.setenv("HDNIDS_JOBS", env)
+        capsys.readouterr()
+        assert run(["train", "--train", corpus, "--model", tmp_path / "m.hdm", *flag]) == 2
+        assert "jobs must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "m.hdm").exists()
+
     def test_bad_jobs_env(self, tmp_path, corpus, monkeypatch):
         monkeypatch.setenv("HDNIDS_JOBS", "many")
         assert run(["train", "--train", corpus, "--model", tmp_path / "m.hdm"]) == 2
@@ -365,6 +412,24 @@ class TestEvaluate:
         assert run(["evaluate", "--model", model, "--test", corpus,
                     "--format", "json", "--report", r2, "--jobs", 4]) == 0
         assert r1.read_bytes() == r2.read_bytes()
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason=(
+        "CPython before 3.11 keeps call arguments on the caller's stack, so the "
+        "table lives until predict_table returns"))
+    def test_table_freed_before_scoring(self, tmp_path, corpus, monkeypatch):
+        model = quick_train(tmp_path, corpus)
+        assert alive_at_scoring(monkeypatch, ["evaluate", "--model", model, "--test", corpus,
+                                              "--report", tmp_path / "r.txt"]) == [False]
+
+    def test_other_format_version_exit_code(self, tmp_path, corpus, capsys):
+        # a version 2 file, its checksum made to match
+        blob = quick_train(tmp_path, corpus).read_bytes()
+        body = blob[:8] + (2).to_bytes(4, "little") + blob[12:-32]
+        broken = tmp_path / "v2.hdm"
+        broken.write_bytes(body + hashlib.sha256(body).digest())
+        capsys.readouterr()
+        assert run(["evaluate", "--model", broken, "--test", corpus]) == 5
+        assert "format version 2 unsupported (expected 1)" in capsys.readouterr().err
 
     def test_corrupt_model_exit_code(self, tmp_path, corpus):
         model = quick_train(tmp_path, corpus)
@@ -465,23 +530,8 @@ class TestPredict:
         "table lives until predict_table returns"))
     def test_table_freed_before_scoring(self, tmp_path, corpus, monkeypatch):
         model = quick_train(tmp_path, corpus)
-        tables, alive = [], []
-        real_parse, real_run = hdnids.cli.parse_file, hdnids.model.run_chunks
-
-        def parse(*args, **kwargs):
-            result = real_parse(*args, **kwargs)
-            tables.append(weakref.ref(result.records))
-            return result
-
-        def run_chunks(*args):
-            alive.append(tables[0]() is not None)
-            return real_run(*args)
-
-        monkeypatch.setattr(hdnids.cli, "parse_file", parse)
-        monkeypatch.setattr(hdnids.model, "run_chunks", run_chunks)
-        assert run(["predict", "--model", model, "--input", corpus,
-                    "--output", tmp_path / "p.csv"]) == 0
-        assert alive == [False]
+        assert alive_at_scoring(monkeypatch, ["predict", "--model", model, "--input", corpus,
+                                              "--output", tmp_path / "p.csv"]) == [False]
 
     def test_output_file(self, tmp_path, corpus):
         model = quick_train(tmp_path, corpus)
@@ -632,6 +682,12 @@ class TestSweep:
         assert rows[2].endswith("ok")
         acc = float(rows[2].split(",")[7])
         assert 0.0 <= acc <= 1.0
+
+    def test_bad_grid_list_is_usage_error(self, tmp_path, corpus, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["sweep", "--train", corpus, "--dims", "10,x"])
+        assert exc.value.code == 2
+        assert "expected comma-separated ints, got '10,x'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [["--iterations", "-1"], ["--config", "{cfg}"]])
     def test_bad_setting_off_the_grid_is_config_error(self, tmp_path, corpus, capsys, flags):

@@ -196,6 +196,13 @@ class TestLabelMap:
         lm = load_label_map(p)
         assert map_label("foo", lm) == 1 and map_label("bar", lm) == 4
 
+    @pytest.mark.parametrize("text", ["foo,dos,extra\n", "normal,normal\nfoo\n"])
+    def test_not_one_pair_rejected(self, tmp_path, text):
+        p = tmp_path / "map.txt"
+        p.write_text(text)
+        with pytest.raises(ParseError, match="expected 'raw_label,category'"):
+            load_label_map(p)
+
     def test_bad_category_rejected(self, tmp_path):
         p = tmp_path / "map.txt"
         p.write_text("foo,exfiltration\n")
@@ -226,6 +233,11 @@ class TestSplit:
         p = tmp_path / "all.txt"
         p.write_text("\n".join(lines) + "\n")
         return parse_file(p).records
+
+    def test_one_record_rejected(self, tmp_path, synth_lines):
+        recs = self.records(tmp_path, synth_lines[:1])
+        with pytest.raises(ValueError, match="at least 2 records"):
+            split(recs, SplitSpec(), load_label_map())
 
     def test_fraction_respected_per_class(self, tmp_path, synth_lines):
         recs = self.records(tmp_path, synth_lines)

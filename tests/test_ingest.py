@@ -130,7 +130,7 @@ class TestFields:
 
     @pytest.mark.parametrize("width", [7, 8, 15, 16, CAP - 1, CAP, CAP + 1, 5 * CAP])
     def test_any_field_width(self, tmp_path, monkeypatch, width):
-        # lines with a field past the key width are read by parse_line
+        # a field past the key width is keyed by the scan too: parse_line reads no line
         calls = []
         read = dataset.parse_line
         monkeypatch.setattr(dataset, "parse_line",
@@ -140,7 +140,7 @@ class TestFields:
         text = "\n".join([line(features=feats), line(), line(features=feats)])
         records = parse_file(write(tmp_path, text.encode())).records
         assert [r.values[2] for r in records] == ["s" * width, "2", "s" * width]
-        assert len(calls) == (2 if width > CAP else 0)
+        assert calls == []
 
     @pytest.mark.parametrize("block_lines", [1, 2, 3])
     def test_each_string_is_one_value(self, tmp_path, monkeypatch, block_lines):
@@ -177,6 +177,24 @@ class TestFields:
         assert result.malformed == [
             (201, "line 201: difficulty column 'hard' is not an integer")]
         assert {r.difficulty for r in result.records} == {21}
+
+    def test_long_difficulty_checked_by_the_scan(self, tmp_path, monkeypatch):
+        """A difficulty past the key width is read once, as a short one is:
+        an integer one keeps its line, and parse_line reads only the line
+        of one that is not, for its error."""
+        calls = []
+        read = dataset.parse_line
+        monkeypatch.setattr(dataset, "parse_line",
+                            lambda *a, **k: calls.append(a[1]) or read(*a, **k))
+        hard = "h" * (CAP + 1)
+        text = "\n".join([line(difficulty="21")] * 200
+                         + [line(difficulty="0" * CAP + "7"), line(difficulty=hard)])
+        result = parse_file(write(tmp_path, text.encode()))
+        assert result.malformed == [
+            (202, f"line 202: difficulty column {hard!r} is not an integer")]
+        assert [r.difficulty for r in result.records][-2:] == [21, 7]
+        assert result.records.difficulty.values == ["21", "0" * CAP + "7"]
+        assert calls == [202]
 
 
 class TestOrder:
@@ -280,7 +298,8 @@ LABELS = ["normal", "neptune", " smurf ", "zero-day", b"\xffnormal", "normal\x00
 # unknown labels that strip to the string of another: each distinct stripped
 # label is mapped, and warned about, once per call, in the order records meet it
 UNKNOWN = [" zero-day", "mystery", "mystery\t"]
-DIFFICULTIES = ["21", "0", " 3", "+2", "1_0", "٣", "x", b"\xff", "-1", "7" * (CAP + 3)]
+DIFFICULTIES = ["21", "0", " 3", "+2", "1_0", "٣", "x", b"\xff", "-1", "7" * (CAP + 3),
+                "x" * (CAP + 1)]
 BLANKS = [b"", b"  ", b"\t", b"\x0b", b"\x1c", " ".encode(), "　".encode()]
 ENDS = [b"\n", b"\r\n", b"\r"]
 

@@ -494,6 +494,11 @@ class TestRetrain:
         assert out.reps.tobytes() == model.reps.tobytes()
         assert out.hyperparams == model.hyperparams
 
+    def test_unlabeled_data_rejected(self):
+        data = toy_clusters()
+        with pytest.raises(ValueError, match="must carry labels"):
+            retrain(toy_model(data), dataclasses.replace(data, labels=None))
+
     @pytest.mark.parametrize("bad", [-1, 3, 7])
     def test_label_out_of_range(self, bad):
         # -1 would index the last class and 3 would raise IndexError mid-epoch
@@ -897,6 +902,28 @@ def _hyperparams_seed(h):
     return h
 
 
+class TestSaveRefusesWhatLoadRejects:
+    """save_model raises, and leaves no file, where load_model would reject
+    the header it writes: the codebook was built with another dim, bins or
+    seed than the hyperparams give, or for another schema."""
+
+    @pytest.mark.parametrize("over", [{"dim": 2000}, {"bins": 5}, {"seed": 2}, {"features": 2}])
+    def test_refused(self, tmp_path, over):
+        names = ["a", "b"]
+        codebook = build_codebook(tiny_schema(names), dim=1000, bins=10, seed=1)
+        over = dict(over)
+        schema = FeatureSchema(
+            features=[FeatureSpec(name=f"f{j}", kind="continuous", min=0.0, max=1.0)
+                      for j in range(over.pop("features", 1))],
+            class_names=names)
+        hyper = Hyperparams(**{"dim": 1000, "bins": 10, "seed": 1, **over})
+        model = ClassModel(np.zeros((2, hyper.dim)), codebook, schema, tiny_label_map(names),
+                           hyper)
+        with pytest.raises(ValueError, match="was not built with|do not match"):
+            save_model(model, tmp_path / "m.hdm")
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestDamagedHeader:
     """Checksum-valid files whose header is inconsistent or mistyped."""
 
@@ -918,6 +945,14 @@ class TestDamagedHeader:
         path = tmp_path / "bad.hdm"
         path.write_bytes(edit_header(blob, edit))
         with pytest.raises(CorruptModelError, match="bad header"):
+            load_model(path)
+
+    def test_header_length_past_the_payload_rejected(self, tmp_path, blob):
+        # a header length one byte past the arrays, the checksum made to match
+        body = blob[:12] + (len(blob) - 32 - 20 + 1).to_bytes(8, "little") + blob[20:-32]
+        path = tmp_path / "bad.hdm"
+        path.write_bytes(body + hashlib.sha256(body).digest())
+        with pytest.raises(CorruptModelError, match="header runs past the end of the file"):
             load_model(path)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
