@@ -139,7 +139,8 @@ class TestInferSchema:
     @pytest.mark.parametrize("low, high", [("-1e308", "1e308"), ("0", "5e-324")])
     def test_range_float64_cannot_bin_names_column(self, tmp_path, low, high):
         """A continuous column whose max - min is infinite or below float64's
-        smallest normal number is a data error, not a FeatureSpec's."""
+        smallest normal number is a ParseError naming it, not FeatureSpec's
+        ValueError."""
         lines = []
         for value in (low, high):
             feats = [str(i) for i in range(NUM_FEATURES)]
