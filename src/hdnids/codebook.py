@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,17 @@ _TAG_BASE = 1
 _TAG_LEVELS = 2
 _TAG_CATEGORIES = 3
 _TAG_OOV = 4
+
+
+def finite(value) -> bool:
+    """Whether value is a real number, not a bool, that a float64 holds as
+    a finite value; an integer too large for a float is not finite."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _name_key(name: str) -> int:
@@ -73,7 +85,7 @@ class FeatureSpec:
         if self.kind == KIND_CONTINUOUS:
             if self.min is None or self.max is None:
                 raise ValueError(f"continuous feature {self.name!r} needs min and max")
-            if not (math.isfinite(self.min) and math.isfinite(self.max)):
+            if not (finite(self.min) and finite(self.max)):
                 raise ValueError(f"feature {self.name!r}: min and max must be finite")
             width = float(self.max) - float(self.min)
             if not (width == 0 or np.finfo(np.float64).tiny <= width < math.inf):

@@ -81,7 +81,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import encoding
-from .codebook import Codebook, FeatureSchema, row_offsets, stream
+from .codebook import Codebook, FeatureSchema, finite, row_offsets, stream
 from .dataset import LabelMap, RecordTable
 from .encoding import (
     DEFAULT_BATCH_SIZE,
@@ -150,15 +150,10 @@ class Hyperparams:
             raise ValueError(f"bins must be in [1, dim={self.dim}], got {self.bins}")
         if self.iterations < 0:
             raise ValueError(f"iterations must be >= 0, got {self.iterations}")
-        if not _finite(self.alpha) or self.alpha <= 0:
+        if not finite(self.alpha) or self.alpha <= 0:
             raise ValueError(f"alpha must be finite and > 0, got {self.alpha!r}")
-        if self.threshold is not None and not _finite(self.threshold):
+        if self.threshold is not None and not finite(self.threshold):
             raise ValueError(f"threshold must be finite, got {self.threshold!r}")
-
-
-def _finite(value) -> bool:
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
 
 
 @dataclass(frozen=True, eq=False)

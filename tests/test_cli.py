@@ -448,6 +448,26 @@ class TestEvaluate:
         broken.write_bytes(edit_header(model.read_bytes(), drop_schema))
         assert run(["evaluate", "--model", broken, "--test", corpus]) == 5
 
+    @pytest.mark.parametrize("section, key", [("hyperparams", "alpha"),
+                                              ("hyperparams", "threshold"), ("schema", "max")])
+    def test_huge_header_number_exit_code(self, tmp_path, corpus, capsys, section, key):
+        # a JSON integer too large for a float64 is a bad header, not a traceback
+        model = quick_train(tmp_path, corpus)
+        broken = tmp_path / "broken.hdm"
+
+        def huge(header):
+            if section == "schema":
+                next(f for f in header["schema"]["features"] if f["kind"] == "continuous")[
+                    "max"] = 10**400
+            else:
+                header[section][key] = 10**400
+            return header
+
+        broken.write_bytes(edit_header(model.read_bytes(), huge))
+        capsys.readouterr()
+        assert run(["evaluate", "--model", broken, "--test", corpus]) == 5
+        assert "bad header" in capsys.readouterr().err
+
     def test_damaged_arrays_exit_code(self, tmp_path, corpus, capsys):
         # a NaN in the last representative entry, the header and checksum intact
         blob = quick_train(tmp_path, corpus).read_bytes()

@@ -866,6 +866,21 @@ def _infinite_threshold(h):
     return h
 
 
+def _huge_alpha(h):
+    h["hyperparams"]["alpha"] = 10**400  # a JSON integer no float64 holds
+    return h
+
+
+def _huge_threshold(h):
+    h["hyperparams"]["threshold"] = 10**400
+    return h
+
+
+def _huge_max(h):
+    next(f for f in h["schema"]["features"] if f["kind"] == "continuous")["max"] = 10**400
+    return h
+
+
 def _string_strict(h):
     h["label_map"]["strict"] = "false"
     return h
@@ -938,7 +953,7 @@ class TestDamagedHeader:
 
     @pytest.mark.parametrize("edit", [
         _drop_schema, _bad_dtype, _class_out_of_range, _infinite_threshold,
-        _string_strict, _fractional_fallback, _bool_fallback, _bool_class,
+        _huge_alpha, _huge_threshold, _huge_max, _string_strict, _fractional_fallback, _bool_fallback, _bool_class,
         _hyperparams_dim, _hyperparams_bins, _hyperparams_seed,
     ])
     def test_rejected(self, tmp_path, blob, edit):

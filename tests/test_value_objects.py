@@ -186,3 +186,18 @@ def test_vocabulary_must_be_sorted(vocabulary):
     the codebook lays its rows out in that order, so it must be sorted."""
     with pytest.raises(ValueError, match="sorted"):
         FeatureSpec(name="p", kind="categorical", vocabulary=vocabulary)
+
+
+@pytest.mark.parametrize("value", [10**400, -10**400, float("inf"), float("nan"), True, "1"],
+                         ids=["huge", "-huge", "inf", "nan", "bool", "string"])
+def test_one_finiteness_rule(value):
+    """A feature's range and the hyperparams' alpha and threshold share one
+    rule: a real number, not a bool, that a float64 holds; an integer too
+    large for a float is a ValueError like an infinite float, not an
+    OverflowError."""
+    with pytest.raises(ValueError, match="finite"):
+        FeatureSpec(name="d", kind="continuous", min=0.0, max=value)
+    with pytest.raises(ValueError, match="finite"):
+        Hyperparams(alpha=value)
+    with pytest.raises(ValueError, match="finite"):
+        Hyperparams(threshold=value)
