@@ -38,7 +38,7 @@ from .dataset import (
     split,
 )
 from .codebook import build_codebook
-from .encoding import EncodedDataset, default_threshold, encode_dataset
+from .encoding import EncodedDataset, checked_jobs, default_threshold, encode_dataset
 from .evaluation import REPORT_FORMATS, evaluate, render_report
 from .model import (
     ClassModel,
@@ -129,7 +129,7 @@ def _settings(args, **defaults) -> dict:
 
     Every key in the config file is type-checked, whichever command reads it.
     Ranges are checked where the values are used (building Hyperparams or
-    SplitSpec), except jobs >= 1, which is checked here.
+    SplitSpec), except jobs, which encoding.checked_jobs checks here.
     """
     config = {}
     if args.config:
@@ -159,8 +159,10 @@ def _settings(args, **defaults) -> dict:
                 raise ConfigError(f"HDNIDS_JOBS (jobs) must be an integer, got {env!r}") from None
         else:
             out[key] = defaults.get(key, default)
-    if out["jobs"] < 1:
-        raise ConfigError(f"jobs must be >= 1, got {out['jobs']}")
+    try:
+        checked_jobs(out["jobs"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return out
 
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
+import numbers
 import os
 import queue
 from dataclasses import dataclass
@@ -57,6 +58,16 @@ def default_threshold(schema: FeatureSchema) -> float:
     return schema.num_features / 2.0
 
 
+def checked_jobs(jobs):
+    """jobs, when it is None or an integer >= 1: the one rule for every
+    worker count the library and the CLI take. Anything else, 0 and a
+    bool included, raises ValueError."""
+    if jobs is None or (isinstance(jobs, numbers.Integral) and not isinstance(jobs, bool)
+                        and jobs >= 1):
+        return jobs
+    raise ValueError(f"jobs must be >= 1, got {jobs!r}")
+
+
 def run_chunks(fn: Callable[[int, int, object], None], n: int, chunk: int,
                jobs: int | None, scratch: Callable[[], object]) -> None:
     """Call fn(start, stop, held) on each fixed slice [k*chunk, (k+1)*chunk)
@@ -70,10 +81,11 @@ def run_chunks(fn: Callable[[int, int, object], None], n: int, chunk: int,
     thread, so a worker's scratch comes from that thread's heap, which holds
     memory earlier steps freed, and not from a heap the C allocator would
     add for the worker. A slice that raises returns its scratch, so the
-    other slices still run and the error reaches the caller.
+    other slices still run and the error reaches the caller. jobs is
+    checked by checked_jobs; None runs one thread.
     """
     bounds = [(s, min(s + chunk, n)) for s in range(0, n, chunk)]
-    workers = min(jobs or 1, len(bounds), 4 * (os.cpu_count() or 1))
+    workers = min(checked_jobs(jobs) or 1, len(bounds), 4 * (os.cpu_count() or 1))
     free: queue.SimpleQueue = queue.SimpleQueue()
     for _ in range(workers):
         free.put(scratch())

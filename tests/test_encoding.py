@@ -422,6 +422,26 @@ class TestMemory:
 
 
 class TestRunChunks:
+    @pytest.mark.parametrize("jobs", [-3, 0, 1.5, True, "2"])
+    def test_jobs_must_be_a_count(self, jobs):
+        """jobs is None or an integer >= 1; anything else is a ValueError, not
+        a run that waits for scratch no thread was given. The call runs on a
+        thread joined with a timeout, so a hang fails the test."""
+        outcome = []
+
+        def call():
+            try:
+                run_chunks(lambda s, e, held: None, 10, 4, jobs, object)
+                outcome.append("returned")
+            except ValueError as exc:
+                outcome.append(str(exc))
+
+        caller = threading.Thread(target=call, daemon=True)
+        caller.start()
+        caller.join(timeout=10)
+        assert not caller.is_alive(), "run_chunks did not return"
+        assert outcome == [f"jobs must be >= 1, got {jobs!r}"]
+
     def test_thread_pool_capped(self, monkeypatch):
         """No more threads than jobs, slices or four per CPU, one scratch
         per thread and none for no slices; no thread starts here."""
