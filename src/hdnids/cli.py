@@ -159,10 +159,7 @@ def _settings(args, **defaults) -> dict:
                 raise ConfigError(f"HDNIDS_JOBS (jobs) must be an integer, got {env!r}") from None
         else:
             out[key] = defaults.get(key, default)
-    try:
-        checked_jobs(out["jobs"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    checked_jobs(out["jobs"])  # a ValueError exits 2, as a ConfigError does
     return out
 
 

@@ -46,10 +46,9 @@ _TAG_OOV = 4
 def finite(value) -> bool:
     """Whether value is a real number, not a bool, that a float64 holds as
     a finite value; an integer too large for a float is not finite."""
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
-        return False
     try:
-        return math.isfinite(value)
+        return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and math.isfinite(value))
     except OverflowError:
         return False
 

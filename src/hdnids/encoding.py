@@ -62,10 +62,10 @@ def checked_jobs(jobs):
     """jobs, when it is None or an integer >= 1: the one rule for every
     worker count the library and the CLI take. Anything else, 0 and a
     bool included, raises ValueError."""
-    if jobs is None or (isinstance(jobs, numbers.Integral) and not isinstance(jobs, bool)
-                        and jobs >= 1):
-        return jobs
-    raise ValueError(f"jobs must be >= 1, got {jobs!r}")
+    if jobs is not None and not (isinstance(jobs, numbers.Integral)
+                                 and not isinstance(jobs, bool) and jobs >= 1):
+        raise ValueError(f"jobs must be >= 1, got {jobs!r}")
+    return jobs
 
 
 def run_chunks(fn: Callable[[int, int, object], None], n: int, chunk: int,
