@@ -31,7 +31,6 @@ from .dataset import (
     load_label_map,
     map_label,
     parse_file,
-    parse_line,
     split,
 )
 from .encoding import (
@@ -66,7 +65,7 @@ __all__ = [
     "flip_bits", "random_hv", "stream",
     "CLASS_NAMES", "COLUMN_NAMES", "NUM_FEATURES", "LabelMap", "ParseError",
     "RawRecord", "RecordTable", "SplitSpec", "UnknownLabelError", "class_indices", "infer_schema",
-    "load_label_map", "map_label", "parse_file", "parse_line", "split",
+    "load_label_map", "map_label", "parse_file", "split",
     "EncodedDataset", "default_threshold", "encode_dataset", "lookup_level",
     "value_index",
     "ClassModel", "CorruptModelError", "Hyperparams",

@@ -39,8 +39,9 @@ memory goes back to the system whole when the table dies.
 A key holds at most _KEY_BYTES bytes; a longer field gets a key, and so a
 value entry, of its own. A line is a record when it has 41 or 42 commas
 (or 40 with allow_unlabeled) and, after 42, a difficulty that int() takes.
-Any other line is blank, and skipped, or malformed, and only then decoded,
-for parse_line to name what is wrong with it.
+Any other line is malformed, and its reason names the field count or the
+difficulty, or else blank and skipped. Only a line with no comma is
+decoded, to tell a blank line from a one-field one.
 """
 
 from __future__ import annotations
@@ -280,35 +281,6 @@ class ParseResult:
         return len(self.malformed)
 
 
-def parse_line(line: str, line_no: int = 0, allow_unlabeled: bool = False) -> RawRecord:
-    """Parse one comma-separated record line.
-
-    Accepts 42 fields (features + label) or 43 (+ difficulty); 41 bare
-    feature fields are allowed only when allow_unlabeled is set.
-    """
-    fields = line.split(",")
-    n = len(fields)
-    if n == NUM_FEATURES + 1:
-        values, label, difficulty = fields[:NUM_FEATURES], fields[NUM_FEATURES], None
-    elif n == NUM_FEATURES + 2:
-        values, label = fields[:NUM_FEATURES], fields[NUM_FEATURES]
-        try:
-            difficulty = int(fields[NUM_FEATURES + 1])
-        except ValueError:
-            raise ParseError(
-                f"line {line_no}: difficulty column {fields[NUM_FEATURES + 1]!r} "
-                "is not an integer"
-            ) from None
-    elif allow_unlabeled and n == NUM_FEATURES:
-        values, label, difficulty = fields, None, None
-    else:
-        raise ParseError(
-            f"line {line_no}: expected {NUM_FEATURES + 1} or {NUM_FEATURES + 2} "
-            f"comma-separated fields, got {n}"
-        )
-    return _record(values, label, difficulty, line_no)
-
-
 def _runs(fh):
     """The lines of a text file about _READ_CHARS characters at a time, as
     (buf, size): buf[:size] holds whole lines UTF-8 encoded, each ended by
@@ -498,8 +470,9 @@ def _scan(fh, allow_unlabeled: bool):
     field, per block, the bytes of the strings new in the block in number
     order, each followed by a comma; per field, the count of numbers; and
     the (line_no, reason) pairs of the malformed lines. A block's comma
-    counts and difficulty fields alone pick its records; parse_line reads
-    only the rejected lines that are not blank, for why each is malformed.
+    counts and difficulty fields alone pick its records, and name why each
+    other line is malformed: its field count, the comma count plus one, or
+    its difficulty, decoded once with the block's other distinct ones.
 
     A kept line holds NUM_FEATURES - 1 commas or more and, but for the
     last, a line end, so a file of s bytes holds at most s // NUM_FEATURES
@@ -517,7 +490,6 @@ def _scan(fh, allow_unlabeled: bool):
     malformed: list[tuple[int, str]] = []
     lines_before = 0
     for buf, size in _runs(fh):
-        text = memoryview(buf)
         starts, stops = _line_bounds(buf, size)
         for b in range(0, len(starts), _BLOCK_LINES):
             first, end = starts[b:b + _BLOCK_LINES], stops[b:b + _BLOCK_LINES]
@@ -525,21 +497,27 @@ def _scan(fh, allow_unlabeled: bool):
             count, seps, lens = _fields(buf, first, end)
             keep = np.isin(count, arity)
             scored = np.flatnonzero(keep & (count == NUM_FEATURES + 1))
-            if scored.size:  # a difficulty int() rejects makes parse_line's error
+            unscored = {}  # a difficulty int() rejects, by its line's place in the block
+            if scored.size:
                 field_at = seps[_FIELDS - 1, scored] + 1
                 field_len = lens[_FIELDS - 1, scored]
                 inverse, rep = _add_fields(RunningKeys(), buf, field_at, field_len)
                 scores = _joined(buf, field_at[rep], field_len[rep]).tobytes().decode()
-                ok = [_parsed(v, int) is not None for v in scores.split(",")[:-1]]
-                keep[scored[~np.array(ok)[inverse]]] = False
+                scores = scores.split(",")[:-1]
+                bad = np.array([_parsed(v, int) is None for v in scores])[inverse]
+                unscored = dict(zip(scored[bad].tolist(),
+                                    (scores[k] for k in inverse[bad].tolist())))
+                keep[scored[bad]] = False
 
-            for i in np.flatnonzero(~keep).tolist():  # blank, or parse_line rejects it
-                line = str(text[first[i]:end[i]], "utf-8")
-                if line.strip():
-                    try:
-                        parse_line(line, base + i, allow_unlabeled=allow_unlabeled)
-                    except ParseError as exc:
-                        malformed.append((base + i, str(exc)))
+            for i in np.flatnonzero(~keep).tolist():
+                if i in unscored:
+                    reason = f"difficulty column {unscored[i]!r} is not an integer"
+                elif count[i] or bytes(buf[first[i]:end[i]]).decode().strip():
+                    reason = (f"expected {NUM_FEATURES + 1} or {NUM_FEATURES + 2} "
+                              f"comma-separated fields, got {count[i] + 1}")
+                else:  # a blank line
+                    continue
+                malformed.append((base + i, f"line {base + i}: {reason}"))
 
             rows = np.flatnonzero(keep)
             if kept + len(rows) > len(line_no):
@@ -573,7 +551,9 @@ def parse_file(path, allow_unlabeled: bool = False) -> ParseResult:
     with a ParseError since that almost certainly means the wrong file was
     given, and so does a file with no records at all (empty or blank lines
     only). Blank lines count toward line numbers but not toward the 1%.
-    A field of any length is read alike; a malformed line's reason is parse_line's.
+    A field of any length is read alike. A malformed line's reason is
+    "line N: expected 42 or 43 comma-separated fields, got n" or "line N:
+    difficulty column '...' is not an integer".
 
     _scan stages every record's line number and field numbers in one
     anonymous mapping. The table's line numbers and every field's codes,

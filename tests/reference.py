@@ -134,28 +134,64 @@ def ref_retrain_epoch(reps, samples, labels, alpha):
 # record mapped one string at a time.
 
 
-def ref_parse_file(path, allow_unlabeled=False):
-    """(records, lines, malformed) of a file read line by line in text mode.
+def ref_parse_line(line, line_no=0, allow_unlabeled=False):
+    """RawRecord of one comma-separated line: 42 fields (features and label)
+    or 43 (and difficulty); 41 bare feature fields only when allow_unlabeled
+    is set. Any other line raises the ParseError naming why."""
+    from hdnids.dataset import NUM_FEATURES, ParseError, RawRecord
 
-    lines holds each record's line as read, without its line end. Raises
-    the ParseError parse_file raises for a file with no records or more
-    than 1% malformed lines.
-    """
-    from hdnids.dataset import ParseError, parse_line
+    fields = line.split(",")
+    n = len(fields)
+    if n == NUM_FEATURES + 1:
+        values, label, difficulty = fields[:NUM_FEATURES], fields[NUM_FEATURES], None
+    elif n == NUM_FEATURES + 2:
+        values, label = fields[:NUM_FEATURES], fields[NUM_FEATURES]
+        try:
+            difficulty = int(fields[NUM_FEATURES + 1])
+        except ValueError:
+            raise ParseError(
+                f"line {line_no}: difficulty column {fields[NUM_FEATURES + 1]!r} "
+                "is not an integer"
+            ) from None
+    elif allow_unlabeled and n == NUM_FEATURES:
+        values, label, difficulty = fields, None, None
+    else:
+        raise ParseError(
+            f"line {line_no}: expected {NUM_FEATURES + 1} or {NUM_FEATURES + 2} "
+            f"comma-separated fields, got {n}"
+        )
+    return RawRecord(values=tuple(values), label=None if label is None else label.strip(),
+                     difficulty=difficulty, line_no=line_no)
+
+
+def ref_scan(path, allow_unlabeled=False):
+    """(records, lines, malformed) of a file read line by line in text mode,
+    whatever share of its lines is malformed. lines holds each record's line
+    as read, without its line end; malformed each other line that is not
+    blank, as (line_no, reason)."""
+    from hdnids.dataset import ParseError
 
     records, lines, malformed = [], [], []
-    total = 0
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.rstrip("\r\n")
             if not line.strip():
                 continue
-            total += 1
             try:
-                records.append(parse_line(line, line_no, allow_unlabeled=allow_unlabeled))
+                records.append(ref_parse_line(line, line_no, allow_unlabeled=allow_unlabeled))
                 lines.append(line)
             except ParseError as exc:
                 malformed.append((line_no, str(exc)))
+    return records, lines, malformed
+
+
+def ref_parse_file(path, allow_unlabeled=False):
+    """ref_scan of a file, or the ParseError parse_file raises for a file
+    with no records or more than 1% malformed lines."""
+    from hdnids.dataset import ParseError
+
+    records, lines, malformed = ref_scan(path, allow_unlabeled)
+    total = len(records) + len(malformed)
     if not total:
         raise ParseError(f"{path}: no records")
     if len(malformed) / total > 0.01:

@@ -22,7 +22,6 @@ from hdnids.dataset import (
     load_label_map,
     map_label,
     parse_file,
-    parse_line,
     split,
 )
 from conftest import make_synth_lines
@@ -37,31 +36,41 @@ def make_line(label="normal", difficulty=None, features=None):
 
 
 class TestParseLine:
-    def test_with_difficulty(self):
-        r = parse_line(make_line("neptune", 21), line_no=3)
+    """One line as parse_file reads it: its fields, or why it is malformed."""
+
+    @staticmethod
+    def parse(tmp_path, lines, allow_unlabeled=False):
+        p = tmp_path / "f.txt"
+        p.write_text("\n".join(lines) + "\n")
+        return parse_file(p, allow_unlabeled=allow_unlabeled)
+
+    def test_with_difficulty(self, tmp_path):
+        r = self.parse(tmp_path, ["", "", make_line("neptune", 21)]).records[0]
         assert len(r.values) == NUM_FEATURES
         assert r.label == "neptune"
         assert r.difficulty == 21
         assert r.line_no == 3
 
-    def test_without_difficulty(self):
-        r = parse_line(make_line("smurf"))
+    def test_without_difficulty(self, tmp_path):
+        r = self.parse(tmp_path, [make_line("smurf")]).records[0]
         assert r.label == "smurf" and r.difficulty is None
 
-    def test_unlabeled_only_when_allowed(self):
+    def test_unlabeled_only_when_allowed(self, tmp_path):
         bare = ",".join(str(i) for i in range(NUM_FEATURES))
-        r = parse_line(bare, allow_unlabeled=True)
+        r = self.parse(tmp_path, [bare], allow_unlabeled=True).records[0]
         assert r.label is None
         with pytest.raises(ParseError, match="42 or 43"):
-            parse_line(bare)
+            self.parse(tmp_path, [bare])
 
-    def test_wrong_field_count(self):
-        with pytest.raises(ParseError, match="got 5"):
-            parse_line("a,b,c,d,e", line_no=9)
+    def test_wrong_field_count(self, tmp_path):
+        with pytest.raises(ParseError, match="first: line 9: expected 42 or 43 "
+                                             "comma-separated fields, got 5$"):
+            self.parse(tmp_path, [make_line()] * 8 + ["a,b,c,d,e"])
 
-    def test_bad_difficulty(self):
-        with pytest.raises(ParseError, match="difficulty"):
-            parse_line(make_line("normal") + ",high")
+    def test_bad_difficulty(self, tmp_path):
+        with pytest.raises(ParseError, match="first: line 1: difficulty column 'high' "
+                                             "is not an integer$"):
+            self.parse(tmp_path, [make_line("normal") + ",high"])
 
 
 class TestParseFile:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import hdnids.encoding as encoding
 from hdnids import infer_schema
 from hdnids.codebook import FeatureSchema, FeatureSpec, build_codebook
-from hdnids.dataset import NUM_FEATURES, RecordTable, parse_file, parse_line
+from hdnids.dataset import NUM_FEATURES, RecordTable, parse_file
 from hdnids.encoding import (
     DEFAULT_BATCH_SIZE,
     EncodedDataset,
@@ -327,7 +327,7 @@ class TestPackedKernel:
                                                 threshold, digest):
         """Encodings of the conftest corpus, a third of its records twice, are
         pinned to the bytes the unpacked gather-and-add encoder wrote."""
-        rows = [parse_line(line).values for line in synth_lines]
+        rows = [tuple(line.split(",")[:NUM_FEATURES]) for line in synth_lines]
         schema = infer_schema(RecordTable.from_rows(rows, NUM_FEATURES), log_scale=log_scale)
         rows += rows[::3]
         cb = build_codebook(schema, dim=dim, bins=10, seed=42)
