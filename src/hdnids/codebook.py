@@ -79,6 +79,8 @@ class FeatureSpec:
     def __post_init__(self):
         if self.vocabulary is not None:
             object.__setattr__(self, "vocabulary", tuple(self.vocabulary))
+        if not isinstance(self.name, str):
+            raise ValueError(f"feature name must be a string, got {self.name!r}")
         if self.kind not in (KIND_CONTINUOUS, KIND_CATEGORICAL):
             raise ValueError(f"unknown feature kind {self.kind!r}")
         if self.kind == KIND_CONTINUOUS:

@@ -645,9 +645,10 @@ class LabelMap:
     once built.
 
     raw_to_class is held as a read-only mapping and class_names as a tuple.
-    Construction, dataclasses.replace included, raises ValueError when
-    strict is not a bool, or when fallback_class or a mapped class index is
-    not an integer in [0, len(class_names)).
+    Construction, dataclasses.replace included, raises ValueError when the
+    class names are not distinct strings, when strict is not a bool, or when
+    fallback_class or a mapped class index is not an integer in
+    [0, len(class_names)).
     """
 
     raw_to_class: Mapping[str, int]
@@ -658,6 +659,9 @@ class LabelMap:
     def __post_init__(self):
         object.__setattr__(self, "raw_to_class", MappingProxyType(dict(self.raw_to_class)))
         object.__setattr__(self, "class_names", tuple(self.class_names))
+        names = self.class_names
+        if not all(isinstance(n, str) for n in names) or len(set(names)) != len(names):
+            raise ValueError(f"label map class names must be distinct strings, got {names!r}")
         if not isinstance(self.strict, bool):
             raise ValueError(f"label map strict must be true or false, got {self.strict!r}")
         classes = len(self.class_names)

@@ -120,7 +120,7 @@ class Hyperparams:
     Construction, dataclasses.replace included, raises ValueError naming the
     first field that is out of range: dim, bins, iterations and seed are
     integers with dim >= 1, 1 <= bins <= dim and iterations >= 0; alpha is
-    finite and > 0; threshold is None or finite.
+    finite and > 0; threshold is None or finite; log_scale is a bool.
     """
 
     dim: int = 10000
@@ -154,6 +154,8 @@ class Hyperparams:
             raise ValueError(f"alpha must be finite and > 0, got {self.alpha!r}")
         if self.threshold is not None and not finite(self.threshold):
             raise ValueError(f"threshold must be finite, got {self.threshold!r}")
+        if not isinstance(self.log_scale, bool):
+            raise ValueError(f"log_scale must be true or false, got {self.log_scale!r}")
 
 
 @dataclass(frozen=True, eq=False)

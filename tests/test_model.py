@@ -398,6 +398,7 @@ class TestHyperparams:
         ("alpha", 0.0), ("alpha", -1.0), ("alpha", float("nan")), ("alpha", float("inf")),
         ("alpha", "1"), ("threshold", float("inf")), ("threshold", float("nan")),
         ("threshold", "20"), ("iterations", -1), ("seed", None),
+        ("log_scale", "yes"), ("log_scale", "false"), ("log_scale", 0), ("log_scale", None),
     ])
     def test_rejects(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -792,16 +793,6 @@ class TestPersistence:
         arrays = back.codebook.matrix.nbytes + back.reps.nbytes
         assert arrays > 90_000
         assert arrays <= held < arrays + 32_000
-
-    def test_string_log_scale_still_loads(self, tmp_path, synth_lines):
-        """Files written while config values went unchecked may hold a string
-        log_scale; format v1 stays readable, so they load as written."""
-        model, _, _ = self.build(tmp_path, synth_lines)
-        path = tmp_path / "m.hdm"
-        save_model(model, path)
-        path.write_bytes(edit_header(path.read_bytes(), lambda h: {
-            **h, "hyperparams": {**h["hyperparams"], "log_scale": "false"}}))
-        assert load_model(path).hyperparams.log_scale == "false"
 
     def test_save_is_deterministic(self, tmp_path, synth_lines):
         model, _, _ = self.build(tmp_path, synth_lines)

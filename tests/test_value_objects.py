@@ -156,6 +156,8 @@ def test_codebook_checks_its_matrix():
     ({"raw_to_class": {"normal": 0, "smurf": 7}}, r"7 is not an integer in \[0, 2\)"),
     ({"raw_to_class": {"normal": -1}}, "-1"),
     ({"class_names": ["normal"]}, r"1 is not an integer in \[0, 1\)"),
+    ({"class_names": [1, 2]}, "class names must be distinct strings"),
+    ({"class_names": ["normal", "normal"]}, "class names must be distinct strings"),
 ])
 def test_label_map_rejected_when_built(change, match):
     """A map save_model would write and load_model reject as a bad header
@@ -178,6 +180,15 @@ def test_label_map_copies_share_no_state(caplog):
         "unknown attack label 'zero_day' mapped to fallback class 'normal'",
         "unknown attack label 'zero_day' mapped to fallback class 'dos'",
     ]
+
+
+@pytest.mark.parametrize("name", [5, None, b"d"])
+def test_feature_name_must_be_a_string(name):
+    """The codebook keys a feature's vectors by its name's UTF-8 bytes."""
+    with pytest.raises(ValueError, match="feature name must be a string"):
+        FeatureSpec(name=name, kind="continuous", min=0.0, max=1.0)
+    with pytest.raises(ValueError, match="feature name must be a string"):
+        dataclasses.replace(schema().features[1], name=name)
 
 
 @pytest.mark.parametrize("vocabulary", [["tcp", "icmp"], ["a", "a"], ["b", "a", "c"]])
