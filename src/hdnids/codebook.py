@@ -127,7 +127,7 @@ class FeatureSpec:
 
 @dataclass(frozen=True)
 class FeatureSchema:
-    """Ordered feature specs plus the class names, both held as tuples.
+    """Ordered feature specs, held as a tuple.
 
     Feature order is fixed at inference-schema time and must be identical
     between training and inference; names must be unique because codebook
@@ -136,11 +136,9 @@ class FeatureSchema:
     """
 
     features: tuple[FeatureSpec, ...]
-    class_names: tuple[str, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "features", tuple(self.features))
-        object.__setattr__(self, "class_names", tuple(self.class_names))
         if not self.features:
             raise ValueError("schema needs at least one feature")
         names = [f.name for f in self.features]
@@ -152,17 +150,11 @@ class FeatureSchema:
         return len(self.features)
 
     def to_dict(self) -> dict:
-        return {
-            "features": [f.to_dict() for f in self.features],
-            "class_names": list(self.class_names),
-        }
+        return {"features": [f.to_dict() for f in self.features]}
 
     @classmethod
     def from_dict(cls, d: dict) -> "FeatureSchema":
-        return cls(
-            features=[FeatureSpec.from_dict(f) for f in d["features"]],
-            class_names=d["class_names"],
-        )
+        return cls(features=[FeatureSpec.from_dict(f) for f in d["features"]])
 
 
 def stream(seed: int, *tags: int) -> np.random.Generator:

@@ -604,7 +604,7 @@ def _carve(n: int, dtypes: list) -> list:
 
 def infer_schema(table: RecordTable, log_scale: bool = False) -> FeatureSchema:
     """Infer the per-feature schema from a RecordTable of training records
-    only; the schema's class names are CLASS_NAMES.
+    only.
 
     Symbolic columns (protocol_type, service, flag) become categorical with
     lexicographically sorted vocabularies. Numeric columns whose raw strings
@@ -636,7 +636,7 @@ def infer_schema(table: RecordTable, log_scale: bool = False) -> FeatureSchema:
                                      transform=transform))
         except ValueError as exc:  # a range float64 cannot bin
             raise ParseError(str(exc)) from None
-    return FeatureSchema(features=specs, class_names=CLASS_NAMES)
+    return FeatureSchema(features=specs)
 
 
 @dataclass(frozen=True)

@@ -53,14 +53,14 @@ sizes at alpha 0.1 on the test and benchmark corpora.
 
 Model files are a versioned binary container (magic, format version,
 JSON header, raw array payload, SHA-256 trailer); see README for the
-exact byte layout. load_model checks the container: its framing, the
-header's parts against one another, and the payload's length. Each part
-checks itself when it is built, from a file or not: Hyperparams its
-settings, FeatureSchema and FeatureSpec their features, LabelMap its
-policy and class indices, Codebook its matrix's shape and padding bits,
-and ClassModel its representatives. All of them are frozen and their
-arrays read-only, so a model that exists passed every check and still
-holds what was checked.
+exact byte layout. load_model checks the container: its framing, that the
+header is byte for byte the one save_model writes for the parts it names,
+and the payload's length. Each part checks itself when it is built, from a
+file or not: Hyperparams its settings, FeatureSchema and FeatureSpec their
+features, LabelMap its class names, policy and class indices, Codebook its
+matrix's shape and padding bits, and ClassModel its representatives. All
+of them are frozen and their arrays read-only, so a model that exists
+passed every check and still holds what was checked.
 """
 
 from __future__ import annotations
@@ -461,52 +461,56 @@ def atomic_write(path):
         raise
 
 
-def _array_manifest(rows: int, width: int, classes: int, dim: int) -> list:
-    return [
-        {"name": "codebook", "dtype": "uint8", "shape": [rows, width]},
-        {"name": "representatives", "dtype": "float64", "shape": [classes, dim]},
-    ]
+def _header_bytes(hyper: Hyperparams, schema: FeatureSchema, label_map: LabelMap) -> bytes:
+    """The JSON header of a model made of these parts: the one save_model
+    writes and the only one load_model accepts for them. The codebook
+    manifest and the array shapes follow from the hyperparams, the schema's
+    row layout and the class count; schema.class_names repeats the label
+    map's."""
+    dim, names = hyper.dim, list(label_map.class_names)
+    rows = row_offsets(schema, hyper.bins)[-1] + 1
+    header = {
+        "format_version": FORMAT_VERSION,
+        "hyperparams": hyper.to_dict(),
+        "schema": {**schema.to_dict(), "class_names": names},
+        "label_map": label_map.to_dict(),
+        "codebook": {"dim": dim, "bins": hyper.bins, "seed": hyper.seed, "rows": rows},
+        "arrays": [
+            {"name": "codebook", "dtype": "uint8", "shape": [rows, (dim + 7) // 8]},
+            {"name": "representatives", "dtype": "float64", "shape": [len(names), dim]},
+        ],
+    }
+    return json.dumps(header, sort_keys=True).encode("utf-8")
 
 
 def save_model(model: ClassModel, path) -> None:
-    """Write the model container atomically (temp file + rename), or raise
-    ValueError and write nothing where load_model would reject its header."""
-    cb = model.codebook
-    matrix = np.ascontiguousarray(cb.matrix)
-    reps = np.ascontiguousarray(model.reps)
-    header = {
-        "format_version": FORMAT_VERSION,
-        "hyperparams": model.hyperparams.to_dict(),
-        "schema": model.schema.to_dict(),
-        "label_map": model.label_map.to_dict(),
-        "codebook": {"dim": cb.dim, "bins": cb.bins, "seed": cb.seed,
-                     "rows": matrix.shape[0]},
-        "arrays": _array_manifest(*matrix.shape, *reps.shape),
-    }
-    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    _header_fields(json.loads(header_bytes))
-
-    body = bytearray()
-    body += MAGIC
-    body += FORMAT_VERSION.to_bytes(4, "little")
-    body += len(header_bytes).to_bytes(8, "little")
-    body += header_bytes
-    body += matrix.tobytes()
-    body += reps.tobytes()
-    body += hashlib.sha256(body).digest()
+    """Write the model container atomically (temp file + rename), its
+    header the one _header_bytes lays out. Raises ValueError and writes
+    nothing when the codebook was not built with the hyperparams' dim, bins
+    and seed for the schema, which that header would misdescribe; ClassModel
+    has already checked that reps fits the label map and the hyperparams."""
+    hyper, cb = model.hyperparams, model.codebook
+    if (cb.dim, cb.bins, cb.seed, cb.offsets) != (
+            hyper.dim, hyper.bins, hyper.seed, row_offsets(model.schema, hyper.bins)):
+        raise ValueError(f"the codebook (dim {cb.dim}, bins {cb.bins}, seed {cb.seed}) was "
+                         f"not built with the hyperparams' dim {hyper.dim}, bins {hyper.bins} "
+                         f"and seed {hyper.seed} for this schema")
+    header = _header_bytes(hyper, model.schema, model.label_map)
+    body = b"".join([MAGIC, FORMAT_VERSION.to_bytes(4, "little"), len(header).to_bytes(8, "little"),
+                     header, cb.matrix.tobytes(), model.reps.tobytes()])  # C order at any strides
     with atomic_write(path) as fh:
         fh.write(body)
+        fh.write(hashlib.sha256(body).digest())
 
 
 def load_model(path) -> ClassModel:
     """Read a model container; any structural damage raises CorruptModelError."""
-    blob = Path(path).read_bytes()
+    blob = memoryview(Path(path).read_bytes())  # slices share the file's bytes
     if len(blob) < len(MAGIC) + 4 + 8 + 32:
         raise CorruptModelError(f"{path}: file too short to be a model")
     if blob[: len(MAGIC)] != MAGIC:
         raise CorruptModelError(f"{path}: bad magic bytes")
-    digest = hashlib.sha256(blob[:-32]).digest()
-    if digest != blob[-32:]:
+    if blob[-32:] != hashlib.sha256(blob[:-32]).digest():
         raise CorruptModelError(f"{path}: checksum mismatch (truncated or edited?)")
     version = int.from_bytes(blob[8:12], "little")
     if version != FORMAT_VERSION:
@@ -517,46 +521,42 @@ def load_model(path) -> ClassModel:
     if header_end > len(blob) - 32:
         raise CorruptModelError(f"{path}: header runs past the end of the file")
     try:
-        header = json.loads(blob[20:header_end].decode("utf-8"))
-        fields = _header_fields(header)
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        parts = _header_fields(blob[20:header_end])
+    except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
         raise CorruptModelError(f"{path}: bad header: {exc!r}") from None
     try:
-        return _model_from(*fields, blob[header_end:-32])
+        return _model_from(*parts, blob[header_end:-32])
     except ValueError as exc:
         raise CorruptModelError(f"{path}: bad arrays: {exc!r}") from None
 
 
-def _header_fields(header: dict) -> tuple:
-    """(hyperparams, schema, label map, codebook row offsets) of a decoded
-    header. Raises ValueError, KeyError or TypeError when a field is missing
-    or one of the three objects rejects it, when the codebook manifest's
-    dim, bins or seed differ from the hyperparams', or when the array
-    manifest does not give the shapes the schema, codebook manifest and
-    label map imply."""
-    schema = FeatureSchema.from_dict(header["schema"])
-    label_map = LabelMap.from_dict(header["label_map"])
-    hyper = Hyperparams.from_dict(header["hyperparams"])
-    manifest = header["codebook"]
-    dim, bins, seed = hyper.dim, hyper.bins, hyper.seed
-    if [manifest["dim"], manifest["bins"], manifest["seed"]] != [dim, bins, seed]:
-        raise ValueError(f"codebook {manifest} was not built with the hyperparams' "
-                         f"dim {dim}, bins {bins} and seed {seed}")
-    offsets = row_offsets(schema, bins)
-    rows = offsets[-1] + 1
-    expected = _array_manifest(rows, (dim + 7) // 8, len(label_map.class_names), dim)
-    if manifest["rows"] != rows or header["arrays"] != expected:
-        raise ValueError(f"arrays {header['arrays']} do not match the schema's {expected}")
-    return hyper, schema, label_map, offsets
+def _header_fields(raw) -> tuple:
+    """(hyperparams, schema, label map) of a header's bytes. Raises
+    ValueError, KeyError or TypeError when a field is missing or one of the
+    three objects rejects it, or when raw is not the header _header_bytes
+    lays out for them, naming the first top-level section that differs."""
+    header = json.loads(str(raw, "utf-8"))
+    parts = (Hyperparams.from_dict(header["hyperparams"]),
+             FeatureSchema.from_dict(header["schema"]), LabelMap.from_dict(header["label_map"]))
+    canonical = _header_bytes(*parts)
+    if raw != canonical:
+        expected = json.loads(canonical)
+        differs = [key for key in sorted(header.keys() | expected.keys())
+                   if json.dumps(header.get(key), sort_keys=True)
+                   != json.dumps(expected.get(key), sort_keys=True)]
+        raise ValueError(f"section {differs[0]!r} is not the one save_model writes"
+                         if differs else "not laid out as save_model writes it")
+    return parts
 
 
 def _model_from(hyper: Hyperparams, schema: FeatureSchema, label_map: LabelMap,
-                offsets: tuple, payload: bytes) -> ClassModel:
+                payload) -> ClassModel:
     """The model of _header_fields' parts and the array bytes; its codebook
     matrix and representatives are copies of their bytes, so the model does
     not keep payload alive. Raises ValueError when the payload's length is
     not the arrays', or when Codebook rejects the codebook matrix or
     ClassModel the representatives."""
+    offsets = row_offsets(schema, hyper.bins)
     dim, classes = hyper.dim, len(label_map.class_names)
     rows, width = offsets[-1] + 1, (dim + 7) // 8
     need = rows * width + classes * dim * 8

@@ -124,6 +124,73 @@ def edit_header(blob, edit):
     return reframe(blob, json.dumps(edit(header), sort_keys=True).encode("utf-8"))
 
 
+def _format_version_string(h):
+    h["format_version"] = "x"
+    return h
+
+
+def _float_codebook_rows(h):
+    h["codebook"]["rows"] = float(h["codebook"]["rows"])  # 433.0 == 433
+    return h
+
+
+def _float_codebook_dim(h):
+    h["codebook"]["dim"] = float(h["codebook"]["dim"])
+    return h
+
+
+def _float_codebook_seed(h):
+    h["codebook"]["seed"] = float(h["codebook"]["seed"])
+    return h
+
+
+def _float_array_shape(h):
+    h["arrays"][1]["shape"] = [float(n) for n in h["arrays"][1]["shape"]]
+    return h
+
+
+def _object_schema_class_names(h):
+    h["schema"]["class_names"] = {"a": 1}
+    return h
+
+
+def _string_log_scale(h):
+    h["hyperparams"]["log_scale"] = "yes"
+    return h
+
+
+def _int_log_scale(h):
+    h["hyperparams"]["log_scale"] = 0
+    return h
+
+
+def _int_feature_name(h):
+    h["schema"]["features"][0]["name"] = 5
+    return h
+
+
+def _int_class_names(h):
+    names = list(range(1, len(h["label_map"]["class_names"]) + 1))
+    h["schema"]["class_names"] = h["label_map"]["class_names"] = names
+    return h
+
+
+def _repeated_class_names(h):
+    names = ["normal"] * len(h["label_map"]["class_names"])
+    h["schema"]["class_names"] = h["label_map"]["class_names"] = names
+    return h
+
+
+# checksum-valid headers each of which once loaded, its fault unread or
+# unchecked; the class names are changed in the schema and the label map
+# alike, so only LabelMap's own check can reject them
+CRAFTED_HEADERS = [
+    _format_version_string, _float_codebook_rows, _float_codebook_dim, _float_codebook_seed,
+    _float_array_shape, _object_schema_class_names, _string_log_scale, _int_log_scale,
+    _int_feature_name, _int_class_names, _repeated_class_names,
+]
+
+
 def find_nslkdd():
     """Locate KDDTrain+.txt / KDDTest+.txt; returns (train, test) or None."""
     roots = []

@@ -224,7 +224,7 @@ def ref_numbers(column, name, lines=None):
 def ref_infer_schema(records, log_scale=False):
     """The schema of RawRecords, every column read as a list of strings."""
     from hdnids.codebook import FeatureSchema, FeatureSpec
-    from hdnids.dataset import CLASS_NAMES, COLUMN_NAMES, SYMBOLIC_COLUMNS
+    from hdnids.dataset import COLUMN_NAMES, SYMBOLIC_COLUMNS
 
     transform = "log1p" if log_scale else "none"
     lines = [r.line_no for r in records]
@@ -243,7 +243,7 @@ def ref_infer_schema(records, log_scale=False):
                 vals = np.log1p(np.maximum(vals, 0.0))
             specs.append(FeatureSpec(name=name, kind="continuous", min=float(vals.min()),
                                      max=float(vals.max()), transform=transform))
-    return FeatureSchema(features=specs, class_names=list(CLASS_NAMES))
+    return FeatureSchema(features=specs)
 
 
 def ref_row_indices(rows, schema, bins, lines=None):

@@ -138,7 +138,7 @@ def test_criterion_2_packed_vs_naive_oracle():
         else:
             feats.append(FeatureSpec(name=f"num{j}", kind="continuous",
                                      min=0.0, max=1000.0))
-    schema = FeatureSchema(features=feats, class_names=["x", "y"])
+    schema = FeatureSchema(features=feats)
     cb = build_codebook(schema, dim=64, bins=10, seed=SEED)
     threshold = schema.num_features / 2.0
 
@@ -169,9 +169,7 @@ def test_criterion_3_level_chain_contract():
     """At D=10000, K=10: adjacent levels differ by exactly 1000 bits,
     endpoints are farther apart than neighbors, chain is seed-stable."""
     schema = FeatureSchema(
-        features=[FeatureSpec(name="f", kind="continuous", min=0.0, max=1.0)],
-        class_names=["x"],
-    )
+        features=[FeatureSpec(name="f", kind="continuous", min=0.0, max=1.0)])
     cb = build_codebook(schema, dim=10000, bins=10, seed=SEED)
     chain = cb.matrix[cb.offsets[0] + 1 : cb.offsets[1]]
     assert len(chain) == 10

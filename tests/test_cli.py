@@ -22,7 +22,7 @@ from hdnids.cli import main
 from hdnids.dataset import parse_file
 from hdnids.encoding import encode_dataset
 from hdnids.model import load_model, predict_batch
-from conftest import DEFAULT_COUNTS, edit_header, make_synth_lines, reframe
+from conftest import CRAFTED_HEADERS, DEFAULT_COUNTS, edit_header, make_synth_lines, reframe
 
 
 @pytest.fixture()
@@ -464,6 +464,16 @@ class TestEvaluate:
             return header
 
         broken.write_bytes(edit_header(model.read_bytes(), huge))
+        capsys.readouterr()
+        assert run(["evaluate", "--model", broken, "--test", corpus]) == 5
+        assert "bad header" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", CRAFTED_HEADERS)
+    def test_crafted_header_exit_code(self, tmp_path, corpus, capsys, edit):
+        # a header that once loaded: its checksum is valid, and it is not
+        # the header save_model writes or one of its parts rejects a field
+        broken = tmp_path / "broken.hdm"
+        broken.write_bytes(edit_header(quick_train(tmp_path, corpus).read_bytes(), edit))
         capsys.readouterr()
         assert run(["evaluate", "--model", broken, "--test", corpus]) == 5
         assert "bad header" in capsys.readouterr().err

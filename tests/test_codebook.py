@@ -42,9 +42,7 @@ def value_rows(cb, j):
 
 def small_schema():
     return FeatureSchema(
-        features=[cont("duration"), cat("protocol", ["icmp", "tcp", "udp"]), cont("bytes")],
-        class_names=["normal", "dos"],
-    )
+        features=[cont("duration"), cat("protocol", ["icmp", "tcp", "udp"]), cont("bytes")])
 
 
 class TestFeatureSpec:
@@ -103,11 +101,11 @@ class TestFeatureSpec:
 class TestFeatureSchema:
     def test_empty(self):
         with pytest.raises(ValueError):
-            FeatureSchema(features=[], class_names=["a"])
+            FeatureSchema(features=[])
 
     def test_duplicate_names(self):
         with pytest.raises(ValueError):
-            FeatureSchema(features=[cont("x"), cont("x")], class_names=["a"])
+            FeatureSchema(features=[cont("x"), cont("x")])
 
     def test_dict_roundtrip(self):
         schema = small_schema()
@@ -165,10 +163,8 @@ class TestBuildCodebook:
 
     def test_feature_codes_keyed_by_name_not_position(self):
         base = [cont("duration"), cat("protocol", ["tcp", "udp"])]
-        schema_a = FeatureSchema(features=list(base), class_names=["a"])
-        schema_b = FeatureSchema(
-            features=[cont("extra")] + list(base), class_names=["a"]
-        )
+        schema_a = FeatureSchema(features=list(base))
+        schema_b = FeatureSchema(features=[cont("extra")] + list(base))
         cb_a = build_codebook(schema_a, dim=256, bins=4, seed=42)
         cb_b = build_codebook(schema_b, dim=256, bins=4, seed=42)
         # the shared features moved position but keep their exact codes

@@ -38,7 +38,7 @@ def cat(name, vocab):
 def mixed_schema(n_cont=4, n_cat=2, transform="none"):
     feats = [cont(f"c{i}", 0.0, 1000.0, transform=transform) for i in range(n_cont)]
     feats += [cat(f"k{i}", ["a", "b", "c", "d"]) for i in range(n_cat)]
-    return FeatureSchema(features=feats, class_names=["x", "y"])
+    return FeatureSchema(features=feats)
 
 
 def random_rows(schema, n, seed):
@@ -78,7 +78,7 @@ class TestScalarPath:
     def test_binarize_is_strict(self):
         # one feature: every coordinate sum is 0 or 1, so threshold 1 is
         # never exceeded while threshold 0 keeps exactly the set bits
-        schema = FeatureSchema(features=[cont("c0")], class_names=["x"])
+        schema = FeatureSchema(features=[cont("c0")])
         cb = build_codebook(schema, dim=64, bins=4, seed=3)
         row = [("50",)]
         assert not encode_dataset(row, cb, schema, 1.0).packed.any()
@@ -219,7 +219,7 @@ class TestBatchPath:
         # >=250 features forces the uint16 accumulator; coordinate sums
         # past 255 must not wrap
         feats = [cont(f"c{i}", 0.0, 10.0) for i in range(300)]
-        schema = FeatureSchema(features=feats, class_names=["x"])
+        schema = FeatureSchema(features=feats)
         cb = build_codebook(schema, dim=64, bins=4, seed=8)
         t = default_threshold(schema)
         rows = [tuple(str(v % 10) for v in range(300)) for _ in range(3)]
@@ -296,7 +296,7 @@ class TestPackedKernel:
         bins = min(dim, 8)
         feats = [cat(f"k{j}", ["a", "b", "c"]) if j % 5 == 4 else cont(f"c{j}", 0.0, bins)
                  for j in range(features)]
-        schema = FeatureSchema(features=feats, class_names=["x"])
+        schema = FeatureSchema(features=feats)
         cb = build_codebook(schema, dim=dim, bins=bins, seed=data.draw(st.integers(0, 99)))
         m = data.draw(st.integers(0, features))
         threshold = {"negative": -0.5 - m, "zero": 0.0, "integer": float(m),
@@ -343,8 +343,7 @@ class TestMemory:
     def test_index_dtype_holds_every_table_row(self, vocabulary, dtype):
         # a categorical feature's last row, OOV, has index len(vocabulary)
         vocab = [f"v{i:03d}" for i in range(vocabulary)]
-        schema = FeatureSchema(features=[cat("k", vocab), cont("c", 0.0, 9.0)],
-                               class_names=["x"])
+        schema = FeatureSchema(features=[cat("k", vocab), cont("c", 0.0, 9.0)])
         cb = build_codebook(schema, dim=96, bins=10, seed=2)
         tables = EncoderTables(cb, schema)
         assert tables.index_dtype == dtype
@@ -363,8 +362,7 @@ class TestMemory:
         """The distinct rows and the inverse are np.unique's of the index
         rows, byte for byte, in uint8 and in uint16 indices."""
         vocab = [f"v{i:03d}" for i in range(vocabulary)]
-        schema = FeatureSchema(features=[cat("k", vocab), cont("c", 0.0, 9.0), cat("j", "ab")],
-                               class_names=["x"])
+        schema = FeatureSchema(features=[cat("k", vocab), cont("c", 0.0, 9.0), cat("j", "ab")])
         cb = build_codebook(schema, dim=64, bins=10, seed=2)
         rng = np.random.default_rng(seed)
         rows = [(vocab[a], str(b), "ab"[c]) for a, b, c in
@@ -383,8 +381,7 @@ class TestMemory:
     def test_count_buffers_cover_one_call(self, features):
         """EncoderTables.buffers is what one count holds at once, so a worker
         handed that many allocates none, and the encodings do not change."""
-        schema = FeatureSchema(features=[cont(f"c{j}", 0.0, 9.0) for j in range(features)],
-                               class_names=["x"])
+        schema = FeatureSchema(features=[cont(f"c{j}", 0.0, 9.0) for j in range(features)])
         cb = build_codebook(schema, dim=200, bins=10, seed=3)
         tables = EncoderTables(cb, schema)
         idx = np.random.default_rng(features).integers(0, 10, size=(37, features))

@@ -83,9 +83,7 @@ class TestHypervector:
 
     def test_bad_dim(self):
         schema = FeatureSchema(
-            features=[FeatureSpec(name="f", kind="continuous", min=0.0, max=1.0)],
-            class_names=["x"],
-        )
+            features=[FeatureSpec(name="f", kind="continuous", min=0.0, max=1.0)])
         with pytest.raises(ValueError):
             build_codebook(schema, dim=0, bins=1, seed=1)
         with pytest.raises(ValueError):
@@ -127,9 +125,7 @@ class TestOps:
         # the encoder binds each value row to its feature's base by XOR
         schema = FeatureSchema(
             features=[FeatureSpec(name="f", kind="continuous", min=0.0, max=1.0),
-                      FeatureSpec(name="k", kind="categorical", vocabulary=["a", "b"])],
-            class_names=["x"],
-        )
+                      FeatureSpec(name="k", kind="categorical", vocabulary=["a", "b"])])
         cb = build_codebook(schema, dim=37, bins=3, seed=5)
         tables = EncoderTables(cb, schema)
         rows = cb.matrix

@@ -595,7 +595,7 @@ def encoding_schema(log_scale):
                               vocabulary=["tcp", "udp"] if j in dataset.SYMBOLIC_COLUMNS
                               else ["0", "1"])
              for j, name in enumerate(dataset.COLUMN_NAMES)]
-    return FeatureSchema(features=specs, class_names=dataset.CLASS_NAMES)
+    return FeatureSchema(features=specs)
 
 
 def ref_encoded(records, codebook, schema, threshold):

@@ -33,8 +33,8 @@ from hdnids.model import (
     train_initial,
 )
 from conftest import (
-    DEFAULT_COUNTS, edit_header, make_synth_lines, reframe, train_small_model,
-    with_hyperparams,
+    CRAFTED_HEADERS, DEFAULT_COUNTS, edit_header, make_synth_lines, reframe,
+    train_small_model, with_hyperparams,
 )
 from reference import ref_cosine, ref_retrain_epoch, ref_unpack
 
@@ -48,11 +48,9 @@ def tiny_label_map(names):
                     class_names=list(names))
 
 
-def tiny_schema(names):
+def tiny_schema():
     return FeatureSchema(
-        features=[FeatureSpec(name="f", kind="continuous", min=0.0, max=1.0)],
-        class_names=list(names),
-    )
+        features=[FeatureSpec(name="f", kind="continuous", min=0.0, max=1.0)])
 
 
 def toy_clusters(seed=6, n_per=30, dim=64, flip=24, classes=3):
@@ -76,7 +74,7 @@ def toy_model(data, classes=3, seed=6, alpha=1.0, iterations=50):
     return ClassModel(
         reps=train_initial(data, classes),
         codebook=None,
-        schema=tiny_schema(names),
+        schema=tiny_schema(),
         label_map=tiny_label_map(names),
         hyperparams=Hyperparams(dim=data.dim, alpha=alpha, iterations=iterations, seed=seed),
     )
@@ -108,7 +106,7 @@ def check_retrain_against_oracle(n, dim, classes, alpha, seed):
     epochs = 2
     model = ClassModel(
         reps=train_initial(data, classes), codebook=None,
-        schema=tiny_schema(names), label_map=tiny_label_map(names),
+        schema=tiny_schema(), label_map=tiny_label_map(names),
         hyperparams=Hyperparams(dim=dim, bins=1, alpha=alpha, iterations=epochs, seed=seed),
     )
     got, trace = retrain(model, data)
@@ -191,7 +189,7 @@ class TestPredict:
         rep = np.array([1.0, 1.0, 0.0, 0.0])
         model = ClassModel(
             reps=np.array([rep, rep]),
-            codebook=None, schema=tiny_schema(["a", "b"]),
+            codebook=None, schema=tiny_schema(),
             label_map=tiny_label_map(["a", "b"]),
             hyperparams=Hyperparams(dim=4, bins=1),
         )
@@ -229,7 +227,7 @@ class TestPredict:
         reps = [np.ones(9), np.arange(9, dtype=np.float64)]
         model = ClassModel(
             reps=np.array(reps, dtype=np.float64),
-            codebook=None, schema=tiny_schema(["a", "b"]),
+            codebook=None, schema=tiny_schema(),
             label_map=tiny_label_map(["a", "b"]), hyperparams=Hyperparams(dim=9, bins=1),
         )
         _, sims = predict_batch(model, EncodedDataset(rows, 9))
@@ -247,7 +245,7 @@ class TestPredict:
         names = ["a", "b", "c", "d", "e"]
         model = ClassModel(
             reps=reps,
-            codebook=None, schema=tiny_schema(names),
+            codebook=None, schema=tiny_schema(),
             label_map=tiny_label_map(names), hyperparams=Hyperparams(dim=dim),
         )
         _, sims = predict_batch(model, EncodedDataset(rows, dim))
@@ -422,7 +420,7 @@ class TestHyperparams:
 
 def two_class_model(reps):
     """A two-class model at dim 8 holding reps as given."""
-    return ClassModel(reps, None, tiny_schema(["a", "b"]), tiny_label_map(["a", "b"]),
+    return ClassModel(reps, None, tiny_schema(), tiny_label_map(["a", "b"]),
                       Hyperparams(dim=8, bins=1))
 
 
@@ -705,8 +703,7 @@ class TestSharedRows:
         schema = FeatureSchema(
             features=[FeatureSpec(name=f"c{j}", kind="continuous", min=0.0, max=8.0)
                       for j in range(5)]
-            + [FeatureSpec(name="k", kind="categorical", vocabulary=["x", "y"])],
-            class_names=names)
+            + [FeatureSpec(name="k", kind="categorical", vocabulary=["x", "y"])])
         pool = [tuple(str(v) for v in rng.uniform(-1.0, 9.0, size=5))
                 + (["x", "y", "z"][rng.integers(3)],) for _ in range(distinct)]
         values = [pool[i] for i in rng.integers(0, distinct, size=n)]
@@ -916,16 +913,15 @@ class TestSaveRefusesWhatLoadRejects:
     @pytest.mark.parametrize("over", [{"dim": 2000}, {"bins": 5}, {"seed": 2}, {"features": 2}])
     def test_refused(self, tmp_path, over):
         names = ["a", "b"]
-        codebook = build_codebook(tiny_schema(names), dim=1000, bins=10, seed=1)
+        codebook = build_codebook(tiny_schema(), dim=1000, bins=10, seed=1)
         over = dict(over)
         schema = FeatureSchema(
             features=[FeatureSpec(name=f"f{j}", kind="continuous", min=0.0, max=1.0)
-                      for j in range(over.pop("features", 1))],
-            class_names=names)
+                      for j in range(over.pop("features", 1))])
         hyper = Hyperparams(**{"dim": 1000, "bins": 10, "seed": 1, **over})
         model = ClassModel(np.zeros((2, hyper.dim)), codebook, schema, tiny_label_map(names),
                            hyper)
-        with pytest.raises(ValueError, match="was not built with|do not match"):
+        with pytest.raises(ValueError, match="was not built with"):
             save_model(model, tmp_path / "m.hdm")
         assert list(tmp_path.iterdir()) == []
 
@@ -945,7 +941,7 @@ class TestDamagedHeader:
     @pytest.mark.parametrize("edit", [
         _drop_schema, _bad_dtype, _class_out_of_range, _infinite_threshold,
         _huge_alpha, _huge_threshold, _huge_max, _string_strict, _fractional_fallback, _bool_fallback, _bool_class,
-        _hyperparams_dim, _hyperparams_bins, _hyperparams_seed,
+        _hyperparams_dim, _hyperparams_bins, _hyperparams_seed, *CRAFTED_HEADERS,
     ])
     def test_rejected(self, tmp_path, blob, edit):
         path = tmp_path / "bad.hdm"
@@ -1006,6 +1002,13 @@ class TestDamagedHeader:
         with pytest.raises(CorruptModelError, match="bad arrays: .*past dim"):
             load_model(path)
 
+    def test_deeply_nested_header_rejected(self, tmp_path, blob):
+        # deeper than the JSON decoder recurses
+        path = tmp_path / "deep.hdm"
+        path.write_bytes(reframe(blob, b"[" * 100_000 + b"]" * 100_000))
+        with pytest.raises(CorruptModelError, match="bad header: RecursionError"):
+            load_model(path)
+
     def test_unedited_header_loads(self, tmp_path, blob):
         path = tmp_path / "same.hdm"
         path.write_bytes(edit_header(blob, lambda h: h))
@@ -1059,3 +1062,36 @@ class TestDamagedHeader:
             load_model(path)
         except CorruptModelError:
             pass
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_prop_rejected_or_canonical(self, tmp_path, blob, data):
+        """One header entry, a leaf or a subtree, replaced and the file
+        re-signed: it is rejected, or it is the file save_model writes for
+        the model it loads, so nothing is accepted and silently rewritten."""
+        value = data.draw(st.one_of(
+            st.integers(2**63, 10**400), st.integers(-10**6, -1), st.just(0), st.floats(),
+            st.just(1e308), st.booleans(), st.none(), st.text(max_size=4), st.just([]),
+            st.lists(st.integers(-2, 2) | st.text(max_size=2), min_size=1, max_size=3),
+            st.dictionaries(st.text(max_size=3), st.integers(-2, 2) | st.none(),
+                            max_size=2)))
+
+        def edit(header):
+            node, key = header, data.draw(st.sampled_from(sorted(header)))
+            # walk down while the entry has entries and a coin says so
+            while isinstance(node[key], (dict, list)) and node[key] and data.draw(st.booleans()):
+                node = node[key]
+                key = data.draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                                else range(len(node))))
+            node[key] = value
+            return header
+
+        path = tmp_path / "edit.hdm"
+        path.write_bytes(edit_header(blob, edit))
+        try:
+            model = load_model(path)
+        except CorruptModelError:
+            return
+        save_model(model, tmp_path / "again.hdm")
+        assert (tmp_path / "again.hdm").read_bytes() == path.read_bytes()

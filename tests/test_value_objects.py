@@ -20,9 +20,7 @@ FROZEN = dataclasses.FrozenInstanceError
 def schema():
     return FeatureSchema(
         features=[FeatureSpec(name="d", kind="continuous", min=0.0, max=9.0),
-                  FeatureSpec(name="p", kind="categorical", vocabulary=["icmp", "tcp"])],
-        class_names=["normal", "dos"],
-    )
+                  FeatureSpec(name="p", kind="categorical", vocabulary=["icmp", "tcp"])])
 
 
 def codebook():
@@ -58,8 +56,7 @@ CASES = {
     "FeatureSchema": (schema, [
         (lambda o: setattr(o, "features", []), FROZEN),
         (lambda o: o.features.append(o.features[0]), AttributeError),
-        (lambda o: o.class_names.append("probe"), AttributeError),
-        (lambda o: operator.setitem(o.class_names, 0, "dos"), TypeError),
+        (lambda o: operator.setitem(o.features, 0, o.features[1]), TypeError),
     ]),
     "FeatureSpec": (lambda: schema().features[1], [
         (lambda o: setattr(o, "vocabulary", ["udp", "tcp"]), FROZEN),
