@@ -277,13 +277,14 @@ def cmd_evaluate(args) -> int:
 
 def _csv_pieces(names: list, preds, sims, inverse):
     """predict's CSV as text pieces: the header, then _CSV_ROWS records a
-    piece, record i scored preds[inverse[i]] and sims[inverse[i]]."""
+    piece, record i scored preds[inverse[i]] and sims[inverse[i]]. Each
+    distinct row's ",predicted,sims" tail is formatted once."""
     yield "index,predicted," + ",".join(f"sim_{n}" for n in names) + "\n"
+    tails = [f",{names[pred]}," + ",".join(map(repr, scores)) + "\n"
+             for pred, scores in zip(preds.tolist(), sims.tolist())]
     for start in range(0, len(inverse), _CSV_ROWS):
-        at = inverse[start:start + _CSV_ROWS]
-        yield "".join(f"{i},{names[pred]}," + ",".join(map(repr, scores)) + "\n"
-                      for i, pred, scores in zip(itertools.count(start), preds[at].tolist(),
-                                                 sims[at].tolist()))
+        yield "".join(f"{i}{tails[u]}" for i, u in zip(
+            itertools.count(start), inverse[start:start + _CSV_ROWS].tolist()))
 
 
 def cmd_predict(args) -> int:
