@@ -6,9 +6,12 @@ and the F1 of a (0, 0) pair is 0. Macro F1 averages over all classes the
 model knows, absent ones included, and the report flags which those are
 so a deceptively low macro score is explainable.
 
-Rendering is deterministic: identical reports serialize to identical
-bytes in every format. Timing is therefore kept out of the rendered
-output and only carried on the report object.
+A report is its confusion matrix and its config: every figure it renders
+is computed from the matrix when read, so none can disagree with it. Both
+check themselves when built and are frozen, so a report that exists is
+valid and stays as it was built. Rendering is deterministic: a report's
+bytes in every format depend only on its matrix and config, and no report
+carries timing.
 """
 
 from __future__ import annotations
@@ -16,8 +19,9 @@ from __future__ import annotations
 import csv
 import io
 import json
-import time
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -33,12 +37,37 @@ from .model import predict_batch  # noqa: F401
 REPORT_FORMATS = ("text", "json", "csv")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ConfusionMatrix:
-    """counts[i, j] = records of actual class i predicted as class j."""
+    """counts[i, j] = records of actual class i predicted as class j, valid
+    once built.
+
+    Construction raises ValueError unless class_names are distinct strings,
+    at least one, and counts is an (n, n) array of non-negative integers, n
+    the number of class names. class_names is held as a tuple and counts as
+    a read-only int64 copy.
+    """
 
     counts: np.ndarray
-    class_names: list
+    class_names: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        names = self.class_names
+        if (isinstance(names, str) or not isinstance(names, (list, tuple)) or not names
+                or not all(isinstance(n, str) for n in names) or len(set(names)) != len(names)):
+            raise ValueError(f"confusion matrix class names must be distinct strings, "
+                             f"at least one, got {names!r}")
+        n = len(names)
+        counts = np.asarray(self.counts)
+        if not np.issubdtype(counts.dtype, np.integer) or counts.shape != (n, n):
+            raise ValueError(f"counts must be a ({n}, {n}) integer array, "
+                             f"got {counts.dtype} {counts.shape}")
+        counts = counts.astype(np.int64)  # a copy; a uint64 past int64 turns negative
+        if (counts < 0).any():
+            raise ValueError("counts must be non-negative")
+        counts.flags.writeable = False
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "class_names", tuple(names))
 
     @classmethod
     def from_pairs(cls, truth, preds, class_names) -> "ConfusionMatrix":
@@ -53,8 +82,8 @@ class ConfusionMatrix:
                              "must be 1-D of one length")
         _check_labels(truth, n)
         _check_labels(preds, n)
-        counts = np.bincount(truth * n + preds, minlength=n * n).astype(np.int64, copy=False)
-        return cls(counts=counts.reshape(n, n), class_names=list(class_names))
+        counts = np.bincount(truth * n + preds, minlength=n * n)
+        return cls(counts.reshape(n, n), tuple(class_names))
 
     @property
     def total(self) -> int:
@@ -68,7 +97,7 @@ class ConfusionMatrix:
         return float(np.trace(self.counts)) / total
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClassMetrics:
     name: str
     precision: float
@@ -79,54 +108,53 @@ class ClassMetrics:
     absent: bool  # no records of this class in the test set
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class EvaluationReport:
-    accuracy: float
-    per_class: list
-    macro_f1: float
+    """A confusion matrix of at least one record and the config it was made
+    under, valid once built; every figure is computed from the matrix.
+
+    Construction raises ValueError when matrix is not a ConfusionMatrix or
+    holds no record, or when config is not a mapping. config is held as a
+    read-only mapping, its list values as tuples.
+    """
+
     matrix: ConfusionMatrix
-    config: dict = field(default_factory=dict)
-    num_records: int = 0
-    wall_time: float = 0.0  # informational only, never rendered
+    config: Mapping = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.matrix, ConfusionMatrix):
+            raise ValueError(f"matrix must be a ConfusionMatrix, got {type(self.matrix).__name__}")
+        if self.matrix.total == 0:
+            raise ValueError("empty confusion matrix")
+        if not isinstance(self.config, Mapping):
+            raise ValueError(f"config must be a mapping, got {self.config!r}")
+        config = {k: tuple(v) if isinstance(v, list) else v for k, v in self.config.items()}
+        object.__setattr__(self, "config", MappingProxyType(config))
 
-def _metrics_from_matrix(matrix: ConfusionMatrix) -> list:
-    out = []
-    counts = matrix.counts
-    for c, name in enumerate(matrix.class_names):
-        tp = int(counts[c, c])
-        support = int(counts[c].sum())
-        predicted = int(counts[:, c].sum())
-        precision = tp / predicted if predicted else 0.0
-        recall = tp / support if support else 0.0
-        f1 = (
-            2 * precision * recall / (precision + recall)
-            if precision + recall > 0
-            else 0.0
-        )
-        out.append(
-            ClassMetrics(
-                name=name, precision=precision, recall=recall, f1=f1,
-                support=support, predicted=predicted, absent=support == 0,
-            )
-        )
-    return out
+    @property
+    def num_records(self) -> int:
+        return self.matrix.total
 
+    @property
+    def accuracy(self) -> float:
+        return self.matrix.accuracy
 
-def report_from_matrix(
-    matrix: ConfusionMatrix, config: dict | None = None, wall_time: float = 0.0
-) -> EvaluationReport:
-    per_class = _metrics_from_matrix(matrix)
-    macro = sum(m.f1 for m in per_class) / len(per_class)
-    return EvaluationReport(
-        accuracy=matrix.accuracy,
-        per_class=per_class,
-        macro_f1=macro,
-        matrix=matrix,
-        config=dict(config or {}),
-        num_records=matrix.total,
-        wall_time=wall_time,
-    )
+    @property
+    def per_class(self) -> tuple[ClassMetrics, ...]:
+        counts = self.matrix.counts
+        out = []
+        for c, name in enumerate(self.matrix.class_names):
+            tp, support, predicted = int(counts[c, c]), int(counts[c].sum()), int(counts[:, c].sum())
+            precision = tp / predicted if predicted else 0.0
+            recall = tp / support if support else 0.0
+            f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+            out.append(ClassMetrics(name, precision, recall, f1, support, predicted, support == 0))
+        return tuple(out)
+
+    @property
+    def macro_f1(self) -> float:
+        per_class = self.per_class
+        return sum(m.f1 for m in per_class) / len(per_class)
 
 
 def evaluate(model: ClassModel, table: RecordTable, jobs: int | None = None) -> EvaluationReport:
@@ -137,16 +165,14 @@ def evaluate(model: ClassModel, table: RecordTable, jobs: int | None = None) -> 
     reference to the table, as train's encode_dataset does."""
     if not len(table):
         raise ValueError("empty test set")
-    t0 = time.perf_counter()
     labels = class_indices(table, model.label_map)
     held = [table]
     del table
     preds, _, inverse = predict_table(model, held.pop(), jobs=jobs)
-    wall = time.perf_counter() - t0
     matrix = ConfusionMatrix.from_pairs(labels, preds[inverse], model.label_map.class_names)
     config = dict(model.hyperparams.to_dict())
-    config["classes"] = list(model.label_map.class_names)
-    return report_from_matrix(matrix, config=config, wall_time=wall)
+    config["classes"] = model.label_map.class_names
+    return EvaluationReport(matrix, config)
 
 
 def _config_items(config: dict):
@@ -188,7 +214,7 @@ def _render_json(report: EvaluationReport) -> str:
             "class_names": list(report.matrix.class_names),
             "counts": report.matrix.counts.tolist(),
         },
-        "config": report.config,
+        "config": dict(report.config),
     }
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 

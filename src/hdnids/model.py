@@ -73,7 +73,7 @@ import logging
 import math
 import numbers
 import os
-import tempfile
+import secrets
 from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
@@ -252,7 +252,7 @@ def train_initial(encoded: EncodedDataset, num_classes: int) -> np.ndarray:
     """Per-class sums of the binary training vectors: the (num_classes, dim)
     float64 matrix a ClassModel holds.
 
-    A class with no samples keeps an all-zero row (logged); cosine
+    A class no label names keeps an all-zero row (logged); cosine
     against an all-zero representative is defined as 0, so inference
     still works.
     """
@@ -266,12 +266,11 @@ def train_initial(encoded: EncodedDataset, num_classes: int) -> np.ndarray:
     counts = np.zeros((num_classes, encoded.dim), dtype=np.int64)
     for c in range(num_classes):
         members = np.flatnonzero(encoded.labels == c)
+        if not members.size:
+            log.warning("class %d has no training samples; representative is zero", c)
         for start in range(0, len(members), _CHUNK):
             bits = encoded.unpack(members[start:start + _CHUNK])
             counts[c] += bits.sum(axis=0, dtype=np.uint16)
-    for c in range(num_classes):
-        if not counts[c].any():
-            log.warning("class %d has no training samples; representative is zero", c)
     return counts.astype(np.float64)
 
 
@@ -376,13 +375,16 @@ def retrain(model: ClassModel, encoded: EncodedDataset):
     every cosine would read 0. Returns (updated model, per-epoch
     accuracy trace); the trace records the fraction of samples correct at
     the moment they were visited. At 0 iterations the representatives are
-    unchanged and the trace is empty.
+    unchanged and the trace is empty. Raises ValueError on a dataset of
+    no records.
     """
     if encoded.labels is None:
         raise ValueError("retraining data must carry labels")
+    m = len(encoded)
+    if m == 0:
+        raise ValueError("empty training set")
     _check_labels(encoded.labels, model.num_classes)
     alpha = float(model.hyperparams.alpha)  # an int alpha would keep alpha * bits in uint8
-    m = len(encoded)
 
     reps = model.reps.copy()
     norms = np.linalg.norm(reps, axis=1)
@@ -448,9 +450,11 @@ def retrain(model: ClassModel, encoded: EncodedDataset):
 def atomic_write(path):
     """Binary handle on a temp file beside path, renamed to path when the
     block ends and removed when it raises, so a failing run never leaves a
-    partial file behind."""
+    partial file behind. The file is created as open(path, "wb") creates a
+    new one: mode 0o666 less the umask."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or ".", prefix=path.name, suffix=".tmp")
+    tmp = path.parent / f"{path.name}.{secrets.token_hex(8)}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             yield fh

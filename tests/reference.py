@@ -316,3 +316,48 @@ def ref_split(records, lines, spec, label_map):
         train.extend(idxs[:k])
         test.extend(idxs[k:])
     return [lines[i] for i in sorted(train)], [lines[i] for i in sorted(test)]
+
+
+# --- report oracle --------------------------------------------------------------
+# The figures of an evaluation report, one plain loop each, from a confusion
+# matrix given as nested lists of counts.
+
+
+def ref_report_figures(counts, names):
+    """(per-class dicts, accuracy, macro F1) of counts[i][j], the records of
+    class i predicted as class j.
+
+    Per class: precision is tp / predicted, 0 when the class is never
+    predicted; recall is tp / support, 0 when it has no support; F1 is their
+    harmonic mean, 0 when both are 0; absent means no support. Accuracy is
+    the diagonal over the total, and macro F1 the mean F1 over every class,
+    absent ones included.
+    """
+    n = len(names)
+    per_class = []
+    for c in range(n):
+        tp = counts[c][c]
+        support = 0
+        predicted = 0
+        for k in range(n):
+            support += counts[c][k]
+            predicted += counts[k][c]
+        precision = tp / predicted if predicted > 0 else 0.0
+        recall = tp / support if support > 0 else 0.0
+        if precision + recall > 0:
+            f1 = 2 * precision * recall / (precision + recall)
+        else:
+            f1 = 0.0
+        per_class.append({"name": names[c], "precision": precision, "recall": recall,
+                          "f1": f1, "support": support, "predicted": predicted,
+                          "absent": support == 0})
+    total = 0
+    diagonal = 0
+    for i in range(n):
+        diagonal += counts[i][i]
+        for j in range(n):
+            total += counts[i][j]
+    # the builtin sum, as the report adds its F1s: from Python 3.12 it
+    # compensates a float sum, which a plain += loop does not
+    macro_f1 = sum(m["f1"] for m in per_class) / n
+    return per_class, diagonal / total, macro_f1

@@ -404,6 +404,14 @@ class TestEvaluate:
         assert obj["accuracy"] == 1.0
         assert obj["config"]["dim"] == 256
 
+    def test_evaluate_timed_on_stderr(self, tmp_path, corpus, capsys):
+        model = quick_train(tmp_path, corpus)
+        capsys.readouterr()
+        assert run(["evaluate", "--model", model, "--test", corpus]) == 0
+        err = capsys.readouterr().err
+        records = len(corpus.read_text().splitlines())
+        assert re.fullmatch(rf"evaluated {records} records in \d+\.\d\ds\n", err)
+
     def test_reports_reproducible(self, tmp_path, corpus, capsys):
         model = quick_train(tmp_path, corpus)
         r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
@@ -818,6 +826,31 @@ class TestEmptyInput:
         assert run([a.format(**paths) for a in self.COMMANDS[command]]) == 4
         assert f"{empty}: no records" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestOutputMode:
+    def test_every_output_file_takes_the_umask_mode(self, tmp_path, corpus, capsys):
+        """Model, report, predictions, split and sweep files get the mode
+        open(path, "wb") gives a new file: 644 under umask 022."""
+        out = tmp_path / "out"
+        out.mkdir()
+        old = os.umask(0o022)
+        try:
+            model = quick_train(out, corpus)
+            for args in (["evaluate", "--model", model, "--test", corpus,
+                          "--report", out / "report.txt"],
+                         ["predict", "--model", model, "--input", corpus,
+                          "--output", out / "predictions.csv"],
+                         ["split", "--input", corpus, "--train-out", out / "train.txt",
+                          "--test-out", out / "test.txt"],
+                         ["sweep", "--train", corpus, "--dims", "128", "--iterations", "1",
+                          "--output", out / "sweep.csv"]):
+                assert run(args) == 0
+        finally:
+            os.umask(old)
+        modes = {p.name: oct(p.stat().st_mode & 0o777) for p in out.iterdir()}
+        assert modes == dict.fromkeys(["m.hdm", "report.txt", "predictions.csv", "train.txt",
+                                       "test.txt", "sweep.csv"], "0o644")
 
 
 class TestUsage:

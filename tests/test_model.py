@@ -160,6 +160,16 @@ class TestTrainInitial:
         assert not reps[1].any() and not reps[2].any()
         assert "no training samples" in caplog.text
 
+    def test_class_of_all_zero_encodings_has_samples(self, caplog):
+        """A class whose records all encode to zero keeps a zero row, but it
+        has samples: only the class no label names is warned about."""
+        data = EncodedDataset(np.vstack([packed([1, 0]), packed([0, 0])]), 2, np.array([0, 1]))
+        with caplog.at_level("WARNING"):
+            reps = train_initial(data, 3)
+        assert not reps[1].any() and not reps[2].any()
+        assert "class 1 " not in caplog.text
+        assert "class 2 has no training samples" in caplog.text
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             train_initial([], 2)
@@ -498,6 +508,12 @@ class TestRetrain:
         with pytest.raises(ValueError, match="must carry labels"):
             retrain(toy_model(data), dataclasses.replace(data, labels=None))
 
+    def test_empty_dataset_rejected(self):
+        data = toy_clusters()
+        empty = EncodedDataset(data.rows[:0], data.dim, data.labels[:0])
+        with pytest.raises(ValueError, match="empty training set"):
+            retrain(toy_model(data), empty)
+
     @pytest.mark.parametrize("bad", [-1, 3, 7])
     def test_label_out_of_range(self, bad):
         # -1 would index the last class and 3 would raise IndexError mid-epoch
@@ -749,6 +765,21 @@ class TestAtomicWrite:
                 raise RuntimeError("stop")
         assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
         assert path.read_bytes() == b"old"
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+    def test_new_file_takes_the_mode_open_gives(self, tmp_path, umask):
+        """The output's mode is the one open(path, "wb") gives a new file:
+        0o666 less the umask, not the temp file's 0o600."""
+        old = os.umask(umask)
+        try:
+            with atomic_write(tmp_path / "out.bin") as fh:
+                fh.write(b"x")
+            with open(tmp_path / "plain.bin", "wb"):
+                pass
+        finally:
+            os.umask(old)
+        modes = {p.name: p.stat().st_mode & 0o777 for p in tmp_path.iterdir()}
+        assert modes == {"out.bin": 0o666 & ~umask, "plain.bin": 0o666 & ~umask}
 
 
 class TestPersistence:
