@@ -53,7 +53,7 @@ class ConfusionMatrix:
 
     def __post_init__(self) -> None:
         names = self.class_names
-        if (isinstance(names, str) or not isinstance(names, (list, tuple)) or not names
+        if (not isinstance(names, (list, tuple)) or not names
                 or not all(isinstance(n, str) for n in names) or len(set(names)) != len(names)):
             raise ValueError(f"confusion matrix class names must be distinct strings, "
                              f"at least one, got {names!r}")

@@ -76,9 +76,9 @@ class TestConfusionMatrix:
             ConfusionMatrix(counts, names)
 
     def test_counts_are_a_read_only_copy(self):
-        given = np.array([[1, 2], [3, 4]], dtype=np.int32)
-        m = ConfusionMatrix(given, ["a", "b"])
-        given[0, 0] = 9
+        counts = np.array([[1, 2], [3, 4]], dtype=np.int32)
+        m = ConfusionMatrix(counts, ["a", "b"])
+        counts[0, 0] = 9
         assert m.counts.tolist() == [[1, 2], [3, 4]] and m.counts.dtype == np.int64
         assert m.class_names == ("a", "b")
         with pytest.raises(ValueError, match="read-only"):
